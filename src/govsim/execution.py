@@ -218,6 +218,9 @@ class NodeRun:
     started_tick: int | None = None
     verified_tick: int | None = None
     freeze_events: list[FreezeEvent] = field(default_factory=list)
+    # node id -> first from-state since the owner's last flush; the driver
+    # shares one dict across its runs so a move is recorded where it happens
+    journal: dict[str, NodeState] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.meter is None:
@@ -231,6 +234,8 @@ class NodeRun:
 def transition(run: NodeRun, new_state: NodeState) -> None:
     if new_state not in LEGAL_TRANSITIONS[run.state]:
         raise IllegalNodeTransition(f"{run.node_id}: {run.state.value} -> {new_state.value}")
+    if run.journal is not None:
+        run.journal.setdefault(run.node_id, run.state)
     run.state = new_state
 
 

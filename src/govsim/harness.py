@@ -671,6 +671,7 @@ class _Driver:
         self.charter = config.charter
         self.precedents = PrecedentRegistry()
         self.runs: dict[str, NodeRun] = {}
+        self.journal: dict[str, NodeState] = {}
         self.mission_frozen = False
         self.freeze_history: list[FreezeEvent] = []
         self.completed_tick: int | None = None
@@ -876,13 +877,16 @@ class _Driver:
 
     # -- execution processing ------------------------------------------------
 
-    def record_moves(self, before: Mapping[str, str], tick: int) -> None:
-        after = states_snapshot(self.runs)
-        for node_id, new_state in after.items():
-            if before[node_id] != new_state:
+    def flush_moves(self, tick: int) -> None:
+        """Report each journaled node's net move since the last flush, in
+        node-id order, and empty the journal."""
+        for node_id, from_state in sorted(self.journal.items()):
+            to_state = self.runs[node_id].state
+            if to_state is not from_state:
                 self.transitions.append(
-                    {"tick": tick, "node_id": node_id, "from": before[node_id], "to": new_state}
+                    {"tick": tick, "node_id": node_id, "from": from_state.value, "to": to_state.value}
                 )
+        self.journal.clear()
 
     def note_freeze(self, event: FreezeEvent) -> None:
         self.freeze_history.append(event)
@@ -919,9 +923,7 @@ class _Driver:
         if tier is EscalationTier.CIRCUIT_BREAKER and not self.mission_frozen:
             self.mission_frozen = True
             self.outcome = "Frozen"
-            before = states_snapshot(self.runs)
             freeze_mission(self.runs, "circuit-breaker", tick, ledger=self.ledger)
-            self.record_moves(before, tick)
             if self.config.guardian.escalation_panel:
                 self.dispute_case = file_dispute(
                     self.config.mission_id,
@@ -976,151 +978,155 @@ class _Driver:
 
         return scripted
 
-    def process_events(self, events: Sequence[_Planned], assignments) -> None:
-        config = self.config
+    def on_start(self, event: _Planned, run: NodeRun, plan: NodePlan) -> None:
+        deps_ok = all(
+            self.runs[d].state in (NodeState.VERIFIED, NodeState.COMPLETED)
+            for d in self.dag.dependencies(event.node_id)
+        )
+        if run.state is not NodeState.PENDING or not deps_ok:
+            return
+        transition(run, NodeState.READY)
+        transition(run, NodeState.RUNNING)
+        run.started_tick = event.tick
+        run.items = set(plan.items)
+        run.checkpoint = Checkpoint(
+            node_id=event.node_id,
+            snapshot_digest="sha256:" + hashlib.sha256(
+                canonical({"node_id": event.node_id, "entry": event.tick})
+            ).hexdigest()[:24],
+            tick=event.tick,
+        )
+        self.ledger.append(
+            RecordKind.NODE_STARTED,
+            run.assignee,
+            {
+                "node_id": event.node_id,
+                "did": run.assignee,
+                "mission_id": self.config.mission_id,
+                "attempt": run.attempts + 1,
+            },
+            tick=event.tick,
+        )
+
+    def on_execute(self, event: _Planned, run: NodeRun, plan: NodePlan) -> None:
+        if run.state is not NodeState.RUNNING or run.attempts != event.attempt:
+            return
+        behavior = self.behavior_for(plan, event.spec, event.tick, event.node_id)
+        try:
+            execute_node(
+                run,
+                behavior,
+                run.meter,
+                tick=event.tick,
+                ledger=self.ledger,
+                mission_id=self.config.mission_id,
+            )
+        except (BudgetExceeded, CapBreached):
+            self.note_freeze(run.freeze_events[-1])
+            self.escalate_after_freeze(event.tick)
+
+    def on_probe(self, event: _Planned, run: NodeRun, plan: NodePlan) -> None:
+        if run.state is not NodeState.RUNNING or run.attempts != event.attempt:
+            return
+        assert plan.probe is not None
+        value = (
+            plan.probe.corrupt_value
+            if self.probe_corrupt(plan, event.tick, run.assignee)
+            else plan.probe.clean_value
+        )
+        telemetry = Telemetry(
+            node_id=event.node_id,
+            did=run.assignee,
+            tokens_spent=0,
+            tool_calls=0,
+            messages=0,
+            metrics={plan.probe.metric: value},
+            output_digest="probe",
+        )
+        mean, std = self.registry.baseline(run.assignee, plan.probe.metric)
+        verdict = guardian_check(
+            telemetry,
+            Baseline(metric=plan.probe.metric, mean=mean, std=std),
+            run=run,
+            z_threshold=self.config.guardian.z_threshold,
+            tick=event.tick,
+            ledger=self.ledger,
+        )
+        if not isinstance(verdict, Ok):
+            self.note_freeze(verdict)
+            self.escalate_after_freeze(event.tick)
+
+    def on_rollback(self, event: _Planned, run: NodeRun, plan: NodePlan) -> None:
+        if run.state is not NodeState.FROZEN:
+            return
+        rollback(run, tick=event.tick, ledger=self.ledger, mission_id=self.config.mission_id)
+        if self.escalations and self.escalations[-1]["tier"] == "Restrictive":
+            run.meter.restrict_tool_budget()
+
+    def on_verify(self, event: _Planned, run: NodeRun, plan: NodePlan) -> None:
+        if run.state is not NodeState.RUNNING or run.attempts != event.attempt:
+            return
+        assert run.telemetry is not None
+        result = gate_verify(
+            run,
+            run.telemetry,
+            cosigner=self.config.guardian.cosigner,
+            tick=event.tick,
+            ledger=self.ledger,
+            mission_id=self.config.mission_id,
+        )
+        passed = not isinstance(result, GateFailure)
+        check_id = run.template.gate_check_id or event.node_id.lower()
+        self.gates.append(
+            {"node_id": event.node_id, "tick": event.tick, "check_id": check_id, "passed": passed}
+        )
+        if passed and plan.screen is not None:
+            flagged = list(plan.screen.get("flagged", ()))
+            affected = int(plan.screen["affected"])
+            self.screening[event.node_id] = {
+                "affected": affected,
+                "cleared": affected - len(flagged),
+                "flagged": len(flagged),
+                "flagged_ids": flagged,
+            }
+        if not passed:
+            self.note_freeze(run.freeze_events[-1])
+            self.escalate_after_freeze(event.tick)
+
+    def on_quarantine(self, event: _Planned, run: NodeRun, plan: NodePlan) -> None:
+        if run.state not in (NodeState.RUNNING, NodeState.VERIFIED):
+            return
+        quarantine(
+            run,
+            plan.quarantine_items,
+            tick=event.tick,
+            ledger=self.ledger,
+            mission_id=self.config.mission_id,
+        )
+        self.quarantine_trace.append(
+            {
+                "tick": event.tick,
+                "action": "quarantine",
+                "node_id": event.node_id,
+                "items": sorted(plan.quarantine_items),
+            }
+        )
+
+    def process_events(self, events: Sequence[_Planned]) -> None:
+        handlers: dict[str, Callable[[_Planned, NodeRun, NodePlan], None]] = {
+            "start": self.on_start,
+            "execute": self.on_execute,
+            "probe": self.on_probe,
+            "rollback": self.on_rollback,
+            "verify": self.on_verify,
+            "quarantine": self.on_quarantine,
+        }
         for event in events:
             if self.mission_frozen:
                 break
-            run = self.runs[event.node_id]
-            plan = config.plans[event.node_id]
             self.advance(event.tick)
-            before = states_snapshot(self.runs)
-
-            if event.action == "start":
-                deps_ok = all(
-                    self.runs[d].state in (NodeState.VERIFIED, NodeState.COMPLETED)
-                    for d in self.dag.dependencies(event.node_id)
-                )
-                if run.state is not NodeState.PENDING or not deps_ok:
-                    continue
-                transition(run, NodeState.READY)
-                transition(run, NodeState.RUNNING)
-                run.started_tick = event.tick
-                run.items = set(plan.items)
-                run.checkpoint = Checkpoint(
-                    node_id=event.node_id,
-                    snapshot_digest="sha256:" + hashlib.sha256(
-                        canonical({"node_id": event.node_id, "entry": event.tick})
-                    ).hexdigest()[:24],
-                    tick=event.tick,
-                )
-                self.ledger.append(
-                    RecordKind.NODE_STARTED,
-                    run.assignee,
-                    {
-                        "node_id": event.node_id,
-                        "did": run.assignee,
-                        "mission_id": config.mission_id,
-                        "attempt": run.attempts + 1,
-                    },
-                    tick=event.tick,
-                )
-
-            elif event.action == "execute":
-                if run.state is not NodeState.RUNNING or run.attempts != event.attempt:
-                    continue
-                behavior = self.behavior_for(plan, event.spec, event.tick, event.node_id)
-                try:
-                    execute_node(
-                        run,
-                        behavior,
-                        run.meter,
-                        tick=event.tick,
-                        ledger=self.ledger,
-                        mission_id=config.mission_id,
-                    )
-                except (BudgetExceeded, CapBreached):
-                    self.note_freeze(run.freeze_events[-1])
-                    self.escalate_after_freeze(event.tick)
-
-            elif event.action == "probe":
-                if run.state is not NodeState.RUNNING or run.attempts != event.attempt:
-                    continue
-                assert plan.probe is not None
-                value = (
-                    plan.probe.corrupt_value
-                    if self.probe_corrupt(plan, event.tick, run.assignee)
-                    else plan.probe.clean_value
-                )
-                telemetry = Telemetry(
-                    node_id=event.node_id,
-                    did=run.assignee,
-                    tokens_spent=0,
-                    tool_calls=0,
-                    messages=0,
-                    metrics={plan.probe.metric: value},
-                    output_digest="probe",
-                )
-                mean, std = self.registry.baseline(run.assignee, plan.probe.metric)
-                verdict = guardian_check(
-                    telemetry,
-                    Baseline(metric=plan.probe.metric, mean=mean, std=std),
-                    run=run,
-                    z_threshold=config.guardian.z_threshold,
-                    tick=event.tick,
-                    ledger=self.ledger,
-                )
-                if not isinstance(verdict, Ok):
-                    self.note_freeze(verdict)
-                    self.escalate_after_freeze(event.tick)
-
-            elif event.action == "rollback":
-                if run.state is not NodeState.FROZEN:
-                    continue
-                rollback(run, tick=event.tick, ledger=self.ledger, mission_id=config.mission_id)
-                if self.escalations and self.escalations[-1]["tier"] == "Restrictive":
-                    run.meter.restrict_tool_budget()
-
-            elif event.action == "verify":
-                if run.state is not NodeState.RUNNING or run.attempts != event.attempt:
-                    continue
-                assert run.telemetry is not None
-                result = gate_verify(
-                    run,
-                    run.telemetry,
-                    cosigner=config.guardian.cosigner,
-                    tick=event.tick,
-                    ledger=self.ledger,
-                    mission_id=config.mission_id,
-                )
-                passed = not isinstance(result, GateFailure)
-                check_id = run.template.gate_check_id or event.node_id.lower()
-                self.gates.append(
-                    {"node_id": event.node_id, "tick": event.tick, "check_id": check_id, "passed": passed}
-                )
-                if passed and plan.screen is not None:
-                    flagged = list(plan.screen.get("flagged", ()))
-                    affected = int(plan.screen["affected"])
-                    self.screening[event.node_id] = {
-                        "affected": affected,
-                        "cleared": affected - len(flagged),
-                        "flagged": len(flagged),
-                        "flagged_ids": flagged,
-                    }
-                if not passed:
-                    self.note_freeze(run.freeze_events[-1])
-                    self.escalate_after_freeze(event.tick)
-
-            elif event.action == "quarantine":
-                if run.state not in (NodeState.RUNNING, NodeState.VERIFIED):
-                    continue
-                quarantine(
-                    run,
-                    plan.quarantine_items,
-                    tick=event.tick,
-                    ledger=self.ledger,
-                    mission_id=config.mission_id,
-                )
-                self.quarantine_trace.append(
-                    {
-                        "tick": event.tick,
-                        "action": "quarantine",
-                        "node_id": event.node_id,
-                        "items": sorted(plan.quarantine_items),
-                    }
-                )
-
-            self.record_moves(before, event.tick)
+            handlers[event.action](event, self.runs[event.node_id], self.config.plans[event.node_id])
+            self.flush_moves(event.tick)
 
     # -- wrap-up phases ------------------------------------------------------
 
@@ -1128,7 +1134,7 @@ class _Driver:
         if self.mission_frozen:
             return
         unverified = [
-            n for n, run in sorted(self.runs.items()) if run.state is not NodeState.VERIFIED
+            n for n, state in states_snapshot(self.runs).items() if state != NodeState.VERIFIED.value
         ]
         if unverified:
             self.outcome = "Stalled"
@@ -1136,10 +1142,9 @@ class _Driver:
             return
         tick = max(run.verified_tick or 0 for run in self.runs.values()) + 10
         self.advance(tick)
-        before = states_snapshot(self.runs)
         for _, run in sorted(self.runs.items()):
             transition(run, NodeState.COMPLETED)
-        self.record_moves(before, tick)
+        self.flush_moves(tick)
         self.completed_tick = tick
         final_output = self.node_outputs.get(self.dag.sink_id(), {})
         verdict = gate_contract_filter(final_output, self.charter)
@@ -1203,7 +1208,6 @@ class _Driver:
 
     def handle_cross_node(self, event: TimelineEvent) -> None:
         params = event.params
-        self.advance(event.tick)
         amount, tax = self.treasury.settle_cross_node(
             params.get("payer", self.config.economy.org_account),
             params["provider_account"],
@@ -1247,7 +1251,6 @@ class _Driver:
 
     def handle_correction_loop(self, event: TimelineEvent) -> None:
         params = event.params
-        self.advance(event.tick)
         iraw = params["incident"]
         probe_raw = iraw.get("probe", {})
         incident = Incident(
@@ -1324,7 +1327,6 @@ class _Driver:
     def handle_dispute(self, event: TimelineEvent) -> None:
         params = event.params
         t0 = event.tick
-        self.advance(t0)
         case = file_dispute(
             self.config.mission_id,
             params["complaint"],
@@ -1440,15 +1442,18 @@ class _Driver:
         }
 
     def run_timeline(self) -> None:
+        handlers: dict[str, Callable[[TimelineEvent], None]] = {
+            "cross_node_attestation": self.handle_cross_node,
+            "correction_loop": self.handle_correction_loop,
+            "dispute": self.handle_dispute,
+        }
         for event in self.config.timeline:
-            if event.kind == "cross_node_attestation":
-                self.handle_cross_node(event)
-            elif event.kind == "correction_loop":
-                self.handle_correction_loop(event)
-            elif event.kind == "dispute":
-                self.handle_dispute(event)
-            else:
+            handler = handlers.get(event.kind)
+            if handler is None:
                 self.failures.append(f"unknown timeline event kind {event.kind!r}")
+                continue
+            self.advance(event.tick)
+            handler(event)
 
     # -- report --------------------------------------------------------------
 
@@ -1568,8 +1573,9 @@ class _Driver:
             return self.build_report()
         self.dag = dag
         self.runs = make_runs(dag, assignments)
-        events = self.plan_events(dag, assignments)
-        self.process_events(events, assignments)
+        for run in self.runs.values():
+            run.journal = self.journal
+        self.process_events(self.plan_events(dag, assignments))
         self.complete_mission()
         self.settle()
         self.run_timeline()

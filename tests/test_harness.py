@@ -358,6 +358,38 @@ def test_stress_window_trips_the_breaker():
     }
 
 
+def _parallel_root_stress():
+    """Stress-window plus a second root with no probe that the sink also
+    waits on: it is still Running when the breaker trips at tick 1800."""
+    raw = raw_fixture(STRESS_WINDOW_FIXTURE)
+    runner = raw["agents"][0]
+    runner["bids"].append(
+        {"node_id": "TASK-ST-001B", "accuracy_sla": "0.9990", "completion_ticks": 2000}
+    )
+    templates = raw["job"]["task_templates"]
+    bystander = dict(templates[0], template_id="TASK-ST-001B", title="bystander sweep")
+    templates.insert(1, bystander)
+    templates[-1]["depends_on"] = ["TASK-ST-001", "TASK-ST-001B"]
+    raw["execution_plan"]["TASK-ST-001B"] = {
+        "duration_ticks": 2000,
+        "tokens": 100,
+        "tool_calls": 1,
+        "messages": 1,
+        "metrics": {"latency_ms": 118},
+    }
+    return scenario_from_dict(raw)
+
+
+def test_breaker_moves_are_recorded_once_in_node_order():
+    report = run(_parallel_root_stress())
+    assert report.body["mission"]["outcome"] == "Frozen"
+    at_trip = [t for t in report.body["transitions"] if t["tick"] == 1800]
+    assert at_trip == [
+        {"tick": 1800, "node_id": "TASK-ST-001", "from": "Running", "to": "Frozen"},
+        {"tick": 1800, "node_id": "TASK-ST-001B", "from": "Running", "to": "Frozen"},
+    ]
+
+
 def test_stress_window_short_fault_stays_restrictive():
     raw = raw_fixture(STRESS_WINDOW_FIXTURE)
     raw["faults"][0]["deactivate_tick"] = 1700
