@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from decimal import Decimal, InvalidOperation
 from importlib import resources
@@ -541,60 +541,22 @@ def _digest_of(seed_token: str) -> str:
     return "sha256:" + hashlib.sha256(seed_token.encode()).hexdigest()[:24]
 
 
+# Library of adversarial behaviors, addressable from BehaviorOverride faults
+# and tests. Each returns a transformed copy of the scripted outcome.
+_OVERRIDES: dict[str, Callable[[BehaviorOutcome, NodeRun], BehaviorOutcome]] = {
+    "token-overrun": lambda outcome, run: replace(outcome, tokens_spent=run.meter.token_cap + 1),
+    "tool-storm": lambda outcome, run: replace(outcome, tool_calls=run.meter.tool_call_cap + 1),
+    "message-flood": lambda outcome, run: replace(outcome, messages=run.meter.message_cap + 1),
+    "scope-breach": lambda outcome, run: replace(
+        outcome, evidence=tuple(replace(ev, contract_scope_ok=False) for ev in outcome.evidence)
+    ),
+}
+
+
 def _named_override(name: str, outcome: BehaviorOutcome, run: NodeRun) -> BehaviorOutcome:
-    """Library of adversarial behaviors, addressable from BehaviorOverride
-    faults and tests. Each returns a transformed copy of the scripted outcome."""
-    if name == "token-overrun":
-        return BehaviorOutcome(
-            metrics=outcome.metrics,
-            tokens_spent=run.meter.token_cap + 1,
-            tool_calls=outcome.tool_calls,
-            messages=outcome.messages,
-            output=outcome.output,
-            evidence=outcome.evidence,
-        )
-    if name == "tool-storm":
-        return BehaviorOutcome(
-            metrics=outcome.metrics,
-            tokens_spent=outcome.tokens_spent,
-            tool_calls=run.meter.tool_call_cap + 1,
-            messages=outcome.messages,
-            output=outcome.output,
-            evidence=outcome.evidence,
-        )
-    if name == "message-flood":
-        return BehaviorOutcome(
-            metrics=outcome.metrics,
-            tokens_spent=outcome.tokens_spent,
-            tool_calls=outcome.tool_calls,
-            messages=run.meter.message_cap + 1,
-            output=outcome.output,
-            evidence=outcome.evidence,
-        )
-    if name == "scope-breach":
-        tainted = tuple(
-            ToolCallEvidence(
-                call_index=ev.call_index,
-                endpoint_id=ev.endpoint_id,
-                category=ev.category,
-                declared_digest=ev.declared_digest,
-                observed_digest=ev.observed_digest,
-                contract_scope_ok=False,
-            )
-            for ev in outcome.evidence
-        )
-        return BehaviorOutcome(
-            metrics=outcome.metrics,
-            tokens_spent=outcome.tokens_spent,
-            tool_calls=outcome.tool_calls,
-            messages=outcome.messages,
-            output=outcome.output,
-            evidence=tainted,
-        )
-    raise KeyError(f"no behavior named {name!r}")
-
-
-BEHAVIOR_NAMES = ("token-overrun", "tool-storm", "message-flood", "scope-breach")
+    if name not in _OVERRIDES:
+        raise KeyError(f"no behavior named {name!r}")
+    return _OVERRIDES[name](outcome, run)
 
 
 # -- the driver --------------------------------------------------------------

@@ -433,6 +433,44 @@ def test_behavior_override_freezes_the_node():
     assert any("TASK-FX-002" in f for f in report.assertion_failures)
 
 
+@pytest.mark.parametrize(
+    "name, trigger, scope_ok",
+    [
+        ("tool-storm", "cap-breached", True),
+        ("message-flood", "cap-breached", True),
+        ("scope-breach", None, False),
+    ],
+)
+def test_each_named_override_reaches_the_run(name, trigger, scope_ok):
+    raw = raw_fixture(FAULT_DRILL_FIXTURE)
+    raw["faults"].append(
+        {
+            "kind": "BehaviorOverride",
+            "node_id": "TASK-FX-002",
+            "behavior_name": name,
+            "activate_tick": 1700,
+            "deactivate_tick": 1900,
+        }
+    )
+    raw["expectations"] = {}
+    raw["timeline"] = []
+    report = run(scenario_from_dict(raw))
+    triggers = [f["trigger"] for f in report.body["freezes"] if f["node_id"] == "TASK-FX-002"]
+    assert triggers == ([trigger] if trigger else [])
+    calls = [
+        report.ledger.payload(r.seq)
+        for r in report.ledger.records_of_kind(RecordKind.TOOL_CALL)
+        if report.ledger.payload(r.seq)["node_id"] == "TASK-FX-002"
+    ]
+    assert calls and all(c["contract_scope_ok"] is scope_ok for c in calls)
+
+
+def test_unknown_override_name_raises_key_error():
+    from govsim.harness import _named_override
+
+    with pytest.raises(KeyError, match="no behavior named 'nope'"):
+        _named_override("nope", None, None)
+
 # -- emission ----------------------------------------------------------------
 
 
