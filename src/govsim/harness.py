@@ -737,7 +737,7 @@ class _Driver:
         if not isinstance(decision, Authorized):
             self.outcome = type(decision).__name__
             self.failures.append(f"prescreen: mission not authorized ({decision!r})")
-            return None, None, None
+            return None, None
 
         bids_by_node: dict[str, list[Bid]] = {}
         for spec in self.config.agents:
@@ -758,16 +758,12 @@ class _Driver:
                 ledger=self.ledger,
             )
         self.advance(540)
-        stack = generate_contract_stack(
+        generate_contract_stack(
             manifest,
             dag,
             assignments,
             authorization_token=decision.token,
             registry=self.registry,
-            charter=self.charter,
-            verification_cosigner=config.guardian.cosigner,
-            guardian_window_ticks=config.guardian.window_ticks,
-            freeze_count_threshold=config.guardian.freeze_count_threshold,
             ledger=self.ledger,
         )
         self.advance(830)
@@ -778,7 +774,7 @@ class _Driver:
             config.economy.protocol_rate,
             config.economy.infra_rate,
         )
-        return dag, assignments, stack
+        return dag, assignments
 
     # -- execution planning --------------------------------------------------
 
@@ -1530,7 +1526,7 @@ class _Driver:
 
     def execute(self) -> RunReport:
         self.register_roster()
-        dag, assignments, _stack = self.legislate()
+        dag, assignments = self.legislate()
         if dag is None:
             return self.build_report()
         self.dag = dag

@@ -1,5 +1,5 @@
 """Mission legislation: charter rules, job decomposition into a task DAG,
-prescreening, sealed-bid assignment, and contract stack generation.
+prescreening, sealed-bid assignment, and contract deployment records.
 
 The charter is a versioned list of predicate rules over three subject scopes
 (manifest, order, incident). Decomposition validates the template graph before
@@ -216,12 +216,6 @@ def apply_amendment(charter: Charter, new_rules: Sequence[Rule]) -> Charter:
     for r in new_rules:
         merged[r.rule_id] = r
     return Charter(version=charter.version + 1, rules=tuple(merged.values()))
-
-
-def output_rules(charter: Charter) -> tuple[Rule, ...]:
-    """Output-scope rules only; the completion gate must not re-litigate
-    manifest or order screening."""
-    return charter.rules_for_scope("output")
 
 
 # -- job structure ----------------------------------------------------------
@@ -661,105 +655,15 @@ def run_bidding(
     return assignment
 
 
-# -- contract stack ---------------------------------------------------------
+# -- contract deployment ----------------------------------------------------
+
+_CONTRACTS = ("master", "task", "payment", "collaboration", "guardian", "verification", "gate", "manager")
 
 
 def _address(mission_id: str, name: str) -> str:
     return "0x" + hashlib.sha256(
         canonical({"mission": mission_id, "contract": name})
     ).hexdigest()[:40]
-
-
-@dataclass(frozen=True)
-class MasterContract:
-    mission_id: str
-    address: str
-    authorized_principals: tuple[str, ...]
-    value_ceiling: Decimal
-    global_timeout_ticks: int
-    charter_digest: str
-
-
-@dataclass(frozen=True)
-class TaskContractSheet:
-    mission_id: str
-    address: str
-    slas: Mapping[str, Mapping[str, object]]
-
-
-@dataclass(frozen=True)
-class PaymentContract:
-    mission_id: str
-    address: str
-    pool_total: Decimal
-    protocol_tax: Decimal
-    infra_tax: Decimal
-    net_escrow: Decimal
-
-
-@dataclass(frozen=True)
-class CollaborationContract:
-    mission_id: str
-    address: str
-    participants: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class GuardianContract:
-    mission_id: str
-    address: str
-    z_threshold: float = 2.0
-    tool_call_cap: int = 40
-    message_cap: int = 120
-    window_ticks: int = 1200
-    freeze_count_threshold: int = 3
-
-
-@dataclass(frozen=True)
-class VerificationContract:
-    mission_id: str
-    address: str
-    cosigner: str
-
-
-@dataclass(frozen=True)
-class GateContract:
-    mission_id: str
-    address: str
-    node_checks: Mapping[str, str]
-    output_rule_ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ManagerContract:
-    mission_id: str
-    address: str
-    authorized_principals: tuple[str, ...]
-    standby_promotion: bool = True
-
-
-@dataclass(frozen=True)
-class AgentContract:
-    did: str
-    node_id: str
-    address: str
-    tool_whitelist: tuple[str, ...]
-    token_cap: int
-
-
-@dataclass(frozen=True)
-class ContractStack:
-    mission_id: str
-    authorization_token: str
-    master: MasterContract
-    task: TaskContractSheet
-    payment: PaymentContract
-    collaboration: CollaborationContract
-    guardian: GuardianContract
-    verification: VerificationContract
-    gate: GateContract
-    manager: ManagerContract
-    agent_contracts: Mapping[str, AgentContract]
 
 
 def generate_contract_stack(
@@ -769,12 +673,11 @@ def generate_contract_stack(
     *,
     authorization_token: str,
     registry: IdentityRegistry,
-    charter: Charter | None = None,
-    verification_cosigner: str = "verifier-quorum-01",
-    guardian_window_ticks: int = 1200,
-    freeze_count_threshold: int = 3,
     ledger: AuditLedger | None = None,
-) -> ContractStack:
+) -> dict[str, str]:
+    """Deploy the mission's contracts once every node is assigned to an agent
+    that is not revoked: one CONTRACT_DEPLOYED record per contract. Returns
+    contract name -> address."""
     if not authorization_token:
         raise ValidationError("contract generation requires a prescreen authorization token")
     missing = sorted(n for n in dag.nodes if n not in assignments)
@@ -786,110 +689,19 @@ def generate_contract_stack(
             raise CertificationViolation(
                 f"{assignment.assignee} is revoked and cannot hold {node_id}"
             )
-    mission_id = manifest.mission_id
-    protocol_rate = manifest.tax_rates.get("protocol", "0")
-    infra_rate = manifest.tax_rates.get("infrastructure", "0")
-    protocol_tax, infra_tax, net = split_pool(
-        manifest.reward_pool_total, protocol_rate, infra_rate
+    _, _, net = split_pool(
+        manifest.reward_pool_total,
+        manifest.tax_rates.get("protocol", "0"),
+        manifest.tax_rates.get("infrastructure", "0"),
     )
-    slas = {
-        node_id: {
-            "assignee": a.assignee,
-            "accuracy": str(a.accuracy_sla),
-            "completion_ticks": a.completion_ticks,
-            "token_cap": dag.node(node_id).token_cap,
-        }
-        for node_id, a in sorted(assignments.items())
-    }
-    participants = tuple(sorted({a.assignee for a in assignments.values()}))
-    node_checks = {
-        node_id: node.gate_check_id
-        for node_id, node in sorted(dag.nodes.items())
-        if node.gate_check_id
-    }
-    output_rule_ids = tuple(
-        r.rule_id for r in output_rules(charter)
-    ) if charter is not None else ()
-    agent_contracts = {
-        a.assignee: AgentContract(
-            did=a.assignee,
-            node_id=node_id,
-            address=_address(mission_id, f"agent:{a.assignee}"),
-            tool_whitelist=dag.node(node_id).tool_whitelist,
-            token_cap=dag.node(node_id).token_cap,
-        )
-        for node_id, a in sorted(assignments.items())
-    }
-    stack = ContractStack(
-        mission_id=mission_id,
-        authorization_token=authorization_token,
-        master=MasterContract(
-            mission_id=mission_id,
-            address=_address(mission_id, "master"),
-            authorized_principals=manifest.authorized_principals,
-            value_ceiling=manifest.value_ceiling,
-            global_timeout_ticks=manifest.global_timeout_ticks,
-            charter_digest=manifest.charter_digest,
-        ),
-        task=TaskContractSheet(
-            mission_id=mission_id, address=_address(mission_id, "task"), slas=slas
-        ),
-        payment=PaymentContract(
-            mission_id=mission_id,
-            address=_address(mission_id, "payment"),
-            pool_total=manifest.reward_pool_total,
-            protocol_tax=protocol_tax,
-            infra_tax=infra_tax,
-            net_escrow=net,
-        ),
-        collaboration=CollaborationContract(
-            mission_id=mission_id,
-            address=_address(mission_id, "collaboration"),
-            participants=participants,
-        ),
-        guardian=GuardianContract(
-            mission_id=mission_id,
-            address=_address(mission_id, "guardian"),
-            window_ticks=guardian_window_ticks,
-            freeze_count_threshold=freeze_count_threshold,
-        ),
-        verification=VerificationContract(
-            mission_id=mission_id,
-            address=_address(mission_id, "verification"),
-            cosigner=verification_cosigner,
-        ),
-        gate=GateContract(
-            mission_id=mission_id,
-            address=_address(mission_id, "gate"),
-            node_checks=node_checks,
-            output_rule_ids=output_rule_ids,
-        ),
-        manager=ManagerContract(
-            mission_id=mission_id,
-            address=_address(mission_id, "manager"),
-            authorized_principals=manifest.authorized_principals,
-        ),
-        agent_contracts=agent_contracts,
-    )
+    participants = sorted({a.assignee for a in assignments.values()})
+    addresses = {name: _address(manifest.mission_id, name) for name in _CONTRACTS}
     if ledger is not None:
-        for name, contract in (
-            ("master", stack.master),
-            ("task", stack.task),
-            ("payment", stack.payment),
-            ("collaboration", stack.collaboration),
-            ("guardian", stack.guardian),
-            ("verification", stack.verification),
-            ("gate", stack.gate),
-            ("manager", stack.manager),
-        ):
-            payload: dict = {
-                "mission_id": mission_id,
-                "contract": name,
-                "address": contract.address,
-            }
+        for name, address in addresses.items():
+            payload: dict = {"mission_id": manifest.mission_id, "contract": name, "address": address}
             if name == "payment":
                 payload["net_escrow"] = fmt(net)
             if name == "collaboration":
-                payload["participants"] = list(participants)
+                payload["participants"] = participants
             ledger.append(RecordKind.CONTRACT_DEPLOYED, "legislation", payload)
-    return stack
+    return addresses

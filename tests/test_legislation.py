@@ -3,6 +3,8 @@ from decimal import Decimal
 
 import pytest
 
+from govsim.economy import split_pool
+from govsim.harness import GuardianPlan
 from govsim.identity import CertEvent, IdentityRegistry
 from govsim.ledger import AuditLedger, RecordKind
 from govsim.legislation import (
@@ -26,7 +28,6 @@ from govsim.legislation import (
     prescreen,
     run_bidding,
 )
-from govsim.legislation import output_rules
 from govsim.money import nxc
 from helpers import (
     ceiling_charter,
@@ -135,7 +136,7 @@ class TestCharter:
             Rule("no-raw-data", "output", Predicate("raw_account_data", "present")),
             Rule("ceiling", "manifest", Predicate("notional_value", "gt", 1), "Escalate"),
         )
-        filtered = output_rules(Charter(1, rules))
+        filtered = Charter(1, rules).rules_for_scope("output")
         assert [r.rule_id for r in filtered] == ["no-raw-data"]
 
 
@@ -431,44 +432,60 @@ class TestContractStack:
                 registry,
             )
         manifest = manifest_for(job, charter)
-        return generate_contract_stack(
+        ledger = ledger if ledger is not None else AuditLedger(attestation_key=b"k")
+        addresses = generate_contract_stack(
             manifest,
             dag,
             assignments,
             authorization_token=token,
             registry=registry,
-            charter=charter,
             ledger=ledger,
-        ), dag, assignments
+        )
+        deployed = {
+            payload["contract"]: payload
+            for payload in (
+                ledger.payload(r.seq) for r in ledger.records_of_kind(RecordKind.CONTRACT_DEPLOYED)
+            )
+        }
+        return addresses, deployed, manifest, dag, assignments, charter
 
     def test_payment_contract_carries_exact_split(self):
-        stack, _, _ = self.build()
-        assert stack.payment.pool_total == nxc("4750.00")
-        assert stack.payment.protocol_tax == nxc("166.25")
-        assert stack.payment.infra_tax == nxc("71.25")
-        assert stack.payment.net_escrow == nxc("4512.50")
+        _, deployed, manifest, _, _, _ = self.build()
+        assert manifest.reward_pool_total == nxc("4750.00")
+        protocol_tax, infra_tax, net = split_pool(
+            manifest.reward_pool_total,
+            manifest.tax_rates["protocol"],
+            manifest.tax_rates["infrastructure"],
+        )
+        assert protocol_tax == nxc("166.25")
+        assert infra_tax == nxc("71.25")
+        assert net == nxc("4512.50")
+        assert deployed["payment"]["net_escrow"] == "4512.50"
 
     def test_addresses_are_deterministic_and_distinct(self):
-        s1, _, _ = self.build()
-        s2, _, _ = self.build()
-        addresses = [
-            s1.master.address, s1.task.address, s1.payment.address,
-            s1.collaboration.address, s1.guardian.address,
-            s1.verification.address, s1.gate.address, s1.manager.address,
+        a1, deployed, _, _, _, _ = self.build()
+        a2, _, _, _, _, _ = self.build()
+        assert list(a1) == [
+            "master", "task", "payment", "collaboration",
+            "guardian", "verification", "gate", "manager",
         ]
-        assert len(set(addresses)) == 8
-        assert all(a.startswith("0x") and len(a) == 42 for a in addresses)
-        assert s1.master.address == s2.master.address
+        assert len(set(a1.values())) == 8
+        assert all(a.startswith("0x") and len(a) == 42 for a in a1.values())
+        assert a1["master"] == a2["master"]
+        assert {name: p["address"] for name, p in deployed.items()} == a1
 
     def test_sheet_and_gate_wiring(self):
-        stack, dag, assignments = self.build()
-        assert set(stack.task.slas) == set(dag.nodes)
-        assert stack.task.slas["TASK-001B"]["token_cap"] == 1000
-        assert stack.gate.node_checks == {"TASK-001B": "fx-rate-lock"}
-        assert stack.gate.output_rule_ids == ("no-raw-data",)
-        assert set(stack.agent_contracts) == {"did:test:fx-12"}
-        assert stack.guardian.z_threshold == 2.0
-        assert stack.guardian.window_ticks == 1200
+        _, deployed, _, dag, assignments, charter = self.build()
+        assert set(assignments) == set(dag.nodes)
+        assert dag.node("TASK-001B").token_cap == 1000
+        assert {
+            node_id: node.gate_check_id for node_id, node in dag.nodes.items() if node.gate_check_id
+        } == {"TASK-001B": "fx-rate-lock"}
+        assert tuple(r.rule_id for r in charter.rules_for_scope("output")) == ("no-raw-data",)
+        assert {a.assignee for a in assignments.values()} == {"did:test:fx-12"}
+        assert deployed["collaboration"]["participants"] == ["did:test:fx-12"]
+        assert GuardianPlan().z_threshold == 2.0
+        assert GuardianPlan().window_ticks == 1200
 
     def test_empty_token_refused(self):
         with pytest.raises(ValidationError):
@@ -491,7 +508,7 @@ class TestContractStack:
         from govsim.identity import CertEvent as E
 
         registry = certified_registry()
-        stack, dag, assignments = self.build(registry=registry)
+        _, _, _, dag, assignments, _ = self.build(registry=registry)
         registry.transition_cert("did:test:fx-12", E.REVOKE_ORDER)
         charter = ceiling_charter()
         job = nine_node_job()
