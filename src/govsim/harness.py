@@ -1264,7 +1264,9 @@ class _Driver:
         ]
         sanction = dict(loop.step_a) if isinstance(loop.step_a, Mapping) else {"note": str(loop.step_a)}
         if sanction.get("slash") not in (None, "0.00") and self.token_flows:
-            self.token_flows["slash_total"] = sanction["slash"]
+            self.token_flows["slash_total"] = fmt(
+                nxc(self.token_flows["slash_total"]) + nxc(sanction["slash"])
+            )
             self.token_flows.setdefault("slashing", []).append(
                 {"did": getattr(forensic.attribution, "did", None), "amount": sanction["slash"]}
             )

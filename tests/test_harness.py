@@ -12,7 +12,9 @@ Derived oracles, computed before the assertions:
   case-study clock: origin 08:47:03+01:00 plus 900 one-second ticks
     -> 09:02:03+01:00
 """
+import copy
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -274,6 +276,19 @@ def test_drill_slashing_lands_in_the_flows(drill_report):
         {"did": "did:netx:drill-lab:agent:exec-fx-77", "amount": "190.00"}
     ]
 
+
+def test_slash_total_sums_every_correction_loop():
+    raw = raw_fixture(FAULT_DRILL_FIXTURE)
+    again = copy.deepcopy(raw["timeline"][0])
+    again["tick"] += 1000
+    again["params"]["incident"]["incident_id"] = "INC-DRILL-FX-0002"
+    raw["timeline"].append(again)
+    raw["expectations"] = {}
+    flows = run(scenario_from_dict(raw)).body["token_flows"]
+    amounts = [Decimal(entry["amount"]) for entry in flows["slashing"]]
+    assert len(amounts) == 2
+    assert Decimal(flows["slash_total"]) == sum(amounts)
+    assert flows["slash_total"] == "370.50"
 
 def test_drill_retry_spend_is_the_spend(drill_report):
     node = drill_report.body["budgets"]["per_node"]["TASK-FX-001"]
