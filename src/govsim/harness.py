@@ -208,7 +208,6 @@ class TimelineEvent:
 class GuardianPlan:
     z_threshold: float = 2.0
     window_ticks: int = 1200
-    freeze_count_threshold: int = 3
     cosigner: str = "verifier-quorum-01"
     mediator: str = "consensus-01"
     escalation_panel: tuple[str, ...] = ()
@@ -481,7 +480,6 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     guardian = GuardianPlan(
         z_threshold=float(graw.get("z_threshold", 2.0)),
         window_ticks=_as_int(graw.get("window_ticks", 1200), "guardian.window_ticks", minimum=1),
-        freeze_count_threshold=_as_int(graw.get("freeze_count_threshold", 3), "guardian.freeze_count_threshold", minimum=1),
         cosigner=graw.get("cosigner", "verifier-quorum-01"),
         mediator=graw.get("mediator", "consensus-01"),
         escalation_panel=tuple(graw.get("escalation_panel", ())),
