@@ -1,5 +1,6 @@
 """Charter evaluation, decomposition, prescreening, bidding, contract stack."""
 from decimal import Decimal
+from types import SimpleNamespace
 
 import pytest
 
@@ -447,10 +448,18 @@ class TestContractStack:
                 ledger.payload(r.seq) for r in ledger.records_of_kind(RecordKind.CONTRACT_DEPLOYED)
             )
         }
-        return addresses, deployed, manifest, dag, assignments, charter
+        return SimpleNamespace(
+            addresses=addresses,
+            deployed=deployed,
+            manifest=manifest,
+            dag=dag,
+            assignments=assignments,
+            charter=charter,
+        )
 
     def test_payment_contract_carries_exact_split(self):
-        _, deployed, manifest, _, _, _ = self.build()
+        built = self.build()
+        manifest = built.manifest
         assert manifest.reward_pool_total == nxc("4750.00")
         protocol_tax, infra_tax, net = split_pool(
             manifest.reward_pool_total,
@@ -460,11 +469,11 @@ class TestContractStack:
         assert protocol_tax == nxc("166.25")
         assert infra_tax == nxc("71.25")
         assert net == nxc("4512.50")
-        assert deployed["payment"]["net_escrow"] == "4512.50"
+        assert built.deployed["payment"]["net_escrow"] == "4512.50"
 
     def test_addresses_are_deterministic_and_distinct(self):
-        a1, deployed, _, _, _, _ = self.build()
-        a2, _, _, _, _, _ = self.build()
+        first = self.build()
+        a1, a2 = first.addresses, self.build().addresses
         assert list(a1) == [
             "master", "task", "payment", "collaboration",
             "guardian", "verification", "gate", "manager",
@@ -472,18 +481,19 @@ class TestContractStack:
         assert len(set(a1.values())) == 8
         assert all(a.startswith("0x") and len(a) == 42 for a in a1.values())
         assert a1["master"] == a2["master"]
-        assert {name: p["address"] for name, p in deployed.items()} == a1
+        assert {name: p["address"] for name, p in first.deployed.items()} == a1
 
     def test_sheet_and_gate_wiring(self):
-        _, deployed, _, dag, assignments, charter = self.build()
+        built = self.build()
+        dag, assignments = built.dag, built.assignments
         assert set(assignments) == set(dag.nodes)
         assert dag.node("TASK-001B").token_cap == 1000
         assert {
             node_id: node.gate_check_id for node_id, node in dag.nodes.items() if node.gate_check_id
         } == {"TASK-001B": "fx-rate-lock"}
-        assert tuple(r.rule_id for r in charter.rules_for_scope("output")) == ("no-raw-data",)
+        assert tuple(r.rule_id for r in built.charter.rules_for_scope("output")) == ("no-raw-data",)
         assert {a.assignee for a in assignments.values()} == {"did:test:fx-12"}
-        assert deployed["collaboration"]["participants"] == ["did:test:fx-12"]
+        assert built.deployed["collaboration"]["participants"] == ["did:test:fx-12"]
         assert GuardianPlan().z_threshold == 2.0
         assert GuardianPlan().window_ticks == 1200
 
@@ -508,7 +518,8 @@ class TestContractStack:
         from govsim.identity import CertEvent as E
 
         registry = certified_registry()
-        _, _, _, dag, assignments, _ = self.build(registry=registry)
+        built = self.build(registry=registry)
+        dag, assignments = built.dag, built.assignments
         registry.transition_cert("did:test:fx-12", E.REVOKE_ORDER)
         charter = ceiling_charter()
         job = nine_node_job()
