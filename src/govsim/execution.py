@@ -220,7 +220,7 @@ class NodeRun:
     freeze_events: list[FreezeEvent] = field(default_factory=list)
     # node id -> first from-state since the owner's last flush; the driver
     # shares one dict across its runs so a move is recorded where it happens
-    journal: dict[str, NodeState] | None = field(default=None, repr=False)
+    journal: dict[str, NodeState] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.meter is None:
