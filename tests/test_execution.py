@@ -101,6 +101,19 @@ class TestLifecycle:
         with pytest.raises(IllegalNodeTransition):
             transition(node, dst)
 
+    def test_journal_keeps_each_nodes_first_from_state(self):
+        journal = {}
+        a = run_for("TASK-A", state=NodeState.PENDING)
+        b = run_for("TASK-B", state=NodeState.RUNNING)
+        a.journal = b.journal = journal
+        transition(a, NodeState.READY)
+        transition(a, NodeState.RUNNING)
+        transition(b, NodeState.FROZEN)
+        assert journal == {"TASK-A": NodeState.PENDING, "TASK-B": NodeState.RUNNING}
+        with pytest.raises(IllegalNodeTransition):
+            transition(a, NodeState.COMPLETED)
+        assert journal == {"TASK-A": NodeState.PENDING, "TASK-B": NodeState.RUNNING}
+
 
 class TestScheduler:
     def dag(self):
