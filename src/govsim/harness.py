@@ -725,7 +725,7 @@ class _Driver:
             reward_pool_total=config.economy.pool_total,
             tax_rates={
                 "protocol": config.economy.protocol_rate,
-                "infra": config.economy.infra_rate,
+                "infrastructure": config.economy.infra_rate,
                 "cross_node": config.economy.cross_tax_rate,
             },
             authorized_principals=(config.economy.org_account, config.guardian.mediator),

@@ -15,9 +15,9 @@ from govsim.harness import (
 )
 
 PINNED = {
-    CASE_STUDY_FIXTURE: ("e1fe14a8d86d3ec6782d0bcae836932e94c925a652517b629d7f7a8bf52a95f7", 120),
-    FAULT_DRILL_FIXTURE: ("ba4ba2a9c816b96e78b968f28e1585a9d78e1a30d5f64dbe318590083f78ef20", 39),
-    STRESS_WINDOW_FIXTURE: ("0d3bac90389219915b3dc5b7ed6b614094126e41c8c327f472153fe183b6e8fa", 37),
+    CASE_STUDY_FIXTURE: ("a1803bf4f61ebf588113194dd51ab78bb327bb4eca59955cafe605247561f102", 120),
+    FAULT_DRILL_FIXTURE: ("87501f33b362488f98c61fcdad657295f48f34b4a05543bed46052e8be1722d9", 39),
+    STRESS_WINDOW_FIXTURE: ("68da914ea4d610c147e989b056c4f35d7add4281fc4796e30f3c8742b636b70e", 37),
 }
 
 

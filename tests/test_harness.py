@@ -252,6 +252,17 @@ def test_case_study_ledger_dump_verifies(case_report):
     assert verify_jsonl(case_report.ledger_jsonl.splitlines())
 
 
+@pytest.mark.parametrize("name", [CASE_STUDY_FIXTURE, FAULT_DRILL_FIXTURE, STRESS_WINDOW_FIXTURE])
+def test_payment_contract_escrow_matches_the_treasury(name):
+    report = run(load_bundled_scenario(name))
+    (payment,) = [
+        report.ledger.payload(r.seq)
+        for r in report.ledger.records_of_kind(RecordKind.CONTRACT_DEPLOYED)
+        if report.ledger.payload(r.seq)["contract"] == "payment"
+    ]
+    pool = report.treasury.pool(report.body["mission"]["mission_id"])
+    assert payment["net_escrow"] == str(pool.net)
+
 def test_drill_replays_clean(drill_report):
     assert drill_report.assertion_failures == []
 
