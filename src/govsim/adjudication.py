@@ -194,41 +194,38 @@ def attribute_slashing(
     report: ForensicReport,
     rubric: SlashingRubric,
     *,
-    treasury: Treasury | None = None,
-    ledger: AuditLedger | None = None,
+    treasury: Treasury,
+    ledger: AuditLedger,
     tick: int | None = None,
 ) -> SlashingDecision:
     """Agent fault slashes per rubric; provider or infrastructure fault
     leaves every stake intact and files an incident report instead."""
     if isinstance(report.attribution, AgentFault):
         did = report.attribution.did
-        amount = ZERO
-        if treasury is not None:
-            amount = treasury.slash(
-                did,
-                rubric.fraction,
-                f"forensic attribution for {report.incident_id}",
-                mission_id=report.mission_id,
-            )
+        amount = treasury.slash(
+            did,
+            rubric.fraction,
+            f"forensic attribution for {report.incident_id}",
+            mission_id=report.mission_id,
+        )
         return SlashingDecision(
             attribution=report.attribution,
             did=did,
             amount=amount,
             reputation_penalty=rubric.reputation_penalty,
         )
-    if ledger is not None:
-        ledger.append(
-            RecordKind.ESCALATION,
-            "adjudication",
-            {
-                "action": "incident-report",
-                "incident_id": report.incident_id,
-                "mission_id": report.mission_id,
-                "attribution": type(report.attribution).__name__,
-                "slash": fmt(ZERO),
-            },
-            tick=tick,
-        )
+    ledger.append(
+        RecordKind.ESCALATION,
+        "adjudication",
+        {
+            "action": "incident-report",
+            "incident_id": report.incident_id,
+            "mission_id": report.mission_id,
+            "attribution": type(report.attribution).__name__,
+            "slash": fmt(ZERO),
+        },
+        tick=tick,
+    )
     return SlashingDecision(
         attribution=report.attribution, did=None, amount=ZERO, reputation_penalty=ZERO
     )
@@ -328,12 +325,12 @@ def file_dispute(
     panel: Sequence[str],
     now_tick: int,
     *,
+    ledger: AuditLedger,
     case_id: str | None = None,
     deadline_ticks: int = 259_200,
     complainant: str | None = None,
     filing_fee="10.00",
     treasury: Treasury | None = None,
-    ledger: AuditLedger | None = None,
 ) -> DisputeCase:
     if len(panel) != 3:
         raise PanelError(f"review panel needs exactly 3 members, got {len(panel)}")
@@ -352,40 +349,38 @@ def file_dispute(
             complainant, "JudicialFund", filing_fee,
             memo="dispute filing fee", mission_id=mission_id,
         )
-    if ledger is not None:
-        ledger.append(
-            RecordKind.DISPUTE_TRANSITION,
-            "judicial-panel",
-            {
-                "case_id": case.case_id,
-                "mission_id": mission_id,
-                "state": case.state.value,
-                "deadline_tick": case.deadline_tick,
-                "panel": list(case.panel),
-            },
-            tick=now_tick,
-        )
+    ledger.append(
+        RecordKind.DISPUTE_TRANSITION,
+        "judicial-panel",
+        {
+            "case_id": case.case_id,
+            "mission_id": mission_id,
+            "state": case.state.value,
+            "deadline_tick": case.deadline_tick,
+            "panel": list(case.panel),
+        },
+        tick=now_tick,
+    )
     return case
 
 
-def _move(case: DisputeCase, to: DisputeState, tick: int, ledger: AuditLedger | None) -> None:
+def _move(case: DisputeCase, to: DisputeState, tick: int, ledger: AuditLedger) -> None:
     if to not in _DISPUTE_FLOW[case.state]:
         raise InvalidTransition(f"{case.case_id}: {case.state.value} -> {to.value}")
     if _ORDER.index(to) <= _ORDER.index(case.state):
         raise InvalidTransition(f"{case.case_id}: dispute states move forward only")
     case.state = to
     case.history.append((to.value, tick))
-    if ledger is not None:
-        payload: dict[str, object] = {
-            "case_id": case.case_id,
-            "mission_id": case.mission_id,
-            "state": to.value,
-        }
-        if case.verdict is not None and to in (
-            DisputeState.VERDICT, DisputeState.AMENDMENT_PENDING, DisputeState.CLOSED
-        ):
-            payload["votes"] = [case.verdict.votes_for, case.verdict.votes_against]
-        ledger.append(RecordKind.DISPUTE_TRANSITION, "judicial-panel", payload, tick=tick)
+    payload: dict[str, object] = {
+        "case_id": case.case_id,
+        "mission_id": case.mission_id,
+        "state": to.value,
+    }
+    if case.verdict is not None and to in (
+        DisputeState.VERDICT, DisputeState.AMENDMENT_PENDING, DisputeState.CLOSED
+    ):
+        payload["votes"] = [case.verdict.votes_for, case.verdict.votes_against]
+    ledger.append(RecordKind.DISPUTE_TRANSITION, "judicial-panel", payload, tick=tick)
 
 
 def advance_dispute(
@@ -393,7 +388,7 @@ def advance_dispute(
     event: DisputeEvent,
     *,
     tick: int,
-    ledger: AuditLedger | None = None,
+    ledger: AuditLedger,
     treasury: Treasury | None = None,
     juror_reward="5.00",
 ) -> DisputeCase:
@@ -436,26 +431,23 @@ def attach_evidence(case: DisputeCase, refs: Sequence[int]) -> DisputeCase:
     return case
 
 
-def check_deadline(
-    case: DisputeCase, now_tick: int, *, ledger: AuditLedger | None = None
-) -> bool:
+def check_deadline(case: DisputeCase, now_tick: int, *, ledger: AuditLedger) -> bool:
     """Past-deadline cases without a resting verdict escalate automatically."""
     terminal = case.state in (DisputeState.RATIFIED, DisputeState.CLOSED)
     if terminal or now_tick <= case.deadline_tick or case.auto_escalated:
         return False
     case.auto_escalated = True
-    if ledger is not None:
-        ledger.append(
-            RecordKind.ESCALATION,
-            "judicial-panel",
-            {
-                "action": "deadline-breach",
-                "case_id": case.case_id,
-                "mission_id": case.mission_id,
-                "deadline_tick": case.deadline_tick,
-            },
-            tick=now_tick,
-        )
+    ledger.append(
+        RecordKind.ESCALATION,
+        "judicial-panel",
+        {
+            "action": "deadline-breach",
+            "case_id": case.case_id,
+            "mission_id": case.mission_id,
+            "deadline_tick": case.deadline_tick,
+        },
+        tick=now_tick,
+    )
     return True
 
 
@@ -479,13 +471,6 @@ class PrecedentRegistry:
         case.precedent_ref = precedent_id
         return precedent_id
 
-    def by_rule(self, rule_id: str) -> list[str]:
-        return [
-            pid
-            for pid, entry in self._entries.items()
-            if rule_id in entry["rule_tags"]  # type: ignore[operator]
-        ]
-
     def get(self, precedent_id: str) -> Mapping[str, object]:
         return self._entries[precedent_id]
 
@@ -500,10 +485,10 @@ def amend_charter(
     charter: Charter,
     amendment: Sequence[Rule],
     *,
+    ledger: AuditLedger,
+    mission_id: str,
     regression_orders: Sequence[Mapping] = (),
-    ledger: AuditLedger | None = None,
     tick: int | None = None,
-    mission_id: str | None = None,
 ) -> Charter:
     """Amendment review (pairwise predicate compatibility) then compliance
     regression (previously passing order fixtures must still pass) before the
@@ -520,16 +505,18 @@ def amend_charter(
             broken.append(str(order.get("order_id", "?")))
     if broken:
         raise AmendmentRejected([r.rule_id for r in amendment])
-    if ledger is not None:
-        payload: dict[str, object] = {
+    ledger.append(
+        RecordKind.CHARTER_AMENDMENT,
+        "judicial-panel",
+        {
             "from_version": charter.version,
             "to_version": candidate.version,
             "rule_ids": sorted(r.rule_id for r in amendment),
             "charter_digest": candidate.digest(),
-        }
-        if mission_id:
-            payload["mission_id"] = mission_id
-        ledger.append(RecordKind.CHARTER_AMENDMENT, "judicial-panel", payload, tick=tick)
+            "mission_id": mission_id,
+        },
+        tick=tick,
+    )
     return candidate
 
 
@@ -555,36 +542,33 @@ def run_correction_loop(
     *,
     treasury: Treasury,
     registry: IdentityRegistry,
+    ledger: AuditLedger,
     rubric: SlashingRubric | None = None,
     amendment: Sequence[Rule] = (),
     regression_orders: Sequence[Mapping] = (),
-    ledger: AuditLedger | None = None,
     start_tick: int = 0,
-    mission_id: str | None = None,
 ) -> CorrectionLoopRun:
     """Classify, enforce, re-legislate, sanction: one ledger stamp per stage,
     in order. An unclassifiable incident stops after the first stage with an
     open-question flag."""
     rubric = rubric or SlashingRubric()
-    mission_id = mission_id or incident.mission_id
     stamps: dict[str, int] = {}
     tick = start_tick
 
     def stamp(stage: str, detail: Mapping[str, object]) -> None:
         nonlocal tick
         stamps[stage] = tick
-        if ledger is not None:
-            ledger.append(
-                RecordKind.CORRECTION_STAGE,
-                "adjudication",
-                {
-                    "stage": stage,
-                    "incident_id": incident.incident_id,
-                    "mission_id": mission_id,
-                    **detail,
-                },
-                tick=tick,
-            )
+        ledger.append(
+            RecordKind.CORRECTION_STAGE,
+            "adjudication",
+            {
+                "stage": stage,
+                "incident_id": incident.incident_id,
+                "mission_id": incident.mission_id,
+                **detail,
+            },
+            tick=tick,
+        )
         tick += 1
 
     subject = incident.to_subject()
@@ -634,7 +618,7 @@ def run_correction_loop(
             regression_orders=regression_orders,
             ledger=ledger,
             tick=tick,
-            mission_id=mission_id,
+            mission_id=incident.mission_id,
         )
         step_g = f"charter version {next_charter.version}"
     else:

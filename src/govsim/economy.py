@@ -8,9 +8,9 @@ accounts, stakes, and escrows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 from .ledger import AuditLedger, RecordKind
 from .money import ZERO, fmt, nxc, round2
@@ -117,16 +117,10 @@ def weighted_shares(net: Decimal, weights: Mapping[str, Decimal]) -> Distributio
 class Treasury:
     """Account book for one run. Owned by the event loop."""
 
-    def __init__(
-        self,
-        ledger: AuditLedger | None = None,
-        *,
-        reputation_hook: Callable[[str, str], None] | None = None,
-    ) -> None:
+    def __init__(self, ledger: AuditLedger) -> None:
         self._ledger = ledger
         self._accounts: dict[str, TokenAccount] = {}
         self._pools: dict[str, RewardPool] = {}
-        self._reputation_hook = reputation_hook
         for fund in (JUDICIAL_FUND, INFRA_FUND, ECOSYSTEM_FUND):
             self._accounts[fund] = TokenAccount(owner=fund)
 
@@ -144,9 +138,6 @@ class Treasury:
         acct.stake_locked += nxc(stake)
         return acct
 
-    def accounts(self) -> dict[str, TokenAccount]:
-        return dict(self._accounts)
-
     def pool(self, mission_id: str) -> RewardPool:
         return self._pools[mission_id]
 
@@ -155,11 +146,7 @@ class Treasury:
             (a.balance + a.stake_locked for a in self._accounts.values()), ZERO
         ) + sum((p.net for p in self._pools.values() if p.escrow_state == "Funded"), ZERO)
 
-    def _record(self, kind: RecordKind, actor: str, payload: Mapping[str, object]) -> None:
-        if self._ledger is not None:
-            self._ledger.append(kind, actor, payload)
-
-    def _move(self, src: str, dst: str, amount: Decimal, memo: str, mission_id: str | None) -> None:
+    def _move(self, src: str, dst: str, amount: Decimal, memo: str, mission_id: str) -> None:
         if amount < 0:
             raise AmountError(f"negative transfer {amount}")
         source = self.account(src)
@@ -167,17 +154,13 @@ class Treasury:
             raise InsufficientFunds(f"{src} holds {source.balance}, needs {amount}")
         source.balance -= amount
         self.open_account(dst).balance += amount
-        payload: dict[str, object] = {
-            "from": src,
-            "to": dst,
-            "amount": fmt(amount),
-            "memo": memo,
-        }
-        if mission_id:
-            payload["mission_id"] = mission_id
-        self._record(RecordKind.TOKEN_TRANSFER, "treasury", payload)
+        self._ledger.append(
+            RecordKind.TOKEN_TRANSFER,
+            "treasury",
+            {"from": src, "to": dst, "amount": fmt(amount), "memo": memo, "mission_id": mission_id},
+        )
 
-    def transfer(self, src: str, dst: str, amount, *, memo="", mission_id=None) -> Decimal:
+    def transfer(self, src: str, dst: str, amount, *, mission_id: str, memo="") -> Decimal:
         amount = nxc(amount)
         self._move(src, dst, amount, memo, mission_id)
         return amount
@@ -204,7 +187,7 @@ class Treasury:
             net=net,
         )
         self._pools[mission_id] = pool
-        self._record(
+        self._ledger.append(
             RecordKind.TOKEN_TRANSFER,
             "treasury",
             {
@@ -227,7 +210,7 @@ class Treasury:
         pool.escrow_state = "Distributed"
         for did, amount in shares.entries:
             self.open_account(did).balance += amount
-            self._record(
+            self._ledger.append(
                 RecordKind.TOKEN_TRANSFER,
                 "treasury",
                 {
@@ -244,7 +227,7 @@ class Treasury:
 
     # -- sanctions and settlement ------------------------------------------
 
-    def slash(self, did: str, fraction, reason: str, *, mission_id=None) -> Decimal:
+    def slash(self, did: str, fraction, reason: str, *, mission_id: str) -> Decimal:
         fraction = Decimal(str(fraction))
         if fraction < 0 or fraction > 1:
             raise AmountError(f"slash fraction {fraction} outside [0,1]")
@@ -254,17 +237,17 @@ class Treasury:
             return ZERO
         acct.stake_locked -= amount
         self.account(JUDICIAL_FUND).balance += amount
-        payload: dict[str, object] = {
-            "did": did,
-            "fraction": str(fraction),
-            "amount": fmt(amount),
-            "reason": reason,
-        }
-        if mission_id:
-            payload["mission_id"] = mission_id
-        self._record(RecordKind.SLASHING_EVENT, "adjudication", payload)
-        if self._reputation_hook is not None:
-            self._reputation_hook(did, reason)
+        self._ledger.append(
+            RecordKind.SLASHING_EVENT,
+            "adjudication",
+            {
+                "did": did,
+                "fraction": str(fraction),
+                "amount": fmt(amount),
+                "reason": reason,
+                "mission_id": mission_id,
+            },
+        )
         return amount
 
     def settle_cross_node(
@@ -274,8 +257,8 @@ class Treasury:
         offer_amount,
         cross_tax_rate,
         *,
+        mission_id: str,
         memo="cross-node service fee",
-        mission_id=None,
     ) -> tuple[Decimal, Decimal]:
         amount = nxc(offer_amount)
         if amount <= 0:

@@ -254,44 +254,30 @@ def states_snapshot(runs: Mapping[str, NodeRun]) -> dict[str, str]:
     return {node_id: run.state.value for node_id, run in sorted(runs.items())}
 
 
-def schedule_ready(dag: TaskDAG, states: Mapping[str, NodeState]) -> list[str]:
-    """Pending nodes whose dependencies have all cleared verification, in
-    topological order (ties already sorted by node id)."""
-    satisfied = {NodeState.VERIFIED, NodeState.COMPLETED}
-    return [
-        node_id
-        for node_id in dag.topological_order()
-        if states[node_id] is NodeState.PENDING
-        and all(states[dep] in satisfied for dep in dag.dependencies(node_id))
-    ]
-
-
 def _freeze(
     run: NodeRun, trigger: str, tick: int, *,
+    ledger: AuditLedger,
     z_value: float | None = None,
-    ledger: AuditLedger | None = None,
 ) -> FreezeEvent:
     transition(run, NodeState.FROZEN)
     event = FreezeEvent(
         scope="Targeted", node_id=run.node_id, trigger=trigger, tick=tick, z_value=z_value
     )
     run.freeze_events.append(event)
-    if ledger is not None:
-        payload: dict[str, object] = {
-            "scope": "Targeted",
-            "node_id": run.node_id,
-            "trigger": trigger,
-            "tick": tick,
-        }
-        if z_value is not None:
-            payload["z_value"] = round(z_value, 6)
-        ledger.append(RecordKind.FREEZE_EVENT, "guardian", payload, tick=tick)
+    payload: dict[str, object] = {
+        "scope": "Targeted",
+        "node_id": run.node_id,
+        "trigger": trigger,
+        "tick": tick,
+    }
+    if z_value is not None:
+        payload["z_value"] = round(z_value, 6)
+    ledger.append(RecordKind.FREEZE_EVENT, "guardian", payload, tick=tick)
     return event
 
 
 def freeze_mission(
-    runs: Mapping[str, NodeRun], trigger: str, tick: int, *,
-    ledger: AuditLedger | None = None,
+    runs: Mapping[str, NodeRun], trigger: str, tick: int, *, ledger: AuditLedger
 ) -> FreezeEvent:
     """Circuit-breaker action: freeze every running node; idle nodes are held
     by the scheduler flag the caller flips alongside this."""
@@ -301,34 +287,33 @@ def freeze_mission(
             run.freeze_events.append(
                 FreezeEvent(scope="MissionWide", node_id=run.node_id, trigger=trigger, tick=tick)
             )
-    event = FreezeEvent(scope="MissionWide", node_id=None, trigger=trigger, tick=tick)
-    if ledger is not None:
-        ledger.append(
-            RecordKind.FREEZE_EVENT,
-            "guardian",
-            {"scope": "MissionWide", "trigger": trigger, "tick": tick},
-            tick=tick,
-        )
-    return event
+    ledger.append(
+        RecordKind.FREEZE_EVENT,
+        "guardian",
+        {"scope": "MissionWide", "trigger": trigger, "tick": tick},
+        tick=tick,
+    )
+    return FreezeEvent(scope="MissionWide", node_id=None, trigger=trigger, tick=tick)
 
 
 def execute_node(
     run: NodeRun,
     behavior: Callable[[NodeRun], BehaviorOutcome],
-    meter: BudgetMeter,
     *,
+    ledger: AuditLedger,
+    mission_id: str,
     tick: int = 0,
-    ledger: AuditLedger | None = None,
-    mission_id: str | None = None,
 ) -> Telemetry:
-    """Run the node's scripted behavior under the meter. A budget or cap
+    """Run the node's scripted behavior under its own meter. A budget or cap
     breach freezes the node and re-raises; the guardian adjudicates after."""
     if run.state is not NodeState.RUNNING:
         raise StateError(f"{run.node_id} must be Running, is {run.state.value}")
     outcome = behavior(run)
     for evidence in outcome.evidence:
-        if ledger is not None:
-            payload: dict[str, object] = {
+        ledger.append(
+            RecordKind.TOOL_CALL,
+            run.assignee,
+            {
                 "node_id": run.node_id,
                 "did": run.assignee,
                 "call_index": evidence.call_index,
@@ -337,10 +322,11 @@ def execute_node(
                 "declared_digest": evidence.declared_digest,
                 "observed_digest": evidence.observed_digest,
                 "contract_scope_ok": evidence.contract_scope_ok,
-            }
-            if mission_id:
-                payload["mission_id"] = mission_id
-            ledger.append(RecordKind.TOOL_CALL, run.assignee, payload, tick=tick)
+                "mission_id": mission_id,
+            },
+            tick=tick,
+        )
+    meter = run.meter
     try:
         meter.charge(
             tokens=outcome.tokens_spent,
@@ -372,9 +358,9 @@ def gate_verify(
     telemetry: Telemetry,
     *,
     cosigner: str,
+    ledger: AuditLedger,
+    mission_id: str,
     tick: int = 0,
-    ledger: AuditLedger | None = None,
-    mission_id: str | None = None,
 ) -> ProofOfProgress | GateFailure:
     if run.state is not NodeState.RUNNING:
         raise StateError(f"{run.node_id} must be Running to gate, is {run.state.value}")
@@ -410,18 +396,20 @@ def gate_verify(
         cosigner=cosigner,
         tick=tick,
     )
-    if ledger is not None:
-        payload: dict[str, object] = {
+    ledger.append(
+        RecordKind.PROOF_OF_PROGRESS,
+        cosigner,
+        {
             "node_id": run.node_id,
             "did": run.assignee,
             "output_digest": telemetry.output_digest,
             "gate_checks": [[cid, ok] for cid, ok in checks],
             "cosigner": cosigner,
             "kind": "gate",
-        }
-        if mission_id:
-            payload["mission_id"] = mission_id
-        ledger.append(RecordKind.PROOF_OF_PROGRESS, cosigner, payload, tick=tick)
+            "mission_id": mission_id,
+        },
+        tick=tick,
+    )
     return proof
 
 
@@ -429,10 +417,10 @@ def guardian_check(
     telemetry: Telemetry,
     baseline: Baseline,
     *,
-    run: NodeRun | None = None,
+    run: NodeRun,
+    ledger: AuditLedger,
     z_threshold: float = 2.0,
     tick: int = 0,
-    ledger: AuditLedger | None = None,
 ) -> Ok | FreezeEvent:
     """Strict z-score test on one telemetry metric. At exactly the threshold
     the run is healthy; only beyond it does the guardian freeze."""
@@ -449,35 +437,31 @@ def guardian_check(
     z = float(z_dec)
     if abs(z_dec) <= Decimal(str(z_threshold)):
         return Ok(z_value=z)
-    if run is not None:
-        return _freeze(run, "z-score", tick, z_value=z, ledger=ledger)
-    return FreezeEvent(
-        scope="Targeted", node_id=telemetry.node_id, trigger="z-score", tick=tick, z_value=z
-    )
+    return _freeze(run, "z-score", tick, z_value=z, ledger=ledger)
 
 
 def escalate(
     freeze_history: Sequence[FreezeEvent], window_ticks: int
-) -> EscalationTier | None:
+) -> tuple[EscalationTier, int] | None:
     """Graduated response sized by freeze density in the trailing window
-    ending at the latest freeze."""
+    ending at the latest freeze: the tier and the freezes it counted."""
     if not freeze_history:
         return None
     end = freeze_history[-1].tick
     count = sum(1 for event in freeze_history if end - window_ticks < event.tick <= end)
     if count > 3:
-        return EscalationTier.CIRCUIT_BREAKER
+        return EscalationTier.CIRCUIT_BREAKER, count
     if count >= 2:
-        return EscalationTier.RESTRICTIVE
-    return EscalationTier.ADVISORY
+        return EscalationTier.RESTRICTIVE, count
+    return EscalationTier.ADVISORY, count
 
 
 def rollback(
     run: NodeRun,
     *,
+    ledger: AuditLedger,
+    mission_id: str,
     tick: int = 0,
-    ledger: AuditLedger | None = None,
-    mission_id: str | None = None,
 ) -> NodeState:
     """Restore a frozen node to its last verified entry point. The meter
     resets with the attempt: the completed rerun's spend is the spend."""
@@ -494,22 +478,22 @@ def rollback(
     else:
         transition(run, NodeState.RUNNING)
         run.started_tick = tick
-    if ledger is not None:
-        payload: dict[str, object] = {
+    ledger.append(
+        RecordKind.ROLLBACK_EVENT,
+        "guardian",
+        {
             "node_id": run.node_id,
             "restored_to": checkpoint.snapshot_digest if checkpoint else "origin",
             "resumed_state": run.state.value,
             "attempt": run.attempts,
-        }
-        if mission_id:
-            payload["mission_id"] = mission_id
-        ledger.append(RecordKind.ROLLBACK_EVENT, "guardian", payload, tick=tick)
+            "mission_id": mission_id,
+        },
+        tick=tick,
+    )
     return run.state
 
 
-def check_timeout(
-    run: NodeRun, tick: int, *, ledger: AuditLedger | None = None
-) -> FreezeEvent | None:
+def check_timeout(run: NodeRun, tick: int, *, ledger: AuditLedger) -> FreezeEvent | None:
     if run.state is not NodeState.RUNNING or run.started_tick is None:
         return None
     if tick - run.started_tick <= run.template.timeout_ticks:
@@ -521,9 +505,9 @@ def quarantine(
     run: NodeRun,
     item_ids: Iterable[str],
     *,
+    ledger: AuditLedger,
+    mission_id: str,
     tick: int = 0,
-    ledger: AuditLedger | None = None,
-    mission_id: str | None = None,
 ) -> NodeState:
     """Suspend named work items into the node's quarantine bay. The rest of
     the batch proceeds; a Running node parks until the bay drains."""
@@ -539,16 +523,18 @@ def quarantine(
     run.quarantined_items.update(ids)
     if run.state is NodeState.RUNNING:
         transition(run, NodeState.QUARANTINED)
-    if ledger is not None:
-        payload: dict[str, object] = {
+    ledger.append(
+        RecordKind.ESCALATION,
+        "guardian",
+        {
             "node_id": run.node_id,
             "action": "quarantine",
             "item_ids": ids,
             "held": len(run.quarantined_items),
-        }
-        if mission_id:
-            payload["mission_id"] = mission_id
-        ledger.append(RecordKind.ESCALATION, "guardian", payload, tick=tick)
+            "mission_id": mission_id,
+        },
+        tick=tick,
+    )
     return run.state
 
 
@@ -557,9 +543,9 @@ def release_quarantined(
     item_ids: Iterable[str],
     *,
     resolution: str,
+    ledger: AuditLedger,
+    mission_id: str,
     tick: int = 0,
-    ledger: AuditLedger | None = None,
-    mission_id: str | None = None,
 ) -> NodeState:
     ids = sorted(set(item_ids))
     unknown = [i for i in ids if i not in run.quarantined_items]
@@ -569,17 +555,20 @@ def release_quarantined(
     run.items.update(ids)
     if run.state is NodeState.QUARANTINED and not run.quarantined_items:
         transition(run, NodeState.RUNNING)
-    if ledger is not None and ids:
-        payload: dict[str, object] = {
-            "node_id": run.node_id,
-            "action": "quarantine-release",
-            "item_ids": ids,
-            "resolution": resolution,
-            "held": len(run.quarantined_items),
-        }
-        if mission_id:
-            payload["mission_id"] = mission_id
-        ledger.append(RecordKind.ESCALATION, "guardian", payload, tick=tick)
+    if ids:
+        ledger.append(
+            RecordKind.ESCALATION,
+            "guardian",
+            {
+                "node_id": run.node_id,
+                "action": "quarantine-release",
+                "item_ids": ids,
+                "resolution": resolution,
+                "held": len(run.quarantined_items),
+                "mission_id": mission_id,
+            },
+            tick=tick,
+        )
     return run.state
 
 

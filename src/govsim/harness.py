@@ -344,6 +344,8 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
 
     mission_raw = _require(data, "mission", "")
     mission_id = _require(mission_raw, "mission_id", "mission")
+    if not isinstance(mission_id, str) or not mission_id:
+        raise ConfigError("mission.mission_id", "must be a non-empty string")
     clock_origin = mission_raw.get("clock_origin", "2026-01-01T00:00:00+00:00")
     try:
         datetime.fromisoformat(clock_origin)
@@ -858,12 +860,12 @@ class _Driver:
         )
 
     def escalate_after_freeze(self, tick: int) -> None:
-        tier = escalate(self.freeze_history, self.config.guardian.window_ticks)
-        assert tier is not None
         window = self.config.guardian.window_ticks
-        in_window = [e for e in self.freeze_history if tick - window < e.tick <= tick]
+        escalation = escalate(self.freeze_history, window)
+        assert escalation is not None
+        tier, freeze_count = escalation
         self.escalations.append(
-            {"tick": tick, "tier": tier.label, "freeze_count": len(in_window), "window_ticks": window}
+            {"tick": tick, "tier": tier.label, "freeze_count": freeze_count, "window_ticks": window}
         )
         self.ledger.append(
             RecordKind.ESCALATION,
@@ -871,7 +873,7 @@ class _Driver:
             {
                 "action": "guardian-escalation",
                 "tier": tier.label,
-                "freeze_count": len(in_window),
+                "freeze_count": freeze_count,
                 "mission_id": self.config.mission_id,
             },
             tick=tick,
@@ -889,8 +891,6 @@ class _Driver:
                     case_id=f"{self.config.mission_id}-CB",
                     ledger=self.ledger,
                 )
-        elif tier is EscalationTier.RESTRICTIVE:
-            pass  # the halving lands after rollback, once the meter is live again
 
     def behavior_for(self, plan: NodePlan, spec: AttemptSpec, tick: int, node_id: str):
         corrupted = self.corrupted_endpoints(tick)
@@ -972,7 +972,6 @@ class _Driver:
             execute_node(
                 run,
                 behavior,
-                run.meter,
                 tick=event.tick,
                 ledger=self.ledger,
                 mission_id=self.config.mission_id,
@@ -1016,6 +1015,7 @@ class _Driver:
         if run.state is not NodeState.FROZEN:
             return
         rollback(run, tick=event.tick, ledger=self.ledger, mission_id=self.config.mission_id)
+        # a Restrictive escalation halves the headroom once the meter is live again
         if self.escalations and self.escalations[-1]["tier"] == "Restrictive":
             run.meter.restrict_tool_budget()
 
@@ -1242,7 +1242,6 @@ class _Driver:
             regression_orders=self.regression_orders(),
             ledger=self.ledger,
             start_tick=event.tick,
-            mission_id=self.config.mission_id,
         )
         if loop.charter.version != self.charter.version:
             self.amendments.append(

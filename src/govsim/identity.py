@@ -78,7 +78,7 @@ class AgentProfile:
 
 
 class IdentityRegistry:
-    def __init__(self, ledger: AuditLedger | None = None) -> None:
+    def __init__(self, ledger: AuditLedger) -> None:
         self._ledger = ledger
         self._profiles: dict[str, AgentProfile] = {}
 
@@ -93,10 +93,6 @@ class IdentityRegistry:
             return self._profiles[did]
         except KeyError:
             raise UnknownAgent(did) from None
-
-    def _record(self, kind: RecordKind, actor: str, payload: Mapping[str, object]) -> None:
-        if self._ledger is not None:
-            self._ledger.append(kind, actor, payload)
 
     def register_agent(
         self,
@@ -124,11 +120,12 @@ class IdentityRegistry:
             reputation=round1(Decimal(str(reputation))),
             standby=standby,
         )
-        if baselines:
-            for label, (mean, std) in baselines.items():
-                self._set_baseline(profile, label, mean, std)
+        for label, (mean, std) in (baselines or {}).items():
+            if std <= 0:
+                raise ValueError(f"baseline {label}: std must be > 0")
+            profile.baselines[label] = (float(mean), float(std))
         self._profiles[did] = profile
-        self._record(
+        self._ledger.append(
             RecordKind.AGENT_REGISTERED,
             did,
             {
@@ -149,7 +146,7 @@ class IdentityRegistry:
             raise InvalidTransition(f"{profile.cert_state.value} + {event.value}")
         before = profile.cert_state
         profile.cert_state = TRANSITIONS[key]
-        self._record(
+        self._ledger.append(
             RecordKind.CERT_TRANSITION,
             did,
             {
@@ -165,7 +162,7 @@ class IdentityRegistry:
         profile = self.get(did)
         before = profile.reputation
         profile.reputation = clamp_score(before + Decimal(str(delta)))
-        self._record(
+        self._ledger.append(
             RecordKind.REPUTATION_UPDATE,
             did,
             {
@@ -176,15 +173,6 @@ class IdentityRegistry:
             },
         )
         return profile.reputation
-
-    @staticmethod
-    def _set_baseline(profile: AgentProfile, label: str, mean: float, std: float) -> None:
-        if std <= 0:
-            raise ValueError(f"baseline {label}: std must be > 0")
-        profile.baselines[label] = (float(mean), float(std))
-
-    def set_baseline(self, did: str, label: str, mean: float, std: float) -> None:
-        self._set_baseline(self.get(did), label, mean, std)
 
     def baseline(self, did: str, behavior_class: str) -> tuple[float, float]:
         profile = self.get(did)

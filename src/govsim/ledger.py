@@ -131,7 +131,6 @@ class AuditLedger:
         self._records: list[AuditRecord] = []
         self._payloads: list[dict[str, Any]] = []
         self._head = GENESIS_DIGEST
-        self._known_missions: set[str] = set()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -151,9 +150,6 @@ class AuditLedger:
 
     def records_of_kind(self, kind: RecordKind) -> list[AuditRecord]:
         return [r for r in self._records if r.kind is kind]
-
-    def register_mission(self, mission_id: str) -> None:
-        self._known_missions.add(mission_id)
 
     def _stamp(self, seq: int, digest: bytes) -> bytes:
         material = canonical({"seq": seq, "payload_digest": digest.hex()})
@@ -185,9 +181,6 @@ class AuditLedger:
         self._records.append(record)
         self._payloads.append(body)
         self._head = record_digest(record)
-        mission = body.get("mission_id")
-        if isinstance(mission, str):
-            self._known_missions.add(mission)
         return seq
 
     def verify_chain(
@@ -222,13 +215,13 @@ class AuditLedger:
         return ChainVerdict(True)
 
     def pedigree(self, mission_id: str) -> LogicPedigree:
-        if mission_id not in self._known_missions:
-            raise UnknownMission(mission_id)
         refs = tuple(
             rec.seq
             for rec, body in zip(self._records, self._payloads)
             if body.get("mission_id") == mission_id
         )
+        if not refs:
+            raise UnknownMission(mission_id)
         anchor = hashlib.sha256(
             b"".join(record_digest(self._records[seq]) for seq in refs)
         ).digest()
@@ -243,7 +236,6 @@ class AuditLedger:
         twin._records = list(self._records)
         twin._payloads = [dict(p) for p in self._payloads]
         twin._head = self._head
-        twin._known_missions = set(self._known_missions)
         return twin
 
     # -- test hooks ---------------------------------------------------------

@@ -388,7 +388,7 @@ class TaskDAG:
         return sinks[0]
 
 
-def decompose(job: JobSpec, *, mission_id: str, ledger: AuditLedger | None = None) -> TaskDAG:
+def decompose(job: JobSpec, *, mission_id: str, ledger: AuditLedger) -> TaskDAG:
     if not job.task_templates:
         raise ValidationError("job has no task templates")
     seen: dict[str, TaskTemplate] = {}
@@ -422,17 +422,16 @@ def decompose(job: JobSpec, *, mission_id: str, ledger: AuditLedger | None = Non
         raise ValidationError(f"sink node {sinks[0]} does not seal provenance")
     dag = TaskDAG(mission_id=mission_id, nodes=dict(seen), edges=tuple(edges))
     dag.topological_order()
-    if ledger is not None:
-        ledger.append(
-            RecordKind.MISSION_LEGISLATED,
-            "legislation",
-            {
-                "mission_id": mission_id,
-                "job_id": job.job_id,
-                "node_ids": sorted(seen),
-                "edge_count": len(edges),
-            },
-        )
+    ledger.append(
+        RecordKind.MISSION_LEGISLATED,
+        "legislation",
+        {
+            "mission_id": mission_id,
+            "job_id": job.job_id,
+            "node_ids": sorted(seen),
+            "edge_count": len(edges),
+        },
+    )
     return dag
 
 
@@ -522,7 +521,8 @@ def prescreen(
     """Evaluate the charter against the mission manifest and, when given, a
     single order subject. Escalation outranks rejection; an empty charter or
     one with no triggered rule authorizes and mints the token contract
-    generation needs."""
+    generation needs. The decision is recorded only when a ledger is given:
+    a re-screen that only asks runs without one."""
     escalations: list[str] = []
     rejections: list[str] = []
     subjects: list[Mapping] = []
@@ -546,22 +546,23 @@ def prescreen(
         for subject in subjects:
             merged.update(subject)
         decision = Authorized(token=_mint_token(charter, merged))
-    if ledger is not None:
-        payload: dict = {"charter_version": charter.version}
-        if manifest is not None:
-            payload["mission_id"] = manifest.mission_id
-        if order is not None and "order_id" in order:
-            payload["order_id"] = order["order_id"]
-        if isinstance(decision, Authorized):
-            payload["decision"] = "Authorized"
-            payload["token"] = decision.token
-        elif isinstance(decision, Rejected):
-            payload["decision"] = "Rejected"
-            payload["rule_ids"] = list(decision.rule_ids)
-        else:
-            payload["decision"] = "Escalated"
-            payload["reason"] = decision.reason
-        ledger.append(RecordKind.PRESCREEN_DECISION, "charter-gate", payload)
+    if ledger is None:
+        return decision
+    payload: dict = {"charter_version": charter.version}
+    if manifest is not None:
+        payload["mission_id"] = manifest.mission_id
+    if order is not None and "order_id" in order:
+        payload["order_id"] = order["order_id"]
+    if isinstance(decision, Authorized):
+        payload["decision"] = "Authorized"
+        payload["token"] = decision.token
+    elif isinstance(decision, Rejected):
+        payload["decision"] = "Rejected"
+        payload["rule_ids"] = list(decision.rule_ids)
+    else:
+        payload["decision"] = "Escalated"
+        payload["reason"] = decision.reason
+    ledger.append(RecordKind.PRESCREEN_DECISION, "charter-gate", payload)
     return decision
 
 
@@ -600,11 +601,11 @@ def run_bidding(
     bids: Sequence[Bid],
     registry: IdentityRegistry,
     *,
+    mission_id: str,
+    ledger: AuditLedger,
     stake_floor="100.00",
     mediator: str = "consensus-01",
     sig_stamp: str = "t0",
-    mission_id: str | None = None,
-    ledger: AuditLedger | None = None,
 ) -> Assignment:
     """Deterministic sealed-bid auction. Eligible bidders are fully certified
     and staked at or above the floor; ranking is lexicographic on higher
@@ -640,18 +641,19 @@ def run_bidding(
         completion_ticks=winner.completion_ticks,
         consensus_sig=f"sig:{mediator}:{node_id.lower()}:{sig_stamp}",
     )
-    if ledger is not None:
-        payload: dict = {
+    ledger.append(
+        RecordKind.BID_ACCEPTED,
+        mediator,
+        {
             "node_id": node_id,
             "assignee": winner.did,
             "standby": standby,
             "accuracy_sla": str(winner.accuracy_sla),
             "completion_ticks": winner.completion_ticks,
             "consensus_sig": assignment.consensus_sig,
-        }
-        if mission_id:
-            payload["mission_id"] = mission_id
-        ledger.append(RecordKind.BID_ACCEPTED, mediator, payload)
+            "mission_id": mission_id,
+        },
+    )
     return assignment
 
 
@@ -673,7 +675,7 @@ def generate_contract_stack(
     *,
     authorization_token: str,
     registry: IdentityRegistry,
-    ledger: AuditLedger | None = None,
+    ledger: AuditLedger,
 ) -> dict[str, str]:
     """Deploy the mission's contracts once every node is assigned to an agent
     that is not revoked: one CONTRACT_DEPLOYED record per contract. Returns
@@ -696,12 +698,11 @@ def generate_contract_stack(
     )
     participants = sorted({a.assignee for a in assignments.values()})
     addresses = {name: _address(manifest.mission_id, name) for name in _CONTRACTS}
-    if ledger is not None:
-        for name, address in addresses.items():
-            payload: dict = {"mission_id": manifest.mission_id, "contract": name, "address": address}
-            if name == "payment":
-                payload["net_escrow"] = fmt(net)
-            if name == "collaboration":
-                payload["participants"] = participants
-            ledger.append(RecordKind.CONTRACT_DEPLOYED, "legislation", payload)
+    for name, address in addresses.items():
+        payload: dict = {"mission_id": manifest.mission_id, "contract": name, "address": address}
+        if name == "payment":
+            payload["net_escrow"] = fmt(net)
+        if name == "collaboration":
+            payload["participants"] = participants
+        ledger.append(RecordKind.CONTRACT_DEPLOYED, "legislation", payload)
     return addresses

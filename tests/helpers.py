@@ -1,8 +1,9 @@
 """Builders shared across test modules: a nine-node settlement job, a
-ceiling charter, and a small certified registry."""
+ceiling charter, a fresh ledger, and a small certified registry."""
 from decimal import Decimal
 
 from govsim.identity import CertEvent, IdentityRegistry
+from govsim.ledger import AuditLedger
 from govsim.legislation import (
     Charter,
     JobSpec,
@@ -87,8 +88,12 @@ def manifest_for(job, charter, notional=None):
     )
 
 
+def new_ledger():
+    return AuditLedger(attestation_key=b"k")
+
+
 def certified_registry():
-    registry = IdentityRegistry()
+    registry = IdentityRegistry(new_ledger())
     roster = [
         ("did:test:fx-12", "98.7", "9100.00"),
         ("did:test:fx-14", "98.5", "8700.00"),

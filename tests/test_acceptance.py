@@ -72,7 +72,7 @@ from govsim.legislation import (
     generate_contract_stack,
     run_bidding,
 )
-from helpers import ceiling_charter, manifest_for, template
+from helpers import ceiling_charter, manifest_for, new_ledger, template
 
 MONEY_TOL = Decimal("0.00")
 UTILIZATION_TOL = Decimal("0.0001")
@@ -391,12 +391,12 @@ def test_c07_budget_caps_are_inviolable(token_cap, tokens, tools, messages):
     over = tokens > token_cap or tools > 40 or messages > 120
     if over:
         with pytest.raises((BudgetExceeded, CapBreached)):
-            execute_node(node, behavior, node.meter)
+            execute_node(node, behavior, ledger=new_ledger(), mission_id="MISSION-P")
         assert node.state is NodeState.FROZEN
         # a frozen node cannot be declared complete; it must rerun first
         assert NodeState.COMPLETED not in LEGAL_TRANSITIONS[NodeState.FROZEN]
     else:
-        execute_node(node, behavior, node.meter)
+        execute_node(node, behavior, ledger=new_ledger(), mission_id="MISSION-P")
         assert node.telemetry is not None
         assert node.telemetry.tokens_spent <= token_cap
         assert node.telemetry.tool_calls <= 40
@@ -464,13 +464,14 @@ def test_c09_revoked_agents_never_hold_contracts():
     )
     charter = ceiling_charter()
     manifest = manifest_for(job, charter)
-    dag = decompose(job, mission_id="MISSION-1")
+    dag = decompose(job, mission_id="MISSION-1", ledger=new_ledger())
 
     rng = random.Random(20260822)
     events = list(CertEvent)
     revoked_runs = 0
     for n in range(10_000):
-        registry = IdentityRegistry()
+        ledger = new_ledger()
+        registry = IdentityRegistry(ledger)
         did = f"did:test:walk-{n}"
         registry.register_agent(did, "analyst", "OWNER-1", "500.00")
         for _ in range(rng.randrange(1, 13)):
@@ -486,7 +487,7 @@ def test_c09_revoked_agents_never_hold_contracts():
         revoked_runs += 1
         bid = Bid(did=did, node_id="TASK-X", accuracy_sla=Decimal("0.99"), completion_ticks=100)
         with pytest.raises(NoEligibleBid):
-            run_bidding("TASK-X", [bid], registry)
+            run_bidding("TASK-X", [bid], registry, mission_id="MISSION-1", ledger=ledger)
         with pytest.raises(CertificationViolation):
             generate_contract_stack(
                 manifest,
@@ -503,6 +504,7 @@ def test_c09_revoked_agents_never_hold_contracts():
                 },
                 authorization_token="tok-walk",
                 registry=registry,
+                ledger=ledger,
             )
     # the walk has to actually visit the terminal state to mean anything
     assert revoked_runs > 5_000

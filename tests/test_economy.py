@@ -33,9 +33,9 @@ from govsim.ledger import AuditLedger, RecordKind
 from govsim.money import nxc
 
 
-def make_treasury(**kwargs):
+def make_treasury():
     ledger = AuditLedger(attestation_key=b"econ-test")
-    return Treasury(ledger, **kwargs), ledger
+    return Treasury(ledger), ledger
 
 
 class TestSplitPool:
@@ -160,13 +160,13 @@ class TestTreasury:
         assert treasury.total_value() == before
         treasury.slash("agent", "0.05", "sla breach", mission_id="M-1")
         assert treasury.total_value() == before
-        treasury.settle_cross_node("org", "agent", "180.00", "0.02")
+        treasury.settle_cross_node("org", "agent", "180.00", "0.02", mission_id="M-1")
         assert treasury.total_value() == before
 
     def test_slash_moves_stake_to_judicial_fund(self):
         treasury, ledger = make_treasury()
         treasury.open_account("agent", stake="3800.00")
-        amount = treasury.slash("agent", "0.05", "cache misuse")
+        amount = treasury.slash("agent", "0.05", "cache misuse", mission_id="M-1")
         assert amount == nxc("190.00")
         assert treasury.account("agent").stake_locked == nxc("3610.00")
         assert treasury.account(JUDICIAL_FUND).balance == nxc("190.00")
@@ -176,28 +176,21 @@ class TestTreasury:
         treasury, ledger = make_treasury()
         treasury.open_account("agent", stake="6200.00")
         n_before = len(ledger)
-        assert treasury.slash("agent", "0", "no-op") == nxc("0")
+        assert treasury.slash("agent", "0", "no-op", mission_id="M-1") == nxc("0")
         assert treasury.account("agent").stake_locked == nxc("6200.00")
         assert len(ledger) == n_before
-
-    def test_slash_invokes_reputation_hook(self):
-        calls = []
-        treasury, _ = make_treasury(reputation_hook=lambda did, why: calls.append((did, why)))
-        treasury.open_account("agent", stake="100.00")
-        treasury.slash("agent", "0.5", "breach")
-        assert calls == [("agent", "breach")]
 
     def test_slash_fraction_bounds(self):
         treasury, _ = make_treasury()
         treasury.open_account("agent", stake="100.00")
         with pytest.raises(AmountError):
-            treasury.slash("agent", "1.5", "too much")
+            treasury.slash("agent", "1.5", "too much", mission_id="M-1")
 
     def test_cross_node_fee_and_tax(self):
         treasury, _ = make_treasury()
         treasury.open_account("payer", balance="1000.00")
         amount, tax = treasury.settle_cross_node(
-            "payer", "provider", "180.00", "0.02"
+            "payer", "provider", "180.00", "0.02", mission_id="M-1"
         )
         assert (amount, tax) == (nxc("180.00"), nxc("3.60"))
         assert treasury.account("payer").balance == nxc("816.40")
@@ -208,15 +201,15 @@ class TestTreasury:
         treasury, _ = make_treasury()
         treasury.open_account("payer", balance="10.00")
         with pytest.raises(AmountError):
-            treasury.settle_cross_node("payer", "provider", "0", "0.02")
+            treasury.settle_cross_node("payer", "provider", "0", "0.02", mission_id="M-1")
 
     def test_transfer_guards(self):
         treasury, _ = make_treasury()
         treasury.open_account("a", balance="5.00")
         with pytest.raises(InsufficientFunds):
-            treasury.transfer("a", "b", "6.00")
+            treasury.transfer("a", "b", "6.00", mission_id="M-1")
         with pytest.raises(UnknownAccount):
-            treasury.transfer("ghost", "b", "1.00")
+            treasury.transfer("ghost", "b", "1.00", mission_id="M-1")
 
 
 class TestIncentiveChecker:

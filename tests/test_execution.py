@@ -42,7 +42,6 @@ from govsim.execution import (
     quarantine,
     release_quarantined,
     rollback,
-    schedule_ready,
     states_snapshot,
     transition,
 )
@@ -52,10 +51,9 @@ from govsim.legislation import (
     Predicate,
     Rule,
     SlashingCondition,
-    TaskDAG,
     decompose,
 )
-from helpers import nine_node_job, template
+from helpers import new_ledger, nine_node_job, template
 
 
 def run_for(tid="TASK-X", state=NodeState.RUNNING, **template_overrides):
@@ -115,39 +113,12 @@ class TestLifecycle:
         assert journal == {"TASK-A": NodeState.PENDING, "TASK-B": NodeState.RUNNING}
 
 
-class TestScheduler:
-    def dag(self):
-        return decompose(nine_node_job(), mission_id="M")
-
-    def test_only_root_ready_at_start(self):
-        dag = self.dag()
-        states = {n: NodeState.PENDING for n in dag.nodes}
-        assert schedule_ready(dag, states) == ["TASK-001A"]
-
-    def test_parallel_unlock_after_shared_dependency(self):
-        dag = self.dag()
-        states = {n: NodeState.PENDING for n in dag.nodes}
-        states["TASK-001A"] = NodeState.VERIFIED
-        states["TASK-001B"] = NodeState.VERIFIED
-        assert schedule_ready(dag, states) == [
-            "TASK-002A", "TASK-002B", "TASK-002C", "TASK-003A", "TASK-003B"
-        ]
-
-    def test_completed_dependency_also_satisfies(self):
-        dag = self.dag()
-        states = {n: NodeState.PENDING for n in dag.nodes}
-        states["TASK-001A"] = NodeState.COMPLETED
-        assert schedule_ready(dag, states) == ["TASK-001B"]
-
-    def test_empty_dag(self):
-        assert schedule_ready(TaskDAG("M", {}, ()), {}) == []
-
-
 class TestExecuteNode:
     def test_telemetry_reflects_meter_and_digest(self):
         node = run_for()
         telemetry = execute_node(
-            node, lambda r: outcome(metrics={"rate_deviation_bps": 0.31}), node.meter
+            node, lambda r: outcome(metrics={"rate_deviation_bps": 0.31}),
+            ledger=new_ledger(), mission_id="M",
         )
         assert telemetry.tokens_spent == 100
         assert telemetry.metrics == {"rate_deviation_bps": 0.31}
@@ -156,16 +127,16 @@ class TestExecuteNode:
 
     def test_empty_metric_map_is_valid(self):
         node = run_for()
-        telemetry = execute_node(node, lambda r: outcome(metrics={}), node.meter)
+        telemetry = execute_node(
+            node, lambda r: outcome(metrics={}), ledger=new_ledger(), mission_id="M"
+        )
         assert telemetry.metrics == {}
 
     def test_token_overrun_freezes_and_raises(self):
         ledger = AuditLedger(attestation_key=b"k")
         node = run_for(token_cap=500)
         with pytest.raises(BudgetExceeded):
-            execute_node(
-                node, lambda r: outcome(tokens=501), node.meter, ledger=ledger
-            )
+            execute_node(node, lambda r: outcome(tokens=501), ledger=ledger, mission_id="M")
         assert node.state is NodeState.FROZEN
         assert node.freeze_events[-1].trigger == "budget-exceeded"
         assert ledger.records_of_kind(RecordKind.FREEZE_EVENT)
@@ -174,19 +145,23 @@ class TestExecuteNode:
         node = run_for()
         node.meter.charge(tool_calls=40)
         with pytest.raises(CapBreached):
-            execute_node(node, lambda r: outcome(tool_calls=1), node.meter)
+            execute_node(
+                node, lambda r: outcome(tool_calls=1), ledger=new_ledger(), mission_id="M"
+            )
         assert node.state is NodeState.FROZEN
         assert node.freeze_events[-1].trigger == "cap-breached"
 
     def test_message_cap(self):
         node = run_for()
         with pytest.raises(CapBreached):
-            execute_node(node, lambda r: outcome(messages=121), node.meter)
+            execute_node(
+                node, lambda r: outcome(messages=121), ledger=new_ledger(), mission_id="M"
+            )
 
     def test_requires_running_state(self):
         node = run_for(state=NodeState.READY)
         with pytest.raises(StateError):
-            execute_node(node, lambda r: outcome(), node.meter)
+            execute_node(node, lambda r: outcome(), ledger=new_ledger(), mission_id="M")
 
     def test_evidence_lands_on_ledger(self):
         ledger = AuditLedger(attestation_key=b"k")
@@ -198,10 +173,7 @@ class TestExecuteNode:
             ),
         ]
         node = run_for()
-        execute_node(
-            node, lambda r: outcome(evidence=evidence), node.meter,
-            ledger=ledger, mission_id="M",
-        )
+        execute_node(node, lambda r: outcome(evidence=evidence), ledger=ledger, mission_id="M")
         recs = ledger.records_of_kind(RecordKind.TOOL_CALL)
         assert len(recs) == 2
 
@@ -229,13 +201,17 @@ class TestExecuteNode:
 class TestGateVerify:
     def verified_node(self, metrics, **overrides):
         node = run_for(gate_check_id="fx-rate-lock", **overrides)
-        telemetry = execute_node(node, lambda r: outcome(metrics=metrics), node.meter)
+        telemetry = execute_node(
+            node, lambda r: outcome(metrics=metrics), ledger=new_ledger(), mission_id="M"
+        )
         return node, telemetry
 
     def test_within_threshold_verifies_and_checkpoints(self):
         ledger = AuditLedger(attestation_key=b"k")
         node, telemetry = self.verified_node({"rate_deviation_bps": 0.31})
-        proof = gate_verify(node, telemetry, cosigner="verifier-1", tick=7, ledger=ledger)
+        proof = gate_verify(
+            node, telemetry, cosigner="verifier-1", tick=7, ledger=ledger, mission_id="M"
+        )
         assert isinstance(proof, ProofOfProgress)
         assert node.state is NodeState.VERIFIED
         assert node.checkpoint is not None and node.checkpoint.tick == 7
@@ -248,66 +224,82 @@ class TestGateVerify:
                 "ledger_variance_eur", "abs_gt", "500", "EUR"
             ),
         )
+        ledger = new_ledger()
         telemetry = execute_node(
-            node, lambda r: outcome(metrics={"ledger_variance_eur": 0.0}), node.meter
+            node, lambda r: outcome(metrics={"ledger_variance_eur": 0.0}),
+            ledger=ledger, mission_id="M",
         )
         assert isinstance(
-            gate_verify(node, telemetry, cosigner="v"), ProofOfProgress
+            gate_verify(node, telemetry, cosigner="v", ledger=ledger, mission_id="M"),
+            ProofOfProgress,
         )
 
     def test_breach_freezes_with_check_id(self):
         node, telemetry = self.verified_node({"rate_deviation_bps": 0.6})
-        result = gate_verify(node, telemetry, cosigner="verifier-1")
+        result = gate_verify(
+            node, telemetry, cosigner="verifier-1", ledger=new_ledger(), mission_id="M"
+        )
         assert result == GateFailure(check_ids=("fx-rate-lock",))
         assert node.state is NodeState.FROZEN
         assert node.freeze_events[-1].trigger == "slashing-condition"
 
     def test_gate_requires_running(self):
         node, telemetry = self.verified_node({"rate_deviation_bps": 0.31})
-        gate_verify(node, telemetry, cosigner="v")
+        ledger = new_ledger()
+        gate_verify(node, telemetry, cosigner="v", ledger=ledger, mission_id="M")
         with pytest.raises(StateError):
-            gate_verify(node, telemetry, cosigner="v")
+            gate_verify(node, telemetry, cosigner="v", ledger=ledger, mission_id="M")
 
 
 class TestGuardian:
     def telemetry(self, **metrics):
         node = run_for()
-        return execute_node(node, lambda r: outcome(metrics=metrics), node.meter), node
+        telemetry = execute_node(
+            node, lambda r: outcome(metrics=metrics), ledger=new_ledger(), mission_id="M"
+        )
+        return telemetry, node
 
     def test_deviation_beyond_two_sigma_freezes(self):
         telemetry, node = self.telemetry(clearance_rate=0.94)
         baseline = Baseline("clearance_rate", 0.892, 0.02)
-        event = guardian_check(telemetry, baseline, run=node, tick=1680)
+        event = guardian_check(telemetry, baseline, run=node, tick=1680, ledger=new_ledger())
         assert isinstance(event, FreezeEvent)
         assert event.z_value == pytest.approx(2.4)
         assert event.scope == "Targeted" and event.node_id == "TASK-X"
         assert node.state is NodeState.FROZEN
 
     def test_at_mean_and_at_boundary_pass(self):
-        telemetry, _ = self.telemetry(clearance_rate=0.892)
-        assert guardian_check(telemetry, Baseline("clearance_rate", 0.892, 0.02)) == Ok(0.0)
-        telemetry, _ = self.telemetry(clearance_rate=0.932)
-        verdict = guardian_check(telemetry, Baseline("clearance_rate", 0.892, 0.02))
+        ledger = new_ledger()
+        telemetry, node = self.telemetry(clearance_rate=0.892)
+        baseline = Baseline("clearance_rate", 0.892, 0.02)
+        assert guardian_check(telemetry, baseline, run=node, ledger=ledger) == Ok(0.0)
+        telemetry, node = self.telemetry(clearance_rate=0.932)
+        verdict = guardian_check(telemetry, baseline, run=node, ledger=ledger)
         assert isinstance(verdict, Ok)
         assert verdict.z_value == pytest.approx(2.0)
 
     def test_negative_deviation_also_counts(self):
         telemetry, node = self.telemetry(clearance_rate=0.84)
         event = guardian_check(
-            telemetry, Baseline("clearance_rate", 0.892, 0.02), run=node
+            telemetry, Baseline("clearance_rate", 0.892, 0.02), run=node, ledger=new_ledger()
         )
         assert isinstance(event, FreezeEvent)
         assert event.z_value == pytest.approx(-2.6)
 
     def test_zero_std_rejected(self):
-        telemetry, _ = self.telemetry(clearance_rate=0.9)
+        telemetry, node = self.telemetry(clearance_rate=0.9)
         with pytest.raises(ValueError):
-            guardian_check(telemetry, Baseline("clearance_rate", 0.9, 0.0))
+            guardian_check(
+                telemetry, Baseline("clearance_rate", 0.9, 0.0), run=node, ledger=new_ledger()
+            )
 
     def test_unobserved_metric_is_ok(self):
-        telemetry, _ = self.telemetry(other=1.0)
+        telemetry, node = self.telemetry(other=1.0)
         assert isinstance(
-            guardian_check(telemetry, Baseline("clearance_rate", 0.9, 0.1)), Ok
+            guardian_check(
+                telemetry, Baseline("clearance_rate", 0.9, 0.1), run=node, ledger=new_ledger()
+            ),
+            Ok,
         )
 
 
@@ -320,22 +312,22 @@ class TestEscalation:
 
     def test_tier_ladder_within_one_window(self):
         history = self.freezes(0, 300, 600, 900)
-        tiers = [escalate(history[: i + 1], 1200) for i in range(4)]
-        assert tiers == [
-            EscalationTier.ADVISORY,
-            EscalationTier.RESTRICTIVE,
-            EscalationTier.RESTRICTIVE,
-            EscalationTier.CIRCUIT_BREAKER,
+        ladder = [escalate(history[: i + 1], 1200) for i in range(4)]
+        assert ladder == [
+            (EscalationTier.ADVISORY, 1),
+            (EscalationTier.RESTRICTIVE, 2),
+            (EscalationTier.RESTRICTIVE, 3),
+            (EscalationTier.CIRCUIT_BREAKER, 4),
         ]
 
     def test_spread_freezes_stay_advisory(self):
         history = self.freezes(0, 1300, 2600)
         for i in range(3):
-            assert escalate(history[: i + 1], 1200) is EscalationTier.ADVISORY
+            assert escalate(history[: i + 1], 1200) == (EscalationTier.ADVISORY, 1)
 
     def test_window_boundary_is_exclusive(self):
-        assert escalate(self.freezes(0, 1200), 1200) is EscalationTier.ADVISORY
-        assert escalate(self.freezes(1, 1200), 1200) is EscalationTier.RESTRICTIVE
+        assert escalate(self.freezes(0, 1200), 1200) == (EscalationTier.ADVISORY, 1)
+        assert escalate(self.freezes(1, 1200), 1200) == (EscalationTier.RESTRICTIVE, 2)
 
     def test_empty_history(self):
         assert escalate([], 1200) is None
@@ -350,18 +342,19 @@ class TestEscalation:
 
 class TestRollback:
     def test_restores_to_checkpoint_and_resets_meter(self):
-        ledger = AuditLedger(attestation_key=b"k")
+        ledger = new_ledger()
         node = run_for()
         telemetry = execute_node(
-            node, lambda r: outcome(metrics={"rate_deviation_bps": 0.1}), node.meter
+            node, lambda r: outcome(metrics={"rate_deviation_bps": 0.1}),
+            ledger=ledger, mission_id="M",
         )
-        gate_verify(node, telemetry, cosigner="v", tick=100)
+        gate_verify(node, telemetry, cosigner="v", tick=100, ledger=ledger, mission_id="M")
         # a later rerun of the same node: freeze mid-flight, then roll back
         node.state = NodeState.RUNNING
         node.meter.charge(tokens=300)
         from govsim.execution import _freeze
 
-        _freeze(node, "z-score", 150)
+        _freeze(node, "z-score", 150, ledger=ledger)
         state = rollback(node, tick=160, ledger=ledger, mission_id="M")
         assert state is NodeState.RUNNING
         assert node.meter.tokens_spent == 0
@@ -374,29 +367,33 @@ class TestRollback:
         node = run_for()
         from govsim.execution import _freeze
 
-        _freeze(node, "budget-exceeded", 10)
-        assert rollback(node, tick=12) is NodeState.READY
+        ledger = new_ledger()
+        _freeze(node, "budget-exceeded", 10, ledger=ledger)
+        assert rollback(node, tick=12, ledger=ledger, mission_id="M") is NodeState.READY
 
     def test_requires_frozen(self):
         node = run_for()
         with pytest.raises(StateError):
-            rollback(node)
+            rollback(node, ledger=new_ledger(), mission_id="M")
 
     def test_checkpoint_never_newer_than_rollback(self):
+        ledger = new_ledger()
         node = run_for()
         telemetry = execute_node(
-            node, lambda r: outcome(metrics={"rate_deviation_bps": 0.1}), node.meter
+            node, lambda r: outcome(metrics={"rate_deviation_bps": 0.1}),
+            ledger=ledger, mission_id="M",
         )
-        gate_verify(node, telemetry, cosigner="v", tick=500)
+        gate_verify(node, telemetry, cosigner="v", tick=500, ledger=ledger, mission_id="M")
         node.state = NodeState.RUNNING
         from govsim.execution import _freeze
 
-        _freeze(node, "timeout", 499)
+        _freeze(node, "timeout", 499, ledger=ledger)
         with pytest.raises(StateError):
-            rollback(node, tick=499)
+            rollback(node, tick=499, ledger=ledger, mission_id="M")
 
     def test_downstream_states_untouched(self):
-        dag = decompose(nine_node_job(), mission_id="M")
+        ledger = new_ledger()
+        dag = decompose(nine_node_job(), mission_id="M", ledger=ledger)
 
         class A:
             def __init__(self, assignee):
@@ -408,8 +405,8 @@ class TestRollback:
         before = states_snapshot(runs)
         from govsim.execution import _freeze
 
-        _freeze(target, "z-score", 1680)
-        rollback(target, tick=2046)
+        _freeze(target, "z-score", 1680, ledger=ledger)
+        rollback(target, tick=2046, ledger=ledger, mission_id="M")
         after = states_snapshot(runs)
         diff = {n for n in before if before[n] != after[n]}
         assert diff <= {"TASK-002B"}
@@ -419,14 +416,15 @@ class TestTimeout:
     def test_running_past_budget_freezes(self):
         node = run_for(timeout_ticks=100)
         node.started_tick = 0
-        assert check_timeout(node, 100) is None
-        event = check_timeout(node, 101)
+        ledger = new_ledger()
+        assert check_timeout(node, 100, ledger=ledger) is None
+        event = check_timeout(node, 101, ledger=ledger)
         assert event is not None and event.trigger == "timeout"
         assert node.state is NodeState.FROZEN
 
     def test_idle_node_has_no_timeout(self):
         node = run_for(state=NodeState.READY)
-        assert check_timeout(node, 10_000) is None
+        assert check_timeout(node, 10_000, ledger=new_ledger()) is None
 
 
 class TestQuarantine:
@@ -436,7 +434,7 @@ class TestQuarantine:
         return node
 
     def test_six_of_847_flagged(self):
-        ledger = AuditLedger(attestation_key=b"k")
+        ledger = new_ledger()
         node = self.batch_node()
         flagged = {f"ORD-{i:04d}" for i in range(6)}
         state = quarantine(node, flagged, ledger=ledger, mission_id="M")
@@ -446,40 +444,46 @@ class TestQuarantine:
         assert ledger.records_of_kind(RecordKind.ESCALATION)
 
     def test_zero_items_is_noop(self):
-        ledger = AuditLedger(attestation_key=b"k")
+        ledger = new_ledger()
         node = self.batch_node()
         n = len(ledger)
-        assert quarantine(node, [], ledger=ledger) is NodeState.VERIFIED
+        assert quarantine(node, [], ledger=ledger, mission_id="M") is NodeState.VERIFIED
         assert len(ledger) == n
 
     def test_unknown_items(self):
         node = self.batch_node(count=3)
         with pytest.raises(NotFound):
-            quarantine(node, ["ORD-9999"])
+            quarantine(node, ["ORD-9999"], ledger=new_ledger(), mission_id="M")
 
     def test_release_two_of_six(self):
         node = self.batch_node()
         flagged = sorted(node.items)[:6]
-        quarantine(node, flagged)
-        release_quarantined(node, flagged[:2], resolution="cross-node attestation")
+        ledger = new_ledger()
+        quarantine(node, flagged, ledger=ledger, mission_id="M")
+        release_quarantined(
+            node, flagged[:2], resolution="cross-node attestation", ledger=ledger, mission_id="M"
+        )
         assert len(node.quarantined_items) == 4
         assert len(node.items) == 843
         with pytest.raises(NotFound):
-            release_quarantined(node, ["ORD-0777"], resolution="x")
+            release_quarantined(node, ["ORD-0777"], resolution="x", ledger=ledger, mission_id="M")
 
     def test_running_node_parks_and_resumes(self):
         node = self.batch_node(count=5, state=NodeState.RUNNING)
-        quarantine(node, sorted(node.items)[:2])
+        ledger = new_ledger()
+        quarantine(node, sorted(node.items)[:2], ledger=ledger, mission_id="M")
         assert node.state is NodeState.QUARANTINED
         release_quarantined(
-            node, sorted(node.quarantined_items), resolution="human review"
+            node, sorted(node.quarantined_items), resolution="human review",
+            ledger=ledger, mission_id="M",
         )
         assert node.state is NodeState.RUNNING
 
 
 class TestMissionFreeze:
     def test_only_running_nodes_change(self):
-        dag = decompose(nine_node_job(), mission_id="M")
+        ledger = new_ledger()
+        dag = decompose(nine_node_job(), mission_id="M", ledger=ledger)
 
         class A:
             def __init__(self, assignee):
@@ -489,7 +493,6 @@ class TestMissionFreeze:
         runs["TASK-001A"].state = NodeState.COMPLETED
         runs["TASK-001B"].state = NodeState.RUNNING
         runs["TASK-002A"].state = NodeState.RUNNING
-        ledger = AuditLedger(attestation_key=b"k")
         event = freeze_mission(runs, "circuit-breaker", 900, ledger=ledger)
         assert event.scope == "MissionWide"
         assert runs["TASK-001B"].state is NodeState.FROZEN

@@ -134,6 +134,14 @@ def _zero_window(raw):
     raw["guardian"] = {"window_ticks": 0}
 
 
+def _mission_id(value):
+    return pytest.param(
+        lambda raw: raw["mission"].update(mission_id=value),
+        "mission.mission_id",
+        id=f"mission_id={value!r}",
+    )
+
+
 @pytest.mark.parametrize(
     "mutate, path",
     [
@@ -156,6 +164,7 @@ def _zero_window(raw):
         (_unknown_stale_did, "faults[0].did"),
         (_unknown_override_node, "faults[1].node_id"),
         (_zero_window, "guardian.window_ticks"),
+        *(_mission_id(value) for value in (7, None, "", [])),
     ],
 )
 def test_rejections_name_the_field(mutate, path):

@@ -22,7 +22,7 @@ DID = "did:netx:gsc-fra:agent:strategy-fx-7"
 
 @pytest.fixture
 def registry():
-    return IdentityRegistry()
+    return IdentityRegistry(AuditLedger(attestation_key=b"k"))
 
 
 def test_register_stores_profile(registry):
@@ -151,7 +151,7 @@ def test_exhaustive_pairs_well_defined():
     st.lists(st.decimals(min_value=-50, max_value=50, allow_nan=False, places=1), max_size=20),
 )
 def test_random_walks_keep_invariants(events, deltas):
-    reg = IdentityRegistry()
+    reg = IdentityRegistry(AuditLedger(attestation_key=b"k"))
     reg.register_agent(DID, "r", "owner", "100", reputation="50.0")
     for ev in events:
         try:

@@ -127,14 +127,6 @@ def test_pedigree_unknown_mission():
         led.pedigree("M-UNSEEN")
 
 
-def test_pedigree_known_mission_without_records():
-    led = AuditLedger(attestation_key=KEY)
-    led.register_mission("M-EMPTY")
-    p = led.pedigree("M-EMPTY")
-    assert p.record_refs == ()
-    assert p.anchor_digest == hashlib.sha256(b"").digest()
-
-
 def test_anchor_recomputable():
     led = build_ledger(4)
     p = led.pedigree("M-1")

@@ -34,6 +34,7 @@ from helpers import (
     ceiling_charter,
     certified_registry,
     manifest_for,
+    new_ledger,
     nine_node_job,
     template,
 )
@@ -143,7 +144,7 @@ class TestCharter:
 
 class TestDecompose:
     def test_nine_node_shape(self):
-        dag = decompose(nine_node_job(), mission_id="MISSION-1")
+        dag = decompose(nine_node_job(), mission_id="MISSION-1", ledger=new_ledger())
         assert len(dag) == 9
         assert dag.topological_order() == (
             "TASK-001A", "TASK-001B", "TASK-002A", "TASK-002B", "TASK-002C",
@@ -169,6 +170,7 @@ class TestDecompose:
                     "J", "", 1, Decimal(1), "EUR", 10, bad
                 ),
                 mission_id="M",
+                ledger=new_ledger(),
             )
 
     @pytest.mark.parametrize(
@@ -193,6 +195,7 @@ class TestDecompose:
             decompose(
                 JobSpec("J", "", 1, Decimal(1), "EUR", 10, templates),
                 mission_id="M",
+                ledger=new_ledger(),
             )
 
     def test_unknown_or_forward_dependency(self):
@@ -203,6 +206,7 @@ class TestDecompose:
                     (template("A", ["GHOST"]),),
                 ),
                 mission_id="M",
+                ledger=new_ledger(),
             )
         with pytest.raises(ValidationError):
             decompose(
@@ -211,6 +215,7 @@ class TestDecompose:
                     (template("A", ["B"]), template("B", seals_provenance=True)),
                 ),
                 mission_id="M",
+                ledger=new_ledger(),
             )
 
     def test_sink_discipline(self):
@@ -222,12 +227,14 @@ class TestDecompose:
                     (template("A", seals_provenance=True), template("B", seals_provenance=True)),
                 ),
                 mission_id="M",
+                ledger=new_ledger(),
             )
         # single sink that does not seal
         with pytest.raises(ValidationError):
             decompose(
                 JobSpec("J", "", 1, Decimal(1), "EUR", 10, (template("A"),)),
                 mission_id="M",
+                ledger=new_ledger(),
             )
 
     def test_empty_job(self):
@@ -235,6 +242,7 @@ class TestDecompose:
             decompose(
                 JobSpec("J", "", 1, Decimal(1), "EUR", 10, ()),
                 mission_id="M",
+                ledger=new_ledger(),
             )
 
     def test_duplicate_template_ids(self):
@@ -245,6 +253,7 @@ class TestDecompose:
                     (template("A"), template("A", seals_provenance=True)),
                 ),
                 mission_id="M",
+                ledger=new_ledger(),
             )
 
 
@@ -252,7 +261,7 @@ class TestPrescreen:
     def test_under_ceiling_authorizes_with_token(self):
         charter = ceiling_charter()
         job = nine_node_job()
-        dag = decompose(job, mission_id="MISSION-1")
+        dag = decompose(job, mission_id="MISSION-1", ledger=new_ledger())
         decision = prescreen(manifest_for(job, charter), dag, charter)
         assert isinstance(decision, Authorized)
         assert decision.token.startswith("auth:")
@@ -260,7 +269,7 @@ class TestPrescreen:
     def test_over_ceiling_escalates_with_rule_id(self):
         charter = ceiling_charter()
         job = nine_node_job()
-        dag = decompose(job, mission_id="MISSION-1")
+        dag = decompose(job, mission_id="MISSION-1", ledger=new_ledger())
         decision = prescreen(manifest_for(job, charter, notional="51000000"), dag, charter)
         assert decision == Escalated(reason="ceiling")
 
@@ -345,7 +354,9 @@ class TestBidding:
             Bid("did:test:fx-14", "TASK-001A", Decimal("0.9995"), 540),
             Bid("did:test:fx-12", "TASK-001A", Decimal("0.9997"), 480),
         ]
-        assignment = run_bidding("TASK-001A", bids, registry)
+        assignment = run_bidding(
+            "TASK-001A", bids, registry, mission_id="MISSION-1", ledger=new_ledger()
+        )
         assert assignment.assignee == "did:test:fx-12"
         assert assignment.standby == "did:test:fx-14"
         assert assignment.consensus_sig == "sig:consensus-01:task-001a:t0"
@@ -357,17 +368,21 @@ class TestBidding:
             "N",
             [Bid("did:test:fx-14", "N", same_acc, 400), Bid("did:test:fx-12", "N", same_acc, 500)],
             registry,
+            mission_id="MISSION-1",
+            ledger=new_ledger(),
         )
         assert faster.assignee == "did:test:fx-14"
         higher_rep = run_bidding(
             "N",
             [Bid("did:test:fx-14", "N", same_acc, 400), Bid("did:test:fx-12", "N", same_acc, 400)],
             registry,
+            mission_id="MISSION-1",
+            ledger=new_ledger(),
         )
         assert higher_rep.assignee == "did:test:fx-12"
 
     def test_full_tie_falls_to_lower_did(self):
-        registry = IdentityRegistry()
+        registry = IdentityRegistry(new_ledger())
         for did in ("did:test:bbb", "did:test:aaa"):
             registry.register_agent(did, "execution", "ops", "500.00", reputation="98.0")
             registry.transition_cert(did, CertEvent.BENCHMARK_PASS)
@@ -378,6 +393,8 @@ class TestBidding:
                 Bid("did:test:aaa", "N", Decimal("0.99"), 100),
             ],
             registry,
+            mission_id="MISSION-1",
+            ledger=new_ledger(),
         )
         assert won.assignee == "did:test:aaa"
 
@@ -389,14 +406,19 @@ class TestBidding:
             Bid("did:test:low-stake", "N", Decimal("1.0"), 1),
             Bid("did:test:fx-14", "N", Decimal("0.9"), 999),
         ]
-        assert run_bidding("N", bids, registry).assignee == "did:test:fx-14"
+        ledger = new_ledger()
+        assert (
+            run_bidding("N", bids, registry, mission_id="MISSION-1", ledger=ledger).assignee
+            == "did:test:fx-14"
+        )
         with pytest.raises(NoEligibleBid):
-            run_bidding("N", bids[:2], registry)
+            run_bidding("N", bids[:2], registry, mission_id="MISSION-1", ledger=ledger)
 
     def test_single_eligible_bid_has_no_standby(self):
         registry = certified_registry()
         assignment = run_bidding(
-            "N", [Bid("did:test:fx-12", "N", Decimal("0.99"), 10)], registry
+            "N", [Bid("did:test:fx-12", "N", Decimal("0.99"), 10)], registry,
+            mission_id="MISSION-1", ledger=new_ledger(),
         )
         assert assignment.standby is None
 
@@ -420,7 +442,8 @@ class TestContractStack:
             extra=(Rule("no-raw-data", "output", Predicate("raw_account_data", "present")),)
         )
         job = nine_node_job()
-        dag = decompose(job, mission_id="MISSION-1")
+        ledger = ledger if ledger is not None else new_ledger()
+        dag = decompose(job, mission_id="MISSION-1", ledger=ledger)
         registry = registry or certified_registry()
         assignments = {}
         for node_id in dag.topological_order():
@@ -431,9 +454,10 @@ class TestContractStack:
                     Bid("did:test:fx-14", node_id, Decimal("0.9995"), 540),
                 ],
                 registry,
+                mission_id="MISSION-1",
+                ledger=ledger,
             )
         manifest = manifest_for(job, charter)
-        ledger = ledger if ledger is not None else AuditLedger(attestation_key=b"k")
         addresses = generate_contract_stack(
             manifest,
             dag,
@@ -504,7 +528,8 @@ class TestContractStack:
     def test_incomplete_assignment(self):
         charter = ceiling_charter()
         job = nine_node_job()
-        dag = decompose(job, mission_id="MISSION-1")
+        ledger = new_ledger()
+        dag = decompose(job, mission_id="MISSION-1", ledger=ledger)
         with pytest.raises(IncompleteAssignment):
             generate_contract_stack(
                 manifest_for(job, charter),
@@ -512,6 +537,7 @@ class TestContractStack:
                 {},
                 authorization_token="auth:abc",
                 registry=certified_registry(),
+                ledger=ledger,
             )
 
     def test_revoked_assignee_refused(self):
@@ -530,6 +556,7 @@ class TestContractStack:
                 assignments,
                 authorization_token="auth:abc",
                 registry=registry,
+                ledger=new_ledger(),
             )
 
     def test_deployment_recorded_per_contract(self):
