@@ -251,6 +251,14 @@ def _as_int(value: Any, path: str, *, minimum: int | None = None) -> int:
     return value
 
 
+def _as_section(value: Any, path: str, shape: type) -> Any:
+    """A top-level section must be a JSON object (`dict`) or array (`list`)."""
+    if not isinstance(value, shape):
+        expected = "an object" if shape is dict else "a list"
+        raise ConfigError(path, f"expected {expected}, got {type(value).__name__}")
+    return value
+
+
 def _as_money(value: Any, path: str) -> str:
     try:
         return fmt(nxc(value))
@@ -342,7 +350,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
         raise ConfigError("seed", "must be a 64-bit unsigned integer")
     tick_scale = _as_int(data.get("tick_scale", 1), "tick_scale", minimum=1)
 
-    mission_raw = _require(data, "mission", "")
+    mission_raw = _as_section(_require(data, "mission", ""), "mission", dict)
     mission_id = _require(mission_raw, "mission_id", "mission")
     if not isinstance(mission_id, str) or not mission_id:
         raise ConfigError("mission.mission_id", "must be a non-empty string")
@@ -354,7 +362,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
 
     agents: list[AgentSpec] = []
     dids: set[str] = set()
-    for i, araw in enumerate(_require(data, "agents", "")):
+    for i, araw in enumerate(_as_section(_require(data, "agents", ""), "agents", list)):
         path = f"agents[{i}]"
         did = _require(araw, "did", path)
         baselines = []
@@ -388,22 +396,24 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     if not agents:
         raise ConfigError("agents", "roster must not be empty")
 
+    job_raw = _as_section(_require(data, "job", ""), "job", dict)
     try:
-        job = JobSpec.from_payload(_require(data, "job", ""))
+        job = JobSpec.from_payload(job_raw)
     except KeyError as exc:
         raise ConfigError(f"job.{exc.args[0]}", "missing") from None
     except (ValueError, InvalidOperation) as exc:
         raise ConfigError("job", str(exc)) from None
     node_ids = {t.template_id for t in job.task_templates}
 
+    charter_raw = _as_section(_require(data, "charter", ""), "charter", dict)
     try:
-        charter = Charter.from_payload(_require(data, "charter", ""))
+        charter = Charter.from_payload(charter_raw)
     except KeyError as exc:
         raise ConfigError(f"charter.{exc.args[0]}", "missing") from None
     except (ValueError, InvalidOperation) as exc:
         raise ConfigError("charter", str(exc)) from None
 
-    eraw = _require(data, "economy", "")
+    eraw = _as_section(_require(data, "economy", ""), "economy", dict)
     weights = {
         did: _as_money(amount, f"economy.reward_weights.{did}")
         for did, amount in _require(eraw, "reward_weights", "economy").items()
@@ -428,7 +438,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     )
 
     plans: dict[str, NodePlan] = {}
-    praw_all = _require(data, "execution_plan", "")
+    praw_all = _as_section(_require(data, "execution_plan", ""), "execution_plan", dict)
     for key in praw_all:
         if key not in node_ids:
             raise ConfigError(f"execution_plan.{key}", "not a node in the job")
@@ -437,19 +447,20 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
             raise ConfigError(f"execution_plan.{node_id}", "missing")
         plans[node_id] = _parse_plan(node_id, praw_all[node_id], f"execution_plan.{node_id}")
 
-    orders = tuple(data.get("orders", {}).get("items", ()))
+    oraw = _as_section(data.get("orders", {}), "orders", dict)
+    orders = tuple(oraw.get("items", ()))
     for k, order in enumerate(orders):
         if "order_id" not in order:
             raise ConfigError(f"orders.items[{k}].order_id", "missing")
     order_ids = {o["order_id"] for o in orders}
-    regression_refs = tuple(data.get("orders", {}).get("regression_refs", ()))
+    regression_refs = tuple(oraw.get("regression_refs", ()))
     for ref in regression_refs:
         if ref not in order_ids:
             raise ConfigError("orders.regression_refs", f"unknown order {ref!r}")
 
     timeline: list[TimelineEvent] = []
     last_tick = -1
-    for i, evraw in enumerate(data.get("timeline", ())):
+    for i, evraw in enumerate(_as_section(data.get("timeline", []), "timeline", list)):
         path = f"timeline[{i}]"
         tick = _as_int(_require(evraw, "tick", path), f"{path}.tick", minimum=0)
         if tick < last_tick:
@@ -467,7 +478,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
         for spec in attempt.evidence
     } | {plan.probe.fault_ref for plan in plans.values() if plan.probe}
     faults: list[FaultInjection] = []
-    for i, fraw in enumerate(data.get("faults", ())):
+    for i, fraw in enumerate(_as_section(data.get("faults", []), "faults", list)):
         path = f"faults[{i}]"
         fault = _parse_fault(fraw, path)
         if isinstance(fault.kind, CorruptedFeed) and fault.kind.endpoint_id not in known_endpoints:
@@ -478,7 +489,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
             raise ConfigError(f"{path}.node_id", f"unknown node {fault.kind.node_id!r}")
         faults.append(fault)
 
-    graw = data.get("guardian", {})
+    graw = _as_section(data.get("guardian", {}), "guardian", dict)
     guardian = GuardianPlan(
         z_threshold=float(graw.get("z_threshold", 2.0)),
         window_ticks=_as_int(graw.get("window_ticks", 1200), "guardian.window_ticks", minimum=1),
@@ -507,7 +518,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
         timeline=tuple(timeline),
         faults=tuple(faults),
         guardian=guardian,
-        expectations=dict(data.get("expectations", {})),
+        expectations=dict(_as_section(data.get("expectations", {}), "expectations", dict)),
     )
 
 

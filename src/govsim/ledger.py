@@ -4,7 +4,14 @@ Every state transition in a run lands here as an AuditRecord. Records chain
 through SHA-256 digests (genesis uses an all-zero previous digest) and carry a
 keyed attestation stamp standing in for a hardware signature. Payloads are
 stored alongside the chain and digested through a canonical JSON encoding so
-replays are bit-stable.
+replays are bit-stable. The header and stamp material have a fixed shape and
+are written directly in that encoding's key order, byte for byte what
+`canonical` would produce.
+
+`verify_chain` recomputes every digest and stamp from stored state on every
+call and trusts no cached value. `append` also keeps each header digest and a
+mission index; only `pedigree` reads them, which is sound because its caller
+(`post_mortem`) verifies the whole chain against the head first.
 """
 from __future__ import annotations
 
@@ -52,9 +59,14 @@ class UnknownMission(KeyError):
     pass
 
 
+# The options `json.dumps` would be given; one encoder skips building one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_quote = json.encoder.encode_basestring_ascii
+
+
 def canonical(payload: Mapping[str, Any]) -> bytes:
     """Deterministic field-ordered encoding; digests must be bit-stable."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _ENCODER.encode(payload).encode("utf-8")
 
 
 def payload_digest(payload: Mapping[str, Any]) -> bytes:
@@ -87,18 +99,29 @@ class AuditRecord:
         )
 
 
+def _json(value: Any) -> str:
+    """`canonical`'s text for one value: ints and strings directly, anything
+    else (a tampered field) through the shared encoder."""
+    if type(value) is int:
+        return "%d" % value
+    if isinstance(value, str):
+        return _quote(value)
+    return _ENCODER.encode(value)
+
+
 def record_digest(record: AuditRecord) -> bytes:
     """Digest of the chained header. The stamp is excluded: it is verified
-    against the run key, not re-chained."""
-    header = {
-        "seq": record.seq,
-        "tick": record.tick,
-        "actor": record.actor,
-        "kind": record.kind.value,
-        "payload_digest": record.payload_digest.hex(),
-        "prev_digest": record.prev_digest.hex(),
-    }
-    return hashlib.sha256(canonical(header)).digest()
+    against the run key, not re-chained. The header is `canonical` of its six
+    fields, written out in sorted key order."""
+    header = '{"actor":%s,"kind":%s,"payload_digest":"%s","prev_digest":"%s","seq":%s,"tick":%s}' % (
+        _json(record.actor),
+        _json(record.kind),
+        record.payload_digest.hex(),
+        record.prev_digest.hex(),
+        _json(record.seq),
+        _json(record.tick),
+    )
+    return hashlib.sha256(header.encode()).digest()
 
 
 @dataclass(frozen=True)
@@ -131,6 +154,9 @@ class AuditLedger:
         self._records: list[AuditRecord] = []
         self._payloads: list[dict[str, Any]] = []
         self._head = GENESIS_DIGEST
+        # Read by `pedigree` only; `verify_chain` recomputes from the records.
+        self._digests: list[bytes] = []
+        self._missions: dict[str, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -152,8 +178,9 @@ class AuditLedger:
         return [r for r in self._records if r.kind is kind]
 
     def _stamp(self, seq: int, digest: bytes) -> bytes:
-        material = canonical({"seq": seq, "payload_digest": digest.hex()})
-        return hmac.new(self._key, material, hashlib.sha256).digest()
+        """HMAC over `canonical({"payload_digest": …, "seq": seq})`."""
+        material = '{"payload_digest":"%s","seq":%s}' % (digest.hex(), _json(seq))
+        return hmac.digest(self._key, material.encode(), "sha256")
 
     def append(
         self,
@@ -181,6 +208,10 @@ class AuditLedger:
         self._records.append(record)
         self._payloads.append(body)
         self._head = record_digest(record)
+        self._digests.append(self._head)
+        mission_id = body.get("mission_id")
+        if isinstance(mission_id, str):
+            self._missions.setdefault(mission_id, []).append(seq)
         return seq
 
     def verify_chain(
@@ -195,14 +226,14 @@ class AuditLedger:
             raise RangeError("empty ledger")
         if from_seq < 0 or to_seq > last or from_seq > to_seq:
             raise RangeError(f"range [{from_seq}, {to_seq}] outside [0, {last}]")
+        # Each digest is computed once: it is the next record's expected link
+        # and, after the last record, the expected head.
+        digest = GENESIS_DIGEST if from_seq == 0 else record_digest(self._records[from_seq - 1])
         for n in range(from_seq, to_seq + 1):
             rec = self._records[n]
             if rec.seq != n:
                 return ChainVerdict(False, n)
-            expected_prev = (
-                GENESIS_DIGEST if n == 0 else record_digest(self._records[n - 1])
-            )
-            if rec.prev_digest != expected_prev:
+            if rec.prev_digest != digest:
                 return ChainVerdict(False, n)
             if payload_digest(self._payloads[n]) != rec.payload_digest:
                 return ChainVerdict(False, n)
@@ -210,21 +241,19 @@ class AuditLedger:
                 self._stamp(rec.seq, rec.payload_digest), rec.attestation_stamp
             ):
                 return ChainVerdict(False, n)
-        if to_seq == last and record_digest(self._records[last]) != self._head:
+            digest = record_digest(rec)
+        if to_seq == last and digest != self._head:
             return ChainVerdict(False, last)
         return ChainVerdict(True)
 
     def pedigree(self, mission_id: str) -> LogicPedigree:
-        refs = tuple(
-            rec.seq
-            for rec, body in zip(self._records, self._payloads)
-            if body.get("mission_id") == mission_id
-        )
+        """The mission's records in seq order, read from the index kept at
+        append. Verify the chain first: the index and the digests it anchors
+        are not re-derived from the records."""
+        refs = tuple(self._missions.get(mission_id, ())) if isinstance(mission_id, str) else ()
         if not refs:
             raise UnknownMission(mission_id)
-        anchor = hashlib.sha256(
-            b"".join(record_digest(self._records[seq]) for seq in refs)
-        ).digest()
+        anchor = hashlib.sha256(b"".join(self._digests[seq] for seq in refs)).digest()
         return LogicPedigree(mission_id=mission_id, record_refs=refs, anchor_digest=anchor)
 
     def dump_jsonl(self) -> str:
@@ -236,10 +265,14 @@ class AuditLedger:
         twin._records = list(self._records)
         twin._payloads = [dict(p) for p in self._payloads]
         twin._head = self._head
+        twin._digests = list(self._digests)
+        twin._missions = {m: list(seqs) for m, seqs in self._missions.items()}
         return twin
 
     # -- test hooks ---------------------------------------------------------
     # These simulate storage-level attacks; nothing in the package calls them.
+    # Like an attacker on storage, they leave `_digests` and `_missions` as
+    # they were: `verify_chain` must catch the edit without them.
 
     def _tamper_payload(self, seq: int, payload: Mapping[str, Any]) -> None:
         """Consistent rewrite: payload, digest, and stamp are all redone, so

@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 from .economy import split_pool
 from .identity import CertState, IdentityRegistry
@@ -332,6 +333,14 @@ class JobSpec:
         )
 
 
+def _grouped(pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
+    """Each pair's second id under its first, sorted."""
+    groups: dict[str, list[str]] = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return {key: tuple(sorted(values)) for key, values in groups.items()}
+
+
 @dataclass(frozen=True)
 class TaskDAG:
     mission_id: str
@@ -344,11 +353,23 @@ class TaskDAG:
     def node(self, node_id: str) -> TaskTemplate:
         return self.nodes[node_id]
 
+    # The DAG is frozen, so each query below is built once per instance.
+    # `cached_property` stores into the instance dict, outside the fields
+    # that equality and `repr` read.
+
+    @cached_property
+    def _dependents(self) -> dict[str, tuple[str, ...]]:
+        return _grouped(self.edges)
+
+    @cached_property
+    def _dependencies(self) -> dict[str, tuple[str, ...]]:
+        return _grouped((dst, src) for src, dst in self.edges)
+
     def dependents(self, node_id: str) -> tuple[str, ...]:
-        return tuple(sorted(dst for src, dst in self.edges if src == node_id))
+        return self._dependents.get(node_id, ())
 
     def dependencies(self, node_id: str) -> tuple[str, ...]:
-        return tuple(sorted(src for src, dst in self.edges if dst == node_id))
+        return self._dependencies.get(node_id, ())
 
     def descendants(self, node_id: str) -> frozenset[str]:
         seen: set[str] = set()
@@ -362,6 +383,10 @@ class TaskDAG:
         return frozenset(seen)
 
     def topological_order(self) -> tuple[str, ...]:
+        return self._order
+
+    @cached_property
+    def _order(self) -> tuple[str, ...]:
         indegree = {n: 0 for n in self.nodes}
         for _, dst in self.edges:
             indegree[dst] += 1

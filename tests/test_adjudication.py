@@ -150,6 +150,24 @@ class TestPostMortem:
         with pytest.raises(EvidenceIntegrityError):
             post_mortem(ledger, feed_incident())
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda ledger: ledger._tamper_field(3, "actor", "someone-else"),
+            lambda ledger: ledger._tamper_payload(3, {"mission_id": MISSION, "call_index": 99}),
+            lambda ledger: ledger._tamper_payload(15, {"mission_id": MISSION, "call_index": 99}),
+        ],
+        ids=["field", "payload", "last-payload"],
+    )
+    def test_tamper_after_a_clean_post_mortem_is_caught(self, tamper):
+        # The digests and mission index kept at append are no verification
+        # cache: the second post-mortem re-verifies the edited chain.
+        ledger = evidence_ledger()
+        assert post_mortem(ledger, feed_incident()).root_locus == ("TASK-002B", 13)
+        tamper(ledger)
+        with pytest.raises(EvidenceIntegrityError):
+            post_mortem(ledger, feed_incident())
+
     def test_no_matching_record(self):
         ledger = AuditLedger(attestation_key=b"adj-test")
         ingestion_record(

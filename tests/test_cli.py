@@ -88,6 +88,15 @@ def test_invalid_scenario_names_the_field(drill_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, value", [("mission", 7), ("agents", 5), ("job", [])])
+def test_wrong_typed_section_exits_two_naming_it(drill_path, capsys, section, value):
+    raw = json.loads(drill_path.read_text())
+    raw[section] = value
+    drill_path.write_text(json.dumps(raw))
+    assert main(["run", str(drill_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {section}: expected")
+
+
 def test_failed_expectations_exit_one(drill_path, tmp_path, capsys):
     raw = json.loads(drill_path.read_text())
     raw["expectations"]["mission.outcome"] = "Exploded"

@@ -176,6 +176,40 @@ def test_rejections_name_the_field(mutate, path):
     assert str(err.value).startswith(f"{path}:")
 
 
+SECTION_SHAPES = {
+    "mission": dict,
+    "agents": list,
+    "job": dict,
+    "charter": dict,
+    "economy": dict,
+    "execution_plan": dict,
+    "orders": dict,
+    "timeline": list,
+    "faults": list,
+    "guardian": dict,
+    "expectations": dict,
+}
+
+
+@pytest.mark.parametrize("fixture", [CASE_STUDY_FIXTURE, FAULT_DRILL_FIXTURE, STRESS_WINDOW_FIXTURE])
+@pytest.mark.parametrize(
+    "section, value",
+    [
+        pytest.param(section, value, id=f"{section}={value!r}")
+        for section, shape in SECTION_SHAPES.items()
+        for value in (7, "x", None, [], {})
+        if not isinstance(value, shape)
+    ],
+)
+def test_wrong_typed_section_names_the_section(fixture, section, value):
+    raw = raw_fixture(fixture)
+    raw[section] = value
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(raw)
+    assert err.value.field_path == section
+    assert str(err.value).startswith(f"{section}: expected")
+
+
 def test_missing_file_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_scenario(tmp_path / "nope.json")

@@ -1,12 +1,15 @@
 import hashlib
+import hmac
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from govsim.ledger import (
+    DIGEST_SIZE,
     GENESIS_DIGEST,
     AuditLedger,
+    AuditRecord,
     RangeError,
     RecordKind,
     UnknownMission,
@@ -134,6 +137,92 @@ def test_anchor_recomputable():
         b"".join(record_digest(led.record(s)) for s in p.record_refs)
     ).digest()
     assert p.anchor_digest == manual
+
+
+def test_fork_keeps_pedigree_and_shares_no_index():
+    led = build_ledger(6)
+    twin = led.fork()
+    assert twin.pedigree("M-1") == led.pedigree("M-1")
+    twin.append(RecordKind.ESCALATION, "engine", {"mission_id": "M-1"}, tick=9)
+    assert led.pedigree("M-1").record_refs == tuple(range(6))
+    assert twin.pedigree("M-1").record_refs == tuple(range(7))
+
+
+MISSION_IDS = st.one_of(
+    st.sampled_from(["M-1", "M-2", ""]), st.integers(), st.none(), st.lists(st.text(), max_size=2)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.none(), MISSION_IDS), max_size=25), MISSION_IDS)
+def test_pedigree_matches_a_scan_of_the_chain(mission_ids, query):
+    # Reference: the full scan that the index kept at append replaces, over
+    # string ids. Other ids are never indexed, and appending them is harmless.
+    led = AuditLedger(attestation_key=KEY)
+    for i, mission_id in enumerate(mission_ids):
+        payload = {"i": i} if mission_id is None else {"mission_id": mission_id, "i": i}
+        led.append(RecordKind.TOOL_CALL, "a", payload, tick=i)
+    refs = tuple(
+        seq for seq in range(len(led))
+        if isinstance(query, str) and led.payload(seq).get("mission_id") == query
+    )
+    if not refs:
+        with pytest.raises(UnknownMission):
+            led.pedigree(query)
+        return
+    p = led.pedigree(query)
+    assert p.record_refs == refs
+    assert p.anchor_digest == hashlib.sha256(
+        b"".join(record_digest(led.record(s)) for s in refs)
+    ).digest()
+
+
+# Actors made of the characters JSON escapes: quotes, backslashes, control
+# characters, non-ASCII text and lone surrogates.
+ACTORS = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\té漢😀\ud800\udfff'), st.characters())
+)
+DIGESTS = st.binary(min_size=DIGEST_SIZE, max_size=DIGEST_SIZE)
+SEQS = st.integers(min_value=0, max_value=10**12)
+
+
+def header_dict(rec):
+    return {
+        "seq": rec.seq,
+        "tick": rec.tick,
+        "actor": rec.actor,
+        "kind": rec.kind.value,
+        "payload_digest": rec.payload_digest.hex(),
+        "prev_digest": rec.prev_digest.hex(),
+    }
+
+
+def reference_stamp(seq, digest):
+    material = canonical({"seq": seq, "payload_digest": digest.hex()})
+    return hmac.new(KEY, material, hashlib.sha256).digest()
+
+
+@settings(max_examples=300, deadline=None)
+@given(ACTORS, st.sampled_from(RecordKind), SEQS, SEQS, DIGESTS, DIGESTS)
+def test_header_and_stamp_bytes_equal_canonical(actor, kind, seq, tick, digest, prev):
+    rec = AuditRecord(seq, tick, actor, kind, digest, prev, b"")
+    assert record_digest(rec) == hashlib.sha256(canonical(header_dict(rec))).digest()
+    assert AuditLedger(attestation_key=KEY)._stamp(seq, digest) == reference_stamp(seq, digest)
+
+
+ODD_VALUES = st.one_of(
+    st.booleans(), st.floats(), st.none(), st.integers(), st.text(), st.lists(st.integers(), max_size=2)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ODD_VALUES, ODD_VALUES, ODD_VALUES, DIGESTS)
+def test_tampered_field_types_encode_like_canonical(actor, seq, tick, digest):
+    # A raw tamper can leave any type in a header field; the direct encoding
+    # must still equal canonical, or a type swap (1 -> True) could go unseen.
+    rec = AuditRecord(seq, tick, actor, RecordKind.TOOL_CALL, digest, GENESIS_DIGEST, b"")
+    assert record_digest(rec) == hashlib.sha256(canonical(header_dict(rec))).digest()
+    assert AuditLedger(attestation_key=KEY)._stamp(seq, digest) == reference_stamp(seq, digest)
 
 
 def test_dump_roundtrip_offline_verify():

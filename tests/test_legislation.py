@@ -3,6 +3,7 @@ from decimal import Decimal
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from govsim.economy import split_pool
 from govsim.harness import GuardianPlan
@@ -19,6 +20,7 @@ from govsim.legislation import (
     Predicate,
     Rejected,
     Rule,
+    TaskDAG,
     Authorized,
     Escalated,
     ValidationError,
@@ -154,6 +156,35 @@ class TestDecompose:
         assert dag.descendants("TASK-002B") == {"TASK-004", "TASK-005"}
         assert dag.descendants("TASK-005") == frozenset()
         assert len(dag.edges) == 12
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+        )
+    ))
+    def test_cached_queries_match_an_edge_scan(self, shape):
+        # Reference: the per-call edge scans and Kahn's algorithm that the
+        # cached adjacency replaced. Node ids are shuffled against seq order.
+        n, pairs = shape
+        ids = [f"N{(i * 7) % n:02d}-{i}" for i in range(n)]
+        edges = tuple((ids[min(a, b)], ids[max(a, b)]) for a, b in pairs if a != b)
+        dag = TaskDAG(mission_id="M", nodes={i: None for i in ids}, edges=edges)
+        for node in ids + ["GHOST"]:
+            assert dag.dependents(node) == tuple(sorted(d for s, d in edges if s == node))
+            assert dag.dependencies(node) == tuple(sorted(s for s, d in edges if d == node))
+        indegree = {i: sum(1 for _, d in edges if d == i) for i in ids}
+        ready, order = sorted(i for i in ids if indegree[i] == 0), []
+        while ready:
+            order.append(ready.pop(0))
+            for nxt in sorted(d for s, d in edges if s == order[-1]):
+                indegree[nxt] -= 1
+                if indegree[nxt] == 0:
+                    ready.append(nxt)
+            ready.sort()
+        assert dag.topological_order() == dag.topological_order() == tuple(order)
+        assert dag == TaskDAG(mission_id="M", nodes={i: None for i in ids}, edges=edges)
 
     def test_emits_legislated_record(self):
         ledger = AuditLedger(attestation_key=b"k")
