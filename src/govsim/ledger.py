@@ -9,9 +9,10 @@ are written directly in that encoding's key order, byte for byte what
 `canonical` would produce.
 
 `verify_chain` recomputes every digest and stamp from stored state on every
-call and trusts no cached value. `append` also keeps each header digest and a
-mission index; only `pedigree` reads them, which is sound because its caller
-(`post_mortem`) verifies the whole chain against the head first.
+call and trusts no cached value. `append` also keeps each header digest; only
+`pedigree` reads them, so a pedigree taken from an edited ledger still names
+the original chain. Its caller (`post_mortem`) verifies the whole chain
+against the head first.
 """
 from __future__ import annotations
 
@@ -156,7 +157,6 @@ class AuditLedger:
         self._head = GENESIS_DIGEST
         # Read by `pedigree` only; `verify_chain` recomputes from the records.
         self._digests: list[bytes] = []
-        self._missions: dict[str, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -209,9 +209,6 @@ class AuditLedger:
         self._payloads.append(body)
         self._head = record_digest(record)
         self._digests.append(self._head)
-        mission_id = body.get("mission_id")
-        if isinstance(mission_id, str):
-            self._missions.setdefault(mission_id, []).append(seq)
         return seq
 
     def verify_chain(
@@ -247,10 +244,12 @@ class AuditLedger:
         return ChainVerdict(True)
 
     def pedigree(self, mission_id: str) -> LogicPedigree:
-        """The mission's records in seq order, read from the index kept at
-        append. Verify the chain first: the index and the digests it anchors
-        are not re-derived from the records."""
-        refs = tuple(self._missions.get(mission_id, ())) if isinstance(mission_id, str) else ()
+        """The mission's records in seq order, anchored on the header digests
+        kept at append. Verify the chain first: those digests are not
+        re-derived from the records, so an unverified edit goes unseen here."""
+        refs = tuple(
+            seq for seq, body in enumerate(self._payloads) if body.get("mission_id") == mission_id
+        )
         if not refs:
             raise UnknownMission(mission_id)
         anchor = hashlib.sha256(b"".join(self._digests[seq] for seq in refs)).digest()
@@ -266,13 +265,12 @@ class AuditLedger:
         twin._payloads = [dict(p) for p in self._payloads]
         twin._head = self._head
         twin._digests = list(self._digests)
-        twin._missions = {m: list(seqs) for m, seqs in self._missions.items()}
         return twin
 
     # -- test hooks ---------------------------------------------------------
     # These simulate storage-level attacks; nothing in the package calls them.
-    # Like an attacker on storage, they leave `_digests` and `_missions` as
-    # they were: `verify_chain` must catch the edit without them.
+    # Like an attacker on storage, they leave `_digests` as it was:
+    # `verify_chain` must catch the edit without it.
 
     def _tamper_payload(self, seq: int, payload: Mapping[str, Any]) -> None:
         """Consistent rewrite: payload, digest, and stamp are all redone, so

@@ -160,8 +160,8 @@ class TestPostMortem:
         ids=["field", "payload", "last-payload"],
     )
     def test_tamper_after_a_clean_post_mortem_is_caught(self, tamper):
-        # The digests and mission index kept at append are no verification
-        # cache: the second post-mortem re-verifies the edited chain.
+        # The digests kept at append are no verification cache: the second
+        # post-mortem re-verifies the edited chain.
         ledger = evidence_ledger()
         assert post_mortem(ledger, feed_incident()).root_locus == ("TASK-002B", 13)
         tamper(ledger)

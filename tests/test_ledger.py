@@ -139,42 +139,18 @@ def test_anchor_recomputable():
     assert p.anchor_digest == manual
 
 
-def test_fork_keeps_pedigree_and_shares_no_index():
+def test_fork_keeps_pedigree_and_shares_no_digests():
     led = build_ledger(6)
     twin = led.fork()
     assert twin.pedigree("M-1") == led.pedigree("M-1")
+    led.append(RecordKind.ESCALATION, "engine", {"mission_id": "M-1"}, tick=8)
     twin.append(RecordKind.ESCALATION, "engine", {"mission_id": "M-1"}, tick=9)
-    assert led.pedigree("M-1").record_refs == tuple(range(6))
-    assert twin.pedigree("M-1").record_refs == tuple(range(7))
-
-
-MISSION_IDS = st.one_of(
-    st.sampled_from(["M-1", "M-2", ""]), st.integers(), st.none(), st.lists(st.text(), max_size=2)
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.one_of(st.none(), MISSION_IDS), max_size=25), MISSION_IDS)
-def test_pedigree_matches_a_scan_of_the_chain(mission_ids, query):
-    # Reference: the full scan that the index kept at append replaces, over
-    # string ids. Other ids are never indexed, and appending them is harmless.
-    led = AuditLedger(attestation_key=KEY)
-    for i, mission_id in enumerate(mission_ids):
-        payload = {"i": i} if mission_id is None else {"mission_id": mission_id, "i": i}
-        led.append(RecordKind.TOOL_CALL, "a", payload, tick=i)
-    refs = tuple(
-        seq for seq in range(len(led))
-        if isinstance(query, str) and led.payload(seq).get("mission_id") == query
-    )
-    if not refs:
-        with pytest.raises(UnknownMission):
-            led.pedigree(query)
-        return
-    p = led.pedigree(query)
-    assert p.record_refs == refs
-    assert p.anchor_digest == hashlib.sha256(
-        b"".join(record_digest(led.record(s)) for s in refs)
-    ).digest()
+    for ledger in (led, twin):
+        p = ledger.pedigree("M-1")
+        assert p.record_refs == tuple(range(7))
+        assert p.anchor_digest == hashlib.sha256(
+            b"".join(record_digest(ledger.record(s)) for s in p.record_refs)
+        ).digest()
 
 
 # Actors made of the characters JSON escapes: quotes, backslashes, control
