@@ -252,7 +252,8 @@ def _as_int(value: Any, path: str, *, minimum: int | None = None) -> int:
 
 
 def _as_section(value: Any, path: str, shape: type) -> Any:
-    """A top-level section must be a JSON object (`dict`) or array (`list`)."""
+    """A section, or an element inside one, must be a JSON object (`dict`) or
+    array (`list`)."""
     if not isinstance(value, shape):
         expected = "an object" if shape is dict else "a list"
         raise ConfigError(path, f"expected {expected}, got {type(value).__name__}")
@@ -268,7 +269,7 @@ def _as_money(value: Any, path: str) -> str:
 
 def _parse_attempt(raw: Mapping, path: str, base: Mapping | None = None) -> AttemptSpec:
     merged = dict(base or {})
-    merged.update(raw)
+    merged.update(_as_section(raw, path, dict))
     duration = _as_int(_require(merged, "duration_ticks", path), f"{path}.duration_ticks", minimum=1)
     return AttemptSpec(
         duration_ticks=duration,
@@ -293,8 +294,8 @@ def _parse_plan(node_id: str, raw: Mapping, path: str) -> NodePlan:
         retry = _parse_attempt(raw["retry"], f"{path}.retry", base=raw)
     probe = None
     if "probe" in raw:
-        praw = raw["probe"]
         ppath = f"{path}.probe"
+        praw = _as_section(raw["probe"], ppath, dict)
         probe = ProbePlan(
             metric=_require(praw, "metric", ppath),
             period_ticks=_as_int(_require(praw, "period_ticks", ppath), f"{ppath}.period_ticks", minimum=1),
@@ -316,6 +317,7 @@ def _parse_plan(node_id: str, raw: Mapping, path: str) -> NodePlan:
 
 
 def _parse_fault(raw: Mapping, path: str) -> FaultInjection:
+    raw = _as_section(raw, path, dict)
     kind_name = _require(raw, "kind", path)
     if kind_name == "CorruptedFeed":
         kind: FaultKind = CorruptedFeed(
@@ -364,9 +366,10 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     dids: set[str] = set()
     for i, araw in enumerate(_as_section(_require(data, "agents", ""), "agents", list)):
         path = f"agents[{i}]"
+        araw = _as_section(araw, path, dict)
         did = _require(araw, "did", path)
         baselines = []
-        for label, braw in sorted(araw.get("baselines", {}).items()):
+        for label, braw in sorted(_as_section(araw.get("baselines", {}), f"{path}.baselines", dict).items()):
             std = float(_require(braw, "std", f"{path}.baselines.{label}"))
             if std <= 0:
                 raise ConfigError(f"{path}.baselines.{label}.std", "must be positive")
@@ -375,7 +378,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
         for j, braw in enumerate(araw.get("bids", ())):
             bpath = f"{path}.bids[{j}]"
             try:
-                bid = Bid.from_payload({"did": did, **braw})
+                bid = Bid.from_payload({"did": did, **_as_section(braw, bpath, dict)})
             except (KeyError, ValueError, InvalidOperation) as exc:
                 raise ConfigError(bpath, f"malformed bid: {exc}") from None
             bids.append(bid)
@@ -416,7 +419,9 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     eraw = _as_section(_require(data, "economy", ""), "economy", dict)
     weights = {
         did: _as_money(amount, f"economy.reward_weights.{did}")
-        for did, amount in _require(eraw, "reward_weights", "economy").items()
+        for did, amount in _as_section(
+            _require(eraw, "reward_weights", "economy"), "economy.reward_weights", dict
+        ).items()
     }
     for did in weights:
         if did not in dids:
@@ -448,9 +453,9 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
         plans[node_id] = _parse_plan(node_id, praw_all[node_id], f"execution_plan.{node_id}")
 
     oraw = _as_section(data.get("orders", {}), "orders", dict)
-    orders = tuple(oraw.get("items", ()))
+    orders = tuple(_as_section(oraw.get("items", []), "orders.items", list))
     for k, order in enumerate(orders):
-        if "order_id" not in order:
+        if "order_id" not in _as_section(order, f"orders.items[{k}]", dict):
             raise ConfigError(f"orders.items[{k}].order_id", "missing")
     order_ids = {o["order_id"] for o in orders}
     regression_refs = tuple(oraw.get("regression_refs", ()))
@@ -462,6 +467,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     last_tick = -1
     for i, evraw in enumerate(_as_section(data.get("timeline", []), "timeline", list)):
         path = f"timeline[{i}]"
+        evraw = _as_section(evraw, path, dict)
         tick = _as_int(_require(evraw, "tick", path), f"{path}.tick", minimum=0)
         if tick < last_tick:
             raise ConfigError(f"{path}.tick", "timeline must be ordered by tick")
@@ -632,13 +638,27 @@ def emit_report(report: RunReport, format: str = "json") -> bytes:
     raise FormatError(f"unknown report format {format!r}")
 
 
+class _Clock:
+    """The driver's current tick, called by its ledger for the record tick. It
+    refers to nothing else, so the ledger holds no path back to the driver and
+    a run is freed by reference counting once its report is dropped."""
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+    def __call__(self) -> int:
+        return self.value
+
+
 class _Driver:
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
-        self.now = 0
+        self.clock = _Clock()
         self.rng = random.Random(config.seed)
         key = hashlib.sha256(f"attest:{config.seed}".encode()).digest()
-        self.ledger = AuditLedger(attestation_key=key, clock=lambda: self.now)
+        self.ledger = AuditLedger(attestation_key=key, clock=self.clock)
         self.registry = IdentityRegistry(self.ledger)
         self.treasury = Treasury(self.ledger)
         self.charter = config.charter
@@ -672,8 +692,12 @@ class _Driver:
         origin = datetime.fromisoformat(self.config.clock_origin)
         return (origin + timedelta(seconds=tick * self.config.tick_scale)).isoformat()
 
+    @property
+    def now(self) -> int:
+        return self.clock.value
+
     def advance(self, tick: int) -> None:
-        self.now = max(self.now, tick)
+        self.clock.value = max(self.clock.value, tick)
 
     # -- fault queries -------------------------------------------------------
 

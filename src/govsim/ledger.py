@@ -8,11 +8,19 @@ replays are bit-stable. The header and stamp material have a fixed shape and
 are written directly in that encoding's key order, byte for byte what
 `canonical` would produce.
 
-`verify_chain` recomputes every digest and stamp from stored state on every
-call and trusts no cached value. `append` also keeps each header digest; only
-`pedigree` reads them, so a pedigree taken from an edited ledger still names
-the original chain. Its caller (`post_mortem`) verifies the whole chain
-against the head first.
+Storage is immutable: a record is a tuple of ints, strings, a kind and bytes,
+and a payload is kept as its canonical bytes, exactly what its digest covers
+(`payload` decodes a fresh copy, so readers never alias storage). `append`
+seals each slot: it keeps the record object, the payload bytes object, the
+header digest and the mission id. `verify_chain` checks every seq and link,
+takes the sealed digest for a slot whose record and payload are still the
+very objects sealed (neither can have changed since), and re-derives payload
+digest, stamp and header digest for any slot that was replaced. The verdict
+is the one a full recomputation gives.
+`pedigree` reads mission ids and digests from the seals, so a pedigree taken
+from an edited, unverified ledger still names the original chain; its caller
+(`post_mortem`) verifies the whole chain against the head first. The offline
+`verify_jsonl` trusts nothing and recomputes every link.
 """
 from __future__ import annotations
 
@@ -22,7 +30,7 @@ import json
 import secrets
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 DIGEST_SIZE = 32
 GENESIS_DIGEST = b"\x00" * DIGEST_SIZE
@@ -62,6 +70,7 @@ class UnknownMission(KeyError):
 
 # The options `json.dumps` would be given; one encoder skips building one per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_DECODER = json.JSONDecoder()
 _quote = json.encoder.encode_basestring_ascii
 
 
@@ -70,12 +79,7 @@ def canonical(payload: Mapping[str, Any]) -> bytes:
     return _ENCODER.encode(payload).encode("utf-8")
 
 
-def payload_digest(payload: Mapping[str, Any]) -> bytes:
-    return hashlib.sha256(canonical(payload)).digest()
-
-
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     seq: int
     tick: int
     actor: str
@@ -85,18 +89,18 @@ class AuditRecord:
     attestation_stamp: bytes
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "seq": self.seq,
-                "tick": self.tick,
-                "actor": self.actor,
-                "kind": self.kind.value,
-                "payload_digest": self.payload_digest.hex(),
-                "prev_digest": self.prev_digest.hex(),
-                "attestation_stamp": self.attestation_stamp.hex(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+        """`json.dumps` of the seven fields with sorted keys, written directly."""
+        return (
+            '{"actor":%s,"attestation_stamp":"%s","kind":%s,"payload_digest":"%s",'
+            '"prev_digest":"%s","seq":%s,"tick":%s}'
+        ) % (
+            _json(self.actor),
+            self.attestation_stamp.hex(),
+            _json(self.kind.value),
+            self.payload_digest.hex(),
+            self.prev_digest.hex(),
+            _json(self.seq),
+            _json(self.tick),
         )
 
 
@@ -141,6 +145,22 @@ class LogicPedigree:
     anchor_digest: bytes
 
 
+class _Seal(NamedTuple):
+    """What `append` stored and derived for one seq. Storage-level edits
+    replace `_records`/`_payloads` slots and never touch the seal."""
+
+    record: AuditRecord
+    blob: bytes
+    digest: bytes
+    mission_id: Any
+
+
+def _encode(payload: Mapping[str, Any]) -> tuple[bytes, bytes]:
+    """A payload's canonical bytes and their digest."""
+    blob = canonical(dict(payload))
+    return blob, hashlib.sha256(blob).digest()
+
+
 class AuditLedger:
     """Single-writer in-process ledger. Owned by the event loop; records are
     immutable once appended and safe to hand out."""
@@ -153,10 +173,9 @@ class AuditLedger:
         self._key = attestation_key if attestation_key is not None else secrets.token_bytes(32)
         self._clock = clock
         self._records: list[AuditRecord] = []
-        self._payloads: list[dict[str, Any]] = []
+        self._payloads: list[bytes] = []
         self._head = GENESIS_DIGEST
-        # Read by `pedigree` only; `verify_chain` recomputes from the records.
-        self._digests: list[bytes] = []
+        self._seals: list[_Seal] = []
 
     def __len__(self) -> int:
         return len(self._records)
@@ -172,7 +191,8 @@ class AuditLedger:
         return self._records[seq]
 
     def payload(self, seq: int) -> dict[str, Any]:
-        return dict(self._payloads[seq])
+        """A fresh decode of the stored canonical JSON (tuples come back as lists)."""
+        return _DECODER.decode(self._payloads[seq].decode())
 
     def records_of_kind(self, kind: RecordKind) -> list[AuditRecord]:
         return [r for r in self._records if r.kind is kind]
@@ -193,8 +213,7 @@ class AuditLedger:
         kind = RecordKind(kind)
         if tick is None:
             tick = self._clock() if self._clock is not None else 0
-        body = dict(payload)
-        digest = payload_digest(body)
+        blob, digest = _encode(payload)
         seq = len(self._records)
         record = AuditRecord(
             seq=seq,
@@ -206,18 +225,19 @@ class AuditLedger:
             attestation_stamp=self._stamp(seq, digest),
         )
         self._records.append(record)
-        self._payloads.append(body)
+        self._payloads.append(blob)
         self._head = record_digest(record)
-        self._digests.append(self._head)
+        self._seals.append(_Seal(record, blob, self._head, payload.get("mission_id")))
         return seq
 
     def verify_chain(
         self, from_seq: int = 0, to_seq: int | None = None
     ) -> ChainVerdict:
-        last = len(self._records) - 1
+        records, payloads, seals = self._records, self._payloads, self._seals
+        last = len(records) - 1
         if to_seq is None:
             to_seq = last
-        if not self._records:
+        if not records:
             if from_seq == 0 and to_seq == -1:
                 return ChainVerdict(True)
             raise RangeError("empty ledger")
@@ -225,14 +245,20 @@ class AuditLedger:
             raise RangeError(f"range [{from_seq}, {to_seq}] outside [0, {last}]")
         # Each digest is computed once: it is the next record's expected link
         # and, after the last record, the expected head.
-        digest = GENESIS_DIGEST if from_seq == 0 else record_digest(self._records[from_seq - 1])
+        digest = GENESIS_DIGEST if from_seq == 0 else record_digest(records[from_seq - 1])
         for n in range(from_seq, to_seq + 1):
-            rec = self._records[n]
+            rec = records[n]
             if rec.seq != n:
                 return ChainVerdict(False, n)
             if rec.prev_digest != digest:
                 return ChainVerdict(False, n)
-            if payload_digest(self._payloads[n]) != rec.payload_digest:
+            seal = seals[n]
+            if rec is seal.record and payloads[n] is seal.blob:
+                # The sealed objects are immutable: re-deriving them would
+                # give the self check, stamp and digest they passed at append.
+                digest = seal.digest
+                continue
+            if hashlib.sha256(payloads[n]).digest() != rec.payload_digest:
                 return ChainVerdict(False, n)
             if not hmac.compare_digest(
                 self._stamp(rec.seq, rec.payload_digest), rec.attestation_stamp
@@ -245,68 +271,49 @@ class AuditLedger:
 
     def pedigree(self, mission_id: str) -> LogicPedigree:
         """The mission's records in seq order, anchored on the header digests
-        kept at append. Verify the chain first: those digests are not
-        re-derived from the records, so an unverified edit goes unseen here."""
-        refs = tuple(
-            seq for seq, body in enumerate(self._payloads) if body.get("mission_id") == mission_id
-        )
+        sealed at append. Verify the chain first: mission ids and digests are
+        read from the seals, not re-derived from storage, so an unverified
+        edit goes unseen here."""
+        refs = tuple(seq for seq, seal in enumerate(self._seals) if seal.mission_id == mission_id)
         if not refs:
             raise UnknownMission(mission_id)
-        anchor = hashlib.sha256(b"".join(self._digests[seq] for seq in refs)).digest()
+        anchor = hashlib.sha256(b"".join(self._seals[seq].digest for seq in refs)).digest()
         return LogicPedigree(mission_id=mission_id, record_refs=refs, anchor_digest=anchor)
 
     def dump_jsonl(self) -> str:
-        return "".join(rec.to_json_line() + "\n" for rec in self._records)
+        return "".join([rec.to_json_line() + "\n" for rec in self._records])
 
     def fork(self) -> "AuditLedger":
         """Independent copy sharing nothing mutable; used by tamper tests."""
         twin = AuditLedger(attestation_key=self._key, clock=self._clock)
         twin._records = list(self._records)
-        twin._payloads = [dict(p) for p in self._payloads]
+        twin._payloads = list(self._payloads)
         twin._head = self._head
-        twin._digests = list(self._digests)
+        twin._seals = list(self._seals)
         return twin
 
     # -- test hooks ---------------------------------------------------------
     # These simulate storage-level attacks; nothing in the package calls them.
-    # Like an attacker on storage, they leave `_digests` as it was:
-    # `verify_chain` must catch the edit without it.
+    # Like an attacker on storage, they replace slots and leave `_seals` as it
+    # was: `verify_chain` re-derives every replaced slot.
 
     def _tamper_payload(self, seq: int, payload: Mapping[str, Any]) -> None:
         """Consistent rewrite: payload, digest, and stamp are all redone, so
         detection rests on the chain links (or the head check for the last
         record), not on the per-record self checks."""
-        body = dict(payload)
-        digest = payload_digest(body)
+        blob, digest = _encode(payload)
         old = self._records[seq]
-        self._payloads[seq] = body
-        self._records[seq] = AuditRecord(
-            seq=old.seq,
-            tick=old.tick,
-            actor=old.actor,
-            kind=old.kind,
-            payload_digest=digest,
-            prev_digest=old.prev_digest,
-            attestation_stamp=self._stamp(old.seq, digest),
+        self._payloads[seq] = blob
+        self._records[seq] = old._replace(
+            payload_digest=digest, attestation_stamp=self._stamp(old.seq, digest)
         )
 
     def _tamper_field(self, seq: int, field: str, value: Any) -> None:
         """Raw single-field mutation with no recomputation."""
         if field == "payload":
-            self._payloads[seq] = dict(value)
+            self._payloads[seq] = _encode(value)[0]
             return
-        old = self._records[seq]
-        parts = {
-            "seq": old.seq,
-            "tick": old.tick,
-            "actor": old.actor,
-            "kind": old.kind,
-            "payload_digest": old.payload_digest,
-            "prev_digest": old.prev_digest,
-            "attestation_stamp": old.attestation_stamp,
-        }
-        parts[field] = value
-        self._records[seq] = AuditRecord(**parts)
+        self._records[seq] = self._records[seq]._replace(**{field: value})
 
 
 def verify_jsonl(lines: Iterable[str]) -> ChainVerdict:

@@ -97,6 +97,14 @@ def test_wrong_typed_section_exits_two_naming_it(drill_path, capsys, section, va
     assert capsys.readouterr().err.startswith(f"error: {section}: expected")
 
 
+def test_wrong_typed_element_exits_two_naming_it(drill_path, capsys):
+    raw = json.loads(drill_path.read_text())
+    raw["agents"][0] = 7
+    drill_path.write_text(json.dumps(raw))
+    assert main(["run", str(drill_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: agents[0]: expected an object")
+
+
 def test_failed_expectations_exit_one(drill_path, tmp_path, capsys):
     raw = json.loads(drill_path.read_text())
     raw["expectations"]["mission.outcome"] = "Exploded"

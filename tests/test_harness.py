@@ -13,6 +13,7 @@ Derived oracles, computed before the assertions:
     -> 09:02:03+01:00
 """
 import copy
+import gc
 import json
 from decimal import Decimal
 
@@ -163,6 +164,19 @@ def _section(name, value):
     )
 
 
+def _element(path, keys, value):
+    """Set the value at `keys` (creating missing objects) to a wrong type;
+    the rejection must name `path`."""
+
+    def mutate(raw):
+        target = raw
+        for key in keys[:-1]:
+            target = target.setdefault(key, {}) if isinstance(key, str) else target[key]
+        target[keys[-1]] = value
+
+    return pytest.param(mutate, path, id=f"{'.'.join(map(str, keys))}={value!r}")
+
+
 @pytest.mark.parametrize(
     "mutate, path",
     [
@@ -191,6 +205,17 @@ def _section(name, value):
             for name, shape in SECTION_SHAPES.items()
             for value in (7, "x", None, [] if shape is dict else {})
         ),
+        _element("agents[0]", ("agents", 0), 7),
+        _element("agents[0].baselines", ("agents", 0, "baselines"), []),
+        _element("agents[0].bids[0]", ("agents", 0, "bids", 0), 7),
+        _element("timeline[0]", ("timeline",), [7]),
+        _element("orders.items", ("orders", "items"), 7),
+        _element("orders.items[0]", ("orders", "items"), [7]),
+        _element("execution_plan.TASK-FX-001", ("execution_plan", "TASK-FX-001"), 7),
+        _element("execution_plan.TASK-FX-001.retry", ("execution_plan", "TASK-FX-001", "retry"), 7),
+        _element("execution_plan.TASK-FX-001.probe", ("execution_plan", "TASK-FX-001", "probe"), []),
+        _element("economy.reward_weights", ("economy", "reward_weights"), []),
+        _element("faults[0]", ("faults", 0), 7),
     ],
 )
 def test_rejections_name_the_field(mutate, path):
@@ -355,6 +380,24 @@ def test_drill_retry_spend_is_the_spend(drill_report):
 
 
 # -- determinism and fault isolation -----------------------------------------
+
+
+@pytest.mark.parametrize("name", [CASE_STUDY_FIXTURE, FAULT_DRILL_FIXTURE, STRESS_WINDOW_FIXTURE])
+def test_a_dropped_report_is_freed_without_the_cycle_collector(name):
+    # A reference cycle (ledger -> clock -> driver -> ledger) would keep each
+    # run's ledger alive until a full collection, so memory would grow with
+    # every replay in a long-lived process.
+    config = load_bundled_scenario(name)
+    gc.collect()
+    gc.disable()
+    try:
+        report = run(config)
+        assert report.ledger.append(RecordKind.ESCALATION, "probe", {}) == len(report.ledger) - 1
+        assert report.ledger.record(len(report.ledger) - 1).tick > 0
+        del report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_identical_seeds_are_byte_identical(case_report):

@@ -1,5 +1,6 @@
 import hashlib
 import hmac
+import json
 import random
 
 import pytest
@@ -178,12 +179,18 @@ def reference_stamp(seq, digest):
     return hmac.new(KEY, material, hashlib.sha256).digest()
 
 
+def reference_line(rec):
+    row = {**header_dict(rec), "attestation_stamp": rec.attestation_stamp.hex()}
+    return json.dumps(row, sort_keys=True, separators=(",", ":"))
+
+
 @settings(max_examples=300, deadline=None)
 @given(ACTORS, st.sampled_from(RecordKind), SEQS, SEQS, DIGESTS, DIGESTS)
 def test_header_and_stamp_bytes_equal_canonical(actor, kind, seq, tick, digest, prev):
-    rec = AuditRecord(seq, tick, actor, kind, digest, prev, b"")
+    rec = AuditRecord(seq, tick, actor, kind, digest, prev, digest[::-1])
     assert record_digest(rec) == hashlib.sha256(canonical(header_dict(rec))).digest()
     assert AuditLedger(attestation_key=KEY)._stamp(seq, digest) == reference_stamp(seq, digest)
+    assert rec.to_json_line() == reference_line(rec)
 
 
 ODD_VALUES = st.one_of(
@@ -199,6 +206,7 @@ def test_tampered_field_types_encode_like_canonical(actor, seq, tick, digest):
     rec = AuditRecord(seq, tick, actor, RecordKind.TOOL_CALL, digest, GENESIS_DIGEST, b"")
     assert record_digest(rec) == hashlib.sha256(canonical(header_dict(rec))).digest()
     assert AuditLedger(attestation_key=KEY)._stamp(seq, digest) == reference_stamp(seq, digest)
+    assert rec.to_json_line() == reference_line(rec)
 
 
 def test_dump_roundtrip_offline_verify():
@@ -275,3 +283,115 @@ def test_single_consistent_rewrite_always_detected(n, rng):
     assert not verdict.ok
     # Break surfaces at the record or immediately after it.
     assert verdict.first_broken_seq in (seq, seq + 1)
+
+
+def test_payload_reads_never_alias_storage():
+    original = {"mission_id": "M-1", "items": [1, 2], "pair": (3, 4)}
+    led = AuditLedger(attestation_key=KEY)
+    led.append(RecordKind.TOOL_CALL, "engine", original, tick=0)
+    original["items"].append("caller")
+    body = led.payload(0)
+    body["items"].append("reader")
+    body["mission_id"] = "M-2"
+    # Storage is canonical JSON, so a tuple reads back as a list.
+    assert led.payload(0) == {"mission_id": "M-1", "items": [1, 2], "pair": [3, 4]}
+    assert led.payload(0) is not led.payload(0)
+    assert led.verify_chain().ok
+    assert led.pedigree("M-1").record_refs == (0,)
+
+
+def test_stored_records_cannot_be_mutated():
+    led = build_ledger(3)
+    rec = led.record(1)
+    with pytest.raises(AttributeError):
+        object.__setattr__(rec, "tick", 99)
+    with pytest.raises(AttributeError):
+        object.__setattr__(rec, "note", "x")
+    assert rec.tick == 1
+    assert led.verify_chain().ok
+
+
+# -- the seal against a full recomputation -----------------------------------
+
+
+def recomputed_verdict(led, from_seq=0, to_seq=None):
+    """The verdict of re-deriving every payload digest, stamp and header
+    digest from what is stored, trusting nothing `append` kept."""
+    records = list(led)
+    last = len(records) - 1
+    to_seq = last if to_seq is None else to_seq
+    digest = GENESIS_DIGEST if from_seq == 0 else record_digest(records[from_seq - 1])
+    for n in range(from_seq, to_seq + 1):
+        rec = records[n]
+        if rec.seq != n or rec.prev_digest != digest:
+            return False, n
+        if hashlib.sha256(led._payloads[n]).digest() != rec.payload_digest:
+            return False, n
+        if not hmac.compare_digest(reference_stamp(rec.seq, rec.payload_digest), rec.attestation_stamp):
+            return False, n
+        digest = record_digest(rec)
+    if to_seq == last and digest != led.head_digest:
+        return False, last
+    return True, None
+
+
+def _flip(value):
+    return bytes([value[0] ^ 0xFF]) + value[1:]
+
+
+def apply_op(ledgers, op):
+    """Apply one step to one of `ledgers`; a fork joins the list."""
+    name, pick, arg = op
+    led = ledgers[pick % len(ledgers)]
+    seq = arg % len(led)
+    rec = led.record(seq)
+    if name == "append":
+        led.append(RecordKind.TOOL_CALL, "engine", {"mission_id": "M-1", "n": arg}, tick=arg)
+    elif name == "fork":
+        ledgers.append(led.fork())
+    elif name == "rewrite":
+        led._tamper_payload(seq, {"mission_id": "M-1", "evil": arg})
+    elif name == "swap-payload":
+        led._tamper_field(seq, "payload", {"mission_id": "M-1", "n": arg})
+    elif name == "same-payload":
+        led._tamper_field(seq, "payload", led.payload(seq))
+    elif name == "same-record":
+        led._tamper_field(seq, "actor", rec.actor)
+    elif name == "same-rewrite":
+        led._tamper_payload(seq, led.payload(seq))
+    elif name == "type-swap":
+        field = ("tick", "seq")[arg % 2]
+        value = getattr(rec, field)
+        led._tamper_field(seq, field, value == 1 if value in (0, 1) else float(value))
+    elif name == "bad-stamp":
+        led._tamper_field(seq, "attestation_stamp", _flip(rec.attestation_stamp))
+    else:
+        led._tamper_field(seq, "prev_digest", _flip(rec.prev_digest))
+
+
+OPS = st.tuples(
+    st.sampled_from(
+        ["append", "append", "fork", "rewrite", "swap-payload", "same-payload", "same-record",
+         "same-rewrite", "type-swap", "bad-stamp", "bad-link"]
+    ),
+    st.integers(min_value=0, max_value=50),
+    st.integers(min_value=0, max_value=10**6),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.lists(st.tuples(OPS, st.integers(0, 10**6), st.integers(0, 10**6)), max_size=20),
+)
+def test_sealed_verify_matches_a_full_recomputation(n, steps):
+    ledgers = [build_ledger(n)]
+    for op, a, b in steps:
+        apply_op(ledgers, op)
+        for led in ledgers:
+            verdict = led.verify_chain()
+            assert (verdict.ok, verdict.first_broken_seq) == recomputed_verdict(led)
+            lo = a % len(led)
+            hi = lo + b % (len(led) - lo)
+            verdict = led.verify_chain(lo, hi)
+            assert (verdict.ok, verdict.first_broken_seq) == recomputed_verdict(led, lo, hi)
