@@ -13,11 +13,11 @@ import hashlib
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .economy import Treasury
 from .identity import CertEvent, CertState, IdentityRegistry
-from .ledger import AuditLedger, AuditRecord, RecordKind, canonical
+from .ledger import AuditLedger, AuditRecord, RecordKind, canonical, key_needle, pair_needle
 from .legislation import (
     Authorized,
     Charter,
@@ -81,6 +81,35 @@ class IncidentProbe:
     scope_violation: bool = False
     payload_equals: Mapping[str, object] = field(default_factory=dict)
 
+    def needles(self) -> tuple[bytes, ...]:
+        """Bytes that the stored payload of every matching record contains.
+        Only a string-valued `payload_equals` entry adds one: `1 == True ==
+        1.0` encode apart, and an absent key equals `None`."""
+        found = [
+            pair_needle(key, value)
+            for key, value in self.payload_equals.items()
+            if type(key) is str and type(value) is str
+        ]
+        if self.scope_violation:
+            found.append(pair_needle("contract_scope_ok", False))
+        if self.digest_mismatch:
+            found.append(key_needle("declared_digest"))
+        return tuple(found)
+
+    def search(
+        self, ledger: AuditLedger, seqs: Iterable[int] | None = None
+    ) -> list[tuple[AuditRecord, dict]]:
+        """The matching `(record, payload)` pairs among `seqs` (default: the
+        whole ledger), in order. Only records whose stored bytes hold every
+        needle are decoded and tested."""
+        if seqs is None:
+            seqs = range(len(ledger))
+        return [
+            (record, payload)
+            for record, payload in ledger.candidates(seqs, self.kinds, self.needles())
+            if self.matches(record, payload)
+        ]
+
     def matches(self, record: AuditRecord, payload: Mapping[str, object]) -> bool:
         if self.kinds and record.kind not in self.kinds:
             return False
@@ -142,13 +171,7 @@ def post_mortem(ledger: AuditLedger, incident: Incident) -> ForensicReport:
         raise EvidenceIntegrityError(
             f"chain breaks at seq {verdict.first_broken_seq}; evidence is inadmissible"
         )
-    pedigree = ledger.pedigree(incident.mission_id)
-    matches: list[tuple[AuditRecord, Mapping[str, object]]] = []
-    for seq in pedigree.record_refs:
-        record = ledger.record(seq)
-        payload = ledger.payload(seq)
-        if incident.probe.matches(record, payload):
-            matches.append((record, payload))
+    matches = incident.probe.search(ledger, ledger.pedigree(incident.mission_id).record_refs)
     if not matches:
         raise Inconclusive(f"no ledger record matches incident {incident.incident_id}")
     first_record, first_payload = matches[0]

@@ -281,7 +281,7 @@ def _parse_attempt(raw: Mapping, path: str, base: Mapping | None = None) -> Atte
             f"{path}.evidence_offset",
             minimum=1,
         ),
-        metrics=dict(merged.get("metrics", {})),
+        metrics=dict(_as_section(merged.get("metrics", {}), f"{path}.metrics", dict)),
         evidence=tuple(merged.get("evidence", ())),
         output=dict(merged.get("output", {})),
     )
@@ -314,6 +314,23 @@ def _parse_plan(node_id: str, raw: Mapping, path: str) -> NodePlan:
         items=tuple(raw.get("items", ())),
         quarantine_items=tuple(raw.get("quarantine", ())),
     )
+
+
+def _parse_partner(raw: Any, path: str) -> tuple[str, str]:
+    raw = _as_section(raw, path, dict)
+    return _require(raw, "id", path), _as_money(raw.get("balance", "0"), f"{path}.balance")
+
+
+def _parse_params(kind: Any, raw: Any, path: str) -> dict[str, Any]:
+    """Timeline params, with the objects that the handlers read by key."""
+    params = dict(_as_section(raw, path, dict))
+    if kind == "correction_loop":
+        incident = _as_section(params.get("incident", {}), f"{path}.incident", dict)
+        probe = _as_section(incident.get("probe", {}), f"{path}.incident.probe", dict)
+        _as_section(probe.get("payload_equals", {}), f"{path}.incident.probe.payload_equals", dict)
+    elif kind == "dispute":
+        _as_section(params.get("evidence_query", {}), f"{path}.evidence_query", dict)
+    return params
 
 
 def _parse_fault(raw: Mapping, path: str) -> FaultInjection:
@@ -370,12 +387,14 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
         did = _require(araw, "did", path)
         baselines = []
         for label, braw in sorted(_as_section(araw.get("baselines", {}), f"{path}.baselines", dict).items()):
-            std = float(_require(braw, "std", f"{path}.baselines.{label}"))
+            lpath = f"{path}.baselines.{label}"
+            braw = _as_section(braw, lpath, dict)
+            std = float(_require(braw, "std", lpath))
             if std <= 0:
-                raise ConfigError(f"{path}.baselines.{label}.std", "must be positive")
-            baselines.append((label, float(_require(braw, "mean", f"{path}.baselines.{label}")), std))
+                raise ConfigError(f"{lpath}.std", "must be positive")
+            baselines.append((label, float(_require(braw, "mean", lpath)), std))
         bids = []
-        for j, braw in enumerate(araw.get("bids", ())):
+        for j, braw in enumerate(_as_section(araw.get("bids", []), f"{path}.bids", list)):
             bpath = f"{path}.bids[{j}]"
             try:
                 bid = Bid.from_payload({"did": did, **_as_section(braw, bpath, dict)})
@@ -435,8 +454,8 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
         org_account=_require(eraw, "org_account", "economy"),
         org_balance=_as_money(_require(eraw, "org_balance", "economy"), "economy.org_balance"),
         partner_accounts=tuple(
-            (p["id"], _as_money(p.get("balance", "0"), f"economy.partner_accounts[{k}].balance"))
-            for k, p in enumerate(eraw.get("partner_accounts", ()))
+            _parse_partner(p, f"economy.partner_accounts[{k}]")
+            for k, p in enumerate(_as_section(eraw.get("partner_accounts", []), "economy.partner_accounts", list))
         ),
         reward_weights=weights,
         reputation_bonus={k: str(v) for k, v in eraw.get("reputation_bonus", {}).items()},
@@ -472,9 +491,9 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
         if tick < last_tick:
             raise ConfigError(f"{path}.tick", "timeline must be ordered by tick")
         last_tick = tick
-        timeline.append(
-            TimelineEvent(tick=tick, kind=_require(evraw, "kind", path), params=dict(evraw.get("params", {})))
-        )
+        kind = _require(evraw, "kind", path)
+        params = _parse_params(kind, evraw.get("params", {}), f"{path}.params")
+        timeline.append(TimelineEvent(tick=tick, kind=kind, params=params))
 
     known_endpoints = {
         spec.get("endpoint_id")
@@ -501,7 +520,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
         window_ticks=_as_int(graw.get("window_ticks", 1200), "guardian.window_ticks", minimum=1),
         cosigner=graw.get("cosigner", "verifier-quorum-01"),
         mediator=graw.get("mediator", "consensus-01"),
-        escalation_panel=tuple(graw.get("escalation_panel", ())),
+        escalation_panel=tuple(_as_section(graw.get("escalation_panel", []), "guardian.escalation_panel", list)),
     )
 
     return ScenarioConfig(
@@ -1289,11 +1308,10 @@ class _Driver:
                 }
             )
         self.charter = loop.charter
-        stage_seqs = [
-            r.seq
-            for r in self.ledger.records_of_kind(RecordKind.CORRECTION_STAGE)
-            if self.ledger.payload(r.seq).get("incident_id") == incident.incident_id
-        ]
+        stages = IncidentProbe(
+            kinds=(RecordKind.CORRECTION_STAGE,), payload_equals={"incident_id": incident.incident_id}
+        )
+        stage_seqs = [r.seq for r, _ in stages.search(self.ledger)]
         sanction = dict(loop.step_a) if isinstance(loop.step_a, Mapping) else {"note": str(loop.step_a)}
         if sanction.get("slash") not in (None, "0.00") and self.token_flows:
             self.token_flows["slash_total"] = fmt(
@@ -1338,12 +1356,8 @@ class _Driver:
         advance_dispute(case, OpenEvidence(), tick=self.now, ledger=self.ledger)
         query = params.get("evidence_query")
         if query:
-            refs = [
-                r.seq
-                for r in self.ledger.records_of_kind(RecordKind.TOOL_CALL)
-                if all(self.ledger.payload(r.seq).get(k) == v for k, v in query.items())
-            ]
-            attach_evidence(case, refs)
+            evidence = IncidentProbe(kinds=(RecordKind.TOOL_CALL,), payload_equals=query)
+            attach_evidence(case, [r.seq for r, _ in evidence.search(self.ledger)])
         self.advance(t0 + int(params.get("deliberate_offset", 86_400)))
         advance_dispute(case, BeginDeliberation(), tick=self.now, ledger=self.ledger)
 

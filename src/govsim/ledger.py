@@ -21,6 +21,13 @@ is the one a full recomputation gives.
 from an edited, unverified ledger still names the original chain; its caller
 (`post_mortem`) verifies the whole chain against the head first. The offline
 `verify_jsonl` trusts nothing and recomputes every link.
+
+Payload searches test the stored bytes before decoding anything. A payload
+whose top-level `key` holds a string `value` encodes that item as exactly
+`pair_needle(key, value)`, so `candidates` decodes only the records whose
+bytes contain every needle a search names. A needle is a necessary condition,
+never a sufficient one (the same text can sit in a nested object): the
+caller still tests each decoded payload.
 """
 from __future__ import annotations
 
@@ -114,6 +121,17 @@ def _json(value: Any) -> str:
     return _ENCODER.encode(value)
 
 
+def key_needle(key: str) -> bytes:
+    """Bytes inside the canonical encoding of every payload holding `key`."""
+    return (_quote(key) + ":").encode()
+
+
+def pair_needle(key: str, value: str | bool) -> bytes:
+    """Bytes inside the canonical encoding of every payload whose `key` holds a
+    value with the same JSON text as `value`: an equal string, or this bool."""
+    return key_needle(key) + _json(value).encode()
+
+
 def record_digest(record: AuditRecord) -> bytes:
     """Digest of the chained header. The stamp is excluded: it is verified
     against the run key, not re-chained. The header is `canonical` of its six
@@ -193,6 +211,19 @@ class AuditLedger:
     def payload(self, seq: int) -> dict[str, Any]:
         """A fresh decode of the stored canonical JSON (tuples come back as lists)."""
         return _DECODER.decode(self._payloads[seq].decode())
+
+    def candidates(
+        self, seqs: Iterable[int], kinds: tuple[RecordKind, ...], needles: tuple[bytes, ...]
+    ) -> list[tuple[AuditRecord, dict[str, Any]]]:
+        """`(record, payload())` for each of `seqs`, in the order given, whose
+        kind is in `kinds` (any kind when empty) and whose stored bytes
+        contain every needle. No other payload is decoded."""
+        records, payloads = self._records, self._payloads
+        hits = [seq for seq in seqs if records[seq].kind in kinds] if kinds else list(seqs)
+        # One pass per needle keeps each test a bare `in` on bytes.
+        for needle in needles:
+            hits = [seq for seq in hits if needle in payloads[seq]]
+        return [(records[seq], self.payload(seq)) for seq in hits]
 
     def records_of_kind(self, kind: RecordKind) -> list[AuditRecord]:
         return [r for r in self._records if r.kind is kind]

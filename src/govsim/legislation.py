@@ -371,17 +371,6 @@ class TaskDAG:
     def dependencies(self, node_id: str) -> tuple[str, ...]:
         return self._dependencies.get(node_id, ())
 
-    def descendants(self, node_id: str) -> frozenset[str]:
-        seen: set[str] = set()
-        frontier = [node_id]
-        while frontier:
-            current = frontier.pop()
-            for nxt in self.dependents(current):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return frozenset(seen)
-
     def topological_order(self) -> tuple[str, ...]:
         return self._order
 

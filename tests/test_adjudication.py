@@ -2,6 +2,7 @@
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from govsim.adjudication import (
     AgentFault,
@@ -23,6 +24,7 @@ from govsim.adjudication import (
     Ratify,
     SlashingRubric,
     Verdict,
+    _attribute,
     advance_dispute,
     amend_charter,
     attach_evidence,
@@ -34,7 +36,7 @@ from govsim.adjudication import (
 )
 from govsim.economy import JUDICIAL_FUND, Treasury
 from govsim.identity import CertEvent, CertState, IdentityRegistry
-from govsim.ledger import AuditLedger, RecordKind
+from govsim.ledger import AuditLedger, RecordKind, UnknownMission
 from govsim.legislation import Charter, Predicate, Rule
 from govsim.money import nxc
 
@@ -196,6 +198,95 @@ class TestPostMortem:
         report = post_mortem(ledger, feed_incident())
         pedigree = ledger.pedigree(MISSION)
         assert set(report.evidence_refs) <= set(pedigree.record_refs)
+
+
+# Keys and values for the prefilter property: strings that need escaping, or
+# that look like the encoding's own separators, and values that compare equal
+# across types (`1 == True == 1.0`, and an absent key reads as `None`).
+PROBE_KEYS = st.sampled_from(
+    ["node_id", "call_index", "declared_digest", "observed_digest", "contract_scope_ok", "did",
+     'q"k', "b\\k", "é键", '":"']
+)
+SCALARS = st.one_of(
+    st.sampled_from(["", "x", 'q"u', "b\\s", '":"', '","', "é", "漢😀", "\ud800", "node_id", "false"]),
+    st.sampled_from([0, 1, True, False, 1.0, 0.0, None]),
+    st.text(max_size=4),
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=2), st.dictionaries(PROBE_KEYS, inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+PAYLOADS = st.dictionaries(PROBE_KEYS, st.one_of(SCALARS, VALUES), max_size=5)
+KINDS = st.sampled_from([RecordKind.TOOL_CALL, RecordKind.NODE_STARTED, RecordKind.CORRECTION_STAGE])
+
+
+def _twin(value):
+    """An equal value of another type, where there is one."""
+    if type(value) is bool:
+        return float(value)
+    if not isinstance(value, str) and value in (0, 1):
+        return bool(value)
+    return value
+
+
+def _reference_matches(ledger, probe, seqs):
+    """The scan before the prefilter: decode every record and test it."""
+    return [seq for seq in seqs if probe.matches(ledger.record(seq), ledger.payload(seq))]
+
+
+class TestPrefilter:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(KINDS, st.booleans(), PAYLOADS), min_size=1, max_size=12), st.data())
+    def test_searches_agree_with_decoding_every_record(self, rows, data):
+        ledger = AuditLedger(attestation_key=b"adj-test")
+        for kind, ours, payload in rows:
+            ledger.append(kind, "did:test:agent", {**payload, "mission_id": MISSION if ours else "M-2"})
+        # Most probe items are copied from one stored payload, some with an
+        # equal value of another type, so that matches are common.
+        kind, _, payload = data.draw(st.sampled_from([row for row in rows if row[1]] or rows))
+        stored = [(k, v) for k, v in payload.items() if not isinstance(v, (dict, list))]
+        item = st.tuples(PROBE_KEYS, VALUES)
+        if stored:
+            item = st.one_of(
+                st.sampled_from(stored), st.sampled_from(stored).map(lambda kv: (kv[0], _twin(kv[1]))), item
+            )
+        # A non-string key never matches a decoded payload's keys.
+        equals = st.lists(st.one_of(item, st.tuples(st.just(1), SCALARS)), min_size=1, max_size=2)
+        probe = data.draw(
+            st.builds(
+                IncidentProbe,
+                kinds=st.one_of(st.just((kind,)), st.lists(KINDS, max_size=2).map(tuple)),
+                digest_mismatch=st.sampled_from([False, False, True]),
+                scope_violation=st.sampled_from([False, False, True]),
+                payload_equals=equals.map(dict),
+            )
+        )
+        incident = feed_incident(probe=probe)
+        if not any(ours for _, ours, _ in rows):
+            with pytest.raises(UnknownMission):
+                post_mortem(ledger, incident)
+        else:
+            expected = _reference_matches(ledger, probe, ledger.pedigree(MISSION).record_refs)
+            if not expected:
+                with pytest.raises(Inconclusive):
+                    post_mortem(ledger, incident)
+            else:
+                first = ledger.payload(expected[0])
+                report = post_mortem(ledger, incident)
+                assert report.evidence_refs == tuple(expected)
+                assert report.root_locus == (str(first.get("node_id", "")), expected[0])
+                assert report.attribution == _attribute(first)
+        # The dispute evidence query: every ToolCall whose payload holds the query.
+        query = data.draw(st.lists(item, min_size=1, max_size=2).map(dict))
+        dispute = IncidentProbe(kinds=(RecordKind.TOOL_CALL,), payload_equals=query)
+        assert [r.seq for r, _ in dispute.search(ledger)] == [
+            r.seq
+            for r in ledger.records_of_kind(RecordKind.TOOL_CALL)
+            if all(ledger.payload(r.seq).get(k) == v for k, v in query.items())
+        ]
 
 
 class TestAttributeSlashing:

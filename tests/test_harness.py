@@ -131,6 +131,10 @@ def _empty_roster(raw):
     raw["agents"] = []
 
 
+def _dispute_with_bad_query(raw):
+    raw["timeline"].append({"tick": 10**9, "kind": "dispute", "params": {"evidence_query": 7}})
+
+
 def _zero_window(raw):
     raw["guardian"] = {"window_ticks": 0}
 
@@ -216,6 +220,26 @@ def _element(path, keys, value):
         _element("execution_plan.TASK-FX-001.probe", ("execution_plan", "TASK-FX-001", "probe"), []),
         _element("economy.reward_weights", ("economy", "reward_weights"), []),
         _element("faults[0]", ("faults", 0), 7),
+        _element("agents[0].bids", ("agents", 0, "bids"), 7),
+        _element(
+            "agents[0].baselines.micropayment_variance",
+            ("agents", 0, "baselines", "micropayment_variance"),
+            7,
+        ),
+        _element("guardian.escalation_panel", ("guardian", "escalation_panel"), 7),
+        _element("timeline[0].params", ("timeline", 0, "params"), 7),
+        _element("execution_plan.TASK-FX-001.metrics", ("execution_plan", "TASK-FX-001", "metrics"), 7),
+        _element("economy.partner_accounts[0]", ("economy", "partner_accounts"), [7]),
+        _element("timeline[0].params.incident.probe", ("timeline", 0, "params", "incident", "probe"), 7),
+        *(
+            _element(
+                "timeline[0].params.incident.probe.payload_equals",
+                ("timeline", 0, "params", "incident", "probe", "payload_equals"),
+                value,
+            )
+            for value in (7, [7])
+        ),
+        (_dispute_with_bad_query, "timeline[1].params.evidence_query"),
     ],
 )
 def test_rejections_name_the_field(mutate, path):
