@@ -9,7 +9,6 @@ contract scope indicts the agent; anything else is infrastructure.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
@@ -17,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .economy import Treasury
 from .identity import CertEvent, CertState, IdentityRegistry
-from .ledger import AuditLedger, AuditRecord, RecordKind, canonical, key_needle, pair_needle
+from .ledger import AuditLedger, AuditRecord, RecordKind, key_needle, pair_needle
 from .legislation import (
     Authorized,
     Charter,
@@ -130,7 +129,6 @@ class IncidentProbe:
 class Incident:
     incident_id: str
     mission_id: str
-    description: str
     cause: str
     probe: IncidentProbe
 
@@ -277,25 +275,12 @@ _DISPUTE_FLOW: dict[DisputeState, frozenset[DisputeState]] = {
     DisputeState.CLOSED: frozenset(),
 }
 
-_ORDER = list(DisputeState)
-
-
 @dataclass(frozen=True)
 class Verdict:
-    ruling: str
     votes_for: int
     votes_against: int
     recommendation: str | None = None
     proposed_rules: tuple[Rule, ...] = ()
-
-    def digest(self) -> str:
-        body = {
-            "ruling": self.ruling,
-            "votes": [self.votes_for, self.votes_against],
-            "recommendation": self.recommendation,
-            "rules": [r.to_payload() for r in self.proposed_rules],
-        }
-        return "sha256:" + hashlib.sha256(canonical(body)).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -330,7 +315,6 @@ DisputeEvent = OpenEvidence | BeginDeliberation | IssueVerdict | Ratify | CloseC
 class DisputeCase:
     case_id: str
     mission_id: str
-    complaint: str
     state: DisputeState
     filed_tick: int
     deadline_tick: int
@@ -344,7 +328,6 @@ class DisputeCase:
 
 def file_dispute(
     mission_id: str,
-    complaint: str,
     panel: Sequence[str],
     now_tick: int,
     *,
@@ -360,7 +343,6 @@ def file_dispute(
     case = DisputeCase(
         case_id=case_id or f"DISPUTE-{mission_id}-{now_tick}",
         mission_id=mission_id,
-        complaint=complaint,
         state=DisputeState.FILED,
         filed_tick=now_tick,
         deadline_tick=now_tick + deadline_ticks,
@@ -390,8 +372,6 @@ def file_dispute(
 def _move(case: DisputeCase, to: DisputeState, tick: int, ledger: AuditLedger) -> None:
     if to not in _DISPUTE_FLOW[case.state]:
         raise InvalidTransition(f"{case.case_id}: {case.state.value} -> {to.value}")
-    if _ORDER.index(to) <= _ORDER.index(case.state):
-        raise InvalidTransition(f"{case.case_id}: dispute states move forward only")
     case.state = to
     case.history.append((to.value, tick))
     payload: dict[str, object] = {
@@ -474,33 +454,6 @@ def check_deadline(case: DisputeCase, now_tick: int, *, ledger: AuditLedger) -> 
     return True
 
 
-class PrecedentRegistry:
-    """Append-only map of ratified case ids to verdict digests, tagged by the
-    rule ids the verdict touched."""
-
-    def __init__(self) -> None:
-        self._entries: dict[str, dict[str, object]] = {}
-
-    def register(self, precedent_id: str, case: DisputeCase, rule_tags: Sequence[str]) -> str:
-        if case.verdict is None:
-            raise InvalidTransition(f"{case.case_id} has no verdict to cite")
-        if precedent_id in self._entries:
-            raise ValueError(f"precedent {precedent_id} already registered")
-        self._entries[precedent_id] = {
-            "case_id": case.case_id,
-            "verdict_digest": case.verdict.digest(),
-            "rule_tags": tuple(rule_tags),
-        }
-        case.precedent_ref = precedent_id
-        return precedent_id
-
-    def get(self, precedent_id: str) -> Mapping[str, object]:
-        return self._entries[precedent_id]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 # -- charter amendment ------------------------------------------------------
 
 
@@ -553,7 +506,6 @@ class CorrectionLoopRun:
     step_i: tuple[str, ...]
     step_g: str
     step_a: Mapping[str, str]
-    order_stamp: Mapping[str, int]
     completed: bool
     charter: Charter
 
@@ -575,12 +527,10 @@ def run_correction_loop(
     in order. An unclassifiable incident stops after the first stage with an
     open-question flag."""
     rubric = rubric or SlashingRubric()
-    stamps: dict[str, int] = {}
     tick = start_tick
 
     def stamp(stage: str, detail: Mapping[str, object]) -> None:
         nonlocal tick
-        stamps[stage] = tick
         ledger.append(
             RecordKind.CORRECTION_STAGE,
             "adjudication",
@@ -611,7 +561,6 @@ def run_correction_loop(
             step_i=(),
             step_g="not reached",
             step_a={},
-            order_stamp=stamps,
             completed=False,
             charter=charter,
         )
@@ -663,7 +612,6 @@ def run_correction_loop(
         step_i=tuple(actions),
         step_g=step_g,
         step_a=step_a,
-        order_stamp=stamps,
         completed=True,
         charter=next_charter,
     )

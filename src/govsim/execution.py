@@ -215,7 +215,6 @@ class NodeRun:
     items: set[str] = field(default_factory=set)
     quarantined_items: set[str] = field(default_factory=set)
     attempts: int = 0
-    started_tick: int | None = None
     verified_tick: int | None = None
     freeze_events: list[FreezeEvent] = field(default_factory=list)
     # node id -> first from-state since the owner's last flush; the driver
@@ -473,11 +472,7 @@ def rollback(
     run.meter.reset()
     run.telemetry = None
     run.attempts += 1
-    if checkpoint is None:
-        transition(run, NodeState.READY)
-    else:
-        transition(run, NodeState.RUNNING)
-        run.started_tick = tick
+    transition(run, NodeState.READY if checkpoint is None else NodeState.RUNNING)
     ledger.append(
         RecordKind.ROLLBACK_EVENT,
         "guardian",
@@ -491,14 +486,6 @@ def rollback(
         tick=tick,
     )
     return run.state
-
-
-def check_timeout(run: NodeRun, tick: int, *, ledger: AuditLedger) -> FreezeEvent | None:
-    if run.state is not NodeState.RUNNING or run.started_tick is None:
-        return None
-    if tick - run.started_tick <= run.template.timeout_ticks:
-        return None
-    return _freeze(run, "timeout", tick, ledger=ledger)
 
 
 def quarantine(

@@ -26,7 +26,6 @@ from .adjudication import (
     Inconclusive,
     IssueVerdict,
     OpenEvidence,
-    PrecedentRegistry,
     Ratify,
     SlashingRubric,
     Verdict,
@@ -103,15 +102,11 @@ class FormatError(ValueError):
 @dataclass(frozen=True)
 class CorruptedFeed:
     endpoint_id: str
-    affected_item_count: int
-    inversion_map: Mapping[str, str]
 
 
 @dataclass(frozen=True)
 class StaleCache:
     did: str
-    metric: str
-    value: float
 
 
 @dataclass(frozen=True)
@@ -325,9 +320,13 @@ def _parse_params(kind: Any, raw: Any, path: str) -> dict[str, Any]:
     """Timeline params, with the objects that the handlers read by key."""
     params = dict(_as_section(raw, path, dict))
     if kind == "correction_loop":
-        incident = _as_section(params.get("incident", {}), f"{path}.incident", dict)
-        probe = _as_section(incident.get("probe", {}), f"{path}.incident.probe", dict)
-        _as_section(probe.get("payload_equals", {}), f"{path}.incident.probe.payload_equals", dict)
+        ipath = f"{path}.incident"
+        incident = _as_section(_require(params, "incident", path), ipath, dict)
+        _require(incident, "incident_id", ipath)
+        _require(incident, "cause", ipath)
+        probe = _as_section(incident.get("probe", {}), f"{ipath}.probe", dict)
+        _as_section(probe.get("payload_equals", {}), f"{ipath}.probe.payload_equals", dict)
+        _as_section(params.get("rubric", {}), f"{path}.rubric", dict)
     elif kind == "dispute":
         _as_section(params.get("evidence_query", {}), f"{path}.evidence_query", dict)
     return params
@@ -337,17 +336,9 @@ def _parse_fault(raw: Mapping, path: str) -> FaultInjection:
     raw = _as_section(raw, path, dict)
     kind_name = _require(raw, "kind", path)
     if kind_name == "CorruptedFeed":
-        kind: FaultKind = CorruptedFeed(
-            endpoint_id=_require(raw, "endpoint_id", path),
-            affected_item_count=_as_int(_require(raw, "affected_item_count", path), f"{path}.affected_item_count", minimum=0),
-            inversion_map=dict(raw.get("inversion_map", {})),
-        )
+        kind: FaultKind = CorruptedFeed(endpoint_id=_require(raw, "endpoint_id", path))
     elif kind_name == "StaleCache":
-        kind = StaleCache(
-            did=_require(raw, "did", path),
-            metric=_require(raw, "metric", path),
-            value=float(_require(raw, "value", path)),
-        )
+        kind = StaleCache(did=_require(raw, "did", path))
     elif kind_name == "BehaviorOverride":
         kind = BehaviorOverride(
             node_id=_require(raw, "node_id", path),
@@ -681,7 +672,6 @@ class _Driver:
         self.registry = IdentityRegistry(self.ledger)
         self.treasury = Treasury(self.ledger)
         self.charter = config.charter
-        self.precedents = PrecedentRegistry()
         self.runs: dict[str, NodeRun] = {}
         self.journal: dict[str, NodeState] = {}
         self.mission_frozen = False
@@ -939,7 +929,6 @@ class _Driver:
             if self.config.guardian.escalation_panel:
                 self.dispute_case = file_dispute(
                     self.config.mission_id,
-                    "circuit breaker tripped: repeated guardian freezes in one window",
                     self.config.guardian.escalation_panel,
                     tick,
                     case_id=f"{self.config.mission_id}-CB",
@@ -1216,6 +1205,28 @@ class _Driver:
     def regression_orders(self) -> list[Mapping[str, Any]]:
         return [self.order_by_ref(ref) for ref in self.config.regression_refs]
 
+    def release(self, node_id: str, items: Sequence[str], resolution: str, tick: int) -> int:
+        """Release a node's quarantined items and trace it; returns the number
+        of items still held across all nodes."""
+        release_quarantined(
+            self.runs[node_id],
+            items,
+            resolution=resolution,
+            tick=tick,
+            ledger=self.ledger,
+            mission_id=self.config.mission_id,
+        )
+        self.quarantine_trace.append(
+            {
+                "tick": tick,
+                "action": "release",
+                "node_id": node_id,
+                "items": sorted(items),
+                "resolution": resolution,
+            }
+        )
+        return sum(len(r.quarantined_items) for r in self.runs.values())
+
     def handle_cross_node(self, event: TimelineEvent) -> None:
         params = event.params
         amount, tax = self.treasury.settle_cross_node(
@@ -1228,25 +1239,8 @@ class _Driver:
         released = list(params.get("release", ()))
         remaining = None
         if released:
-            run = self.runs[params["node_id"]]
-            release_quarantined(
-                run,
-                released,
-                resolution=params.get("resolution", "cross-node-attestation"),
-                tick=event.tick,
-                ledger=self.ledger,
-                mission_id=self.config.mission_id,
-            )
-            remaining = sum(len(r.quarantined_items) for r in self.runs.values())
-            self.quarantine_trace.append(
-                {
-                    "tick": event.tick,
-                    "action": "release",
-                    "node_id": params["node_id"],
-                    "items": sorted(released),
-                    "resolution": params.get("resolution", "cross-node-attestation"),
-                }
-            )
+            resolution = params.get("resolution", "cross-node-attestation")
+            remaining = self.release(params["node_id"], released, resolution, event.tick)
         self.cross_node_block = {
             "tick": event.tick,
             "amount": fmt(amount),
@@ -1266,7 +1260,6 @@ class _Driver:
         incident = Incident(
             incident_id=iraw["incident_id"],
             mission_id=self.config.mission_id,
-            description=iraw.get("description", ""),
             cause=iraw["cause"],
             probe=IncidentProbe(
                 digest_mismatch=bool(probe_raw.get("digest_mismatch", False)),
@@ -1339,7 +1332,6 @@ class _Driver:
         t0 = event.tick
         case = file_dispute(
             self.config.mission_id,
-            params["complaint"],
             tuple(params["panel"]),
             t0,
             case_id=params.get("case_id"),
@@ -1363,7 +1355,6 @@ class _Driver:
 
         vraw = params["verdict"]
         verdict = Verdict(
-            ruling=vraw["ruling"],
             votes_for=int(vraw["votes_for"]),
             votes_against=int(vraw["votes_against"]),
             recommendation=vraw.get("recommendation"),
@@ -1398,36 +1389,16 @@ class _Driver:
             self.advance(t0 + int(params.get("ratify_offset", 244_800)))
             advance_dispute(case, Ratify(), tick=self.now, ledger=self.ledger)
 
-        if params.get("precedent_id"):
-            self.precedents.register(
-                params["precedent_id"], case, list(params.get("precedent_rule_tags", ()))
-            )
+        case.precedent_ref = params.get("precedent_id") or None
 
         post = prescreen(None, None, self.charter, order=order) if order else None
         released = []
         remaining = None
         release = params.get("release")
         if release and isinstance(post, Authorized):
-            run = self.runs[release["node_id"]]
-            release_quarantined(
-                run,
-                release["items"],
-                resolution=release.get("resolution", "dispute-verdict"),
-                tick=self.now,
-                ledger=self.ledger,
-                mission_id=self.config.mission_id,
-            )
             released = sorted(release["items"])
-            remaining = sum(len(r.quarantined_items) for r in self.runs.values())
-            self.quarantine_trace.append(
-                {
-                    "tick": self.now,
-                    "action": "release",
-                    "node_id": release["node_id"],
-                    "items": released,
-                    "resolution": release.get("resolution", "dispute-verdict"),
-                }
-            )
+            resolution = release.get("resolution", "dispute-verdict")
+            remaining = self.release(release["node_id"], release["items"], resolution, self.now)
 
         self.dispute_block = {
             "case_id": case.case_id,

@@ -176,9 +176,6 @@ class Charter:
                 return r
         raise KeyError(rule_id)
 
-    def to_payload(self) -> dict:
-        return {"version": self.version, "rules": [r.to_payload() for r in self.rules]}
-
     @staticmethod
     def from_payload(payload: Mapping) -> "Charter":
         return Charter(
@@ -227,7 +224,6 @@ class SlashingCondition:
     metric: str
     comparator: str
     threshold: object = None
-    unit: str = ""
 
     def __post_init__(self) -> None:
         allowed = {"gt", "gte", "lt", "lte", "eq", "ne", "abs_gt", "missing_field"}
@@ -257,34 +253,21 @@ class SlashingCondition:
             "abs_gt": abs(actual) > limit,
         }[self.comparator]
 
-    def to_payload(self) -> dict:
-        return {
-            "metric": self.metric,
-            "comparator": self.comparator,
-            "threshold": self.threshold,
-            "unit": self.unit,
-        }
-
     @staticmethod
     def from_payload(payload: Mapping) -> "SlashingCondition":
         return SlashingCondition(
             metric=payload["metric"],
             comparator=payload["comparator"],
             threshold=payload.get("threshold"),
-            unit=payload.get("unit", ""),
         )
 
 
 @dataclass(frozen=True)
 class TaskTemplate:
     template_id: str
-    title: str
     depends_on: tuple[str, ...]
-    timeout_ticks: int
     token_cap: int
     slashing_condition: SlashingCondition
-    tool_whitelist: tuple[str, ...]
-    required_role: str
     tool_call_cap: int = 40
     message_cap: int = 120
     gate_check_id: str | None = None
@@ -294,13 +277,9 @@ class TaskTemplate:
     def from_payload(payload: Mapping) -> "TaskTemplate":
         return TaskTemplate(
             template_id=payload["template_id"],
-            title=payload.get("title", ""),
             depends_on=tuple(payload.get("depends_on", ())),
-            timeout_ticks=int(payload["timeout_ticks"]),
             token_cap=int(payload["token_cap"]),
             slashing_condition=SlashingCondition.from_payload(payload["slashing_condition"]),
-            tool_whitelist=tuple(payload["tool_whitelist"]),
-            required_role=payload["required_role"],
             tool_call_cap=int(payload.get("tool_call_cap", 40)),
             message_cap=int(payload.get("message_cap", 120)),
             gate_check_id=payload.get("gate_check_id"),
@@ -311,22 +290,18 @@ class TaskTemplate:
 @dataclass(frozen=True)
 class JobSpec:
     job_id: str
-    description: str
     order_count: int
     notional_value: Decimal
     currency: str
-    deadline_tick: int
     task_templates: tuple[TaskTemplate, ...]
 
     @staticmethod
     def from_payload(payload: Mapping) -> "JobSpec":
         return JobSpec(
             job_id=payload["job_id"],
-            description=payload.get("description", ""),
             order_count=int(payload["order_count"]),
             notional_value=Decimal(str(payload["notional_value"])),
             currency=payload["currency"],
-            deadline_tick=int(payload["deadline_tick"]),
             task_templates=tuple(
                 TaskTemplate.from_payload(t) for t in payload["task_templates"]
             ),
@@ -419,14 +394,10 @@ def decompose(job: JobSpec, *, mission_id: str, ledger: AuditLedger) -> TaskDAG:
                     f"template {tid} depends on {dep}, which is not an earlier template"
                 )
             edges.append((dep, tid))
-        if template.timeout_ticks <= 0:
-            raise ValidationError(f"template {tid} has no timeout budget")
         if template.token_cap <= 0:
             raise ValidationError(f"template {tid} has no token cap")
         if template.tool_call_cap <= 0 or template.message_cap <= 0:
             raise ValidationError(f"template {tid} has zero interaction caps")
-        if not template.tool_whitelist:
-            raise ValidationError(f"template {tid} has an empty tool whitelist")
         seen[tid] = template
     sources = {src for src, _ in edges}
     sinks = [tid for tid in seen if tid not in sources]

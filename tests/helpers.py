@@ -1,5 +1,6 @@
 """Builders shared across test modules: a nine-node settlement job, a
 ceiling charter, a fresh ledger, and a small certified registry."""
+from dataclasses import replace
 from decimal import Decimal
 
 from govsim.identity import CertEvent, IdentityRegistry
@@ -18,13 +19,9 @@ from govsim.legislation import (
 def template(tid, deps=(), **overrides):
     base = dict(
         template_id=tid,
-        title=tid,
         depends_on=tuple(deps),
-        timeout_ticks=600,
         token_cap=1000,
-        slashing_condition=SlashingCondition("rate_deviation_bps", "gt", "0.5", "bps"),
-        tool_whitelist=("market-data",),
-        required_role="analyst",
+        slashing_condition=SlashingCondition("rate_deviation_bps", "gt", "0.5"),
     )
     base.update(overrides)
     return TaskTemplate(**base)
@@ -44,11 +41,9 @@ def nine_node_job():
     )
     return JobSpec(
         job_id="JOB-1",
-        description="batch settlement",
         order_count=847,
         notional_value=Decimal("47300000"),
         currency="EUR",
-        deadline_tick=86400,
         task_templates=templates,
     )
 
@@ -67,15 +62,7 @@ def ceiling_charter(extra=()):
 
 def manifest_for(job, charter, notional=None):
     if notional is not None:
-        job = JobSpec(
-            job_id=job.job_id,
-            description=job.description,
-            order_count=job.order_count,
-            notional_value=Decimal(str(notional)),
-            currency=job.currency,
-            deadline_tick=job.deadline_tick,
-            task_templates=job.task_templates,
-        )
+        job = replace(job, notional_value=Decimal(str(notional)))
     return MissionManifest.for_job(
         job,
         charter,

@@ -455,11 +455,9 @@ def test_c09_revoked_agents_never_hold_contracts():
     sealer = template("TASK-X", seals_provenance=True)
     job = JobSpec(
         job_id="JOB-X",
-        description="single sealed node",
         order_count=1,
         notional_value=Decimal("1000"),
         currency="EUR",
-        deadline_tick=86_400,
         task_templates=(sealer,),
     )
     charter = ceiling_charter()

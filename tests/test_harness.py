@@ -15,7 +15,9 @@ Derived oracles, computed before the assertions:
 import copy
 import gc
 import json
+import re
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,7 @@ from govsim.harness import (
 )
 from govsim.identity import CertState
 from govsim.ledger import RecordKind, verify_jsonl
+from test_fingerprints import PINNED
 
 
 def raw_fixture(name):
@@ -80,7 +83,6 @@ def _unknown_feed(raw):
         {
             "kind": "CorruptedFeed",
             "endpoint_id": "EP-NOWHERE-99",
-            "affected_item_count": 1,
             "activate_tick": 1,
             "deactivate_tick": 2,
         }
@@ -181,6 +183,18 @@ def _element(path, keys, value):
     return pytest.param(mutate, path, id=f"{'.'.join(map(str, keys))}={value!r}")
 
 
+def _missing(path, keys):
+    """Delete the key at `keys`; the rejection must name `path`."""
+
+    def mutate(raw):
+        target = raw
+        for key in keys[:-1]:
+            target = target[key]
+        del target[keys[-1]]
+
+    return pytest.param(mutate, path, id=f"{'.'.join(map(str, keys))}=missing")
+
+
 @pytest.mark.parametrize(
     "mutate, path",
     [
@@ -240,6 +254,12 @@ def _element(path, keys, value):
             for value in (7, [7])
         ),
         (_dispute_with_bad_query, "timeline[1].params.evidence_query"),
+        _missing("timeline[0].params.incident", ("timeline", 0, "params", "incident")),
+        *(
+            _missing(f"timeline[0].params.incident.{key}", ("timeline", 0, "params", "incident", key))
+            for key in ("incident_id", "cause")
+        ),
+        _element("timeline[0].params.rubric", ("timeline", 0, "params", "rubric"), 7),
     ],
 )
 def test_rejections_name_the_field(mutate, path):
@@ -288,6 +308,30 @@ def test_bundled_fixtures_all_load():
         config = load_bundled_scenario(name)
         assert config.seed >= 0
         assert config.plans
+
+
+# Keys that earlier versions of the bundled fixtures carried and the loader no
+# longer reads, with the values they had: `path -> value` per fixture.
+DELETED_KEYS = json.loads((Path(__file__).parent / "oracles" / "deleted-scenario-keys.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_deleted_keys_are_ignored(name):
+    raw = raw_fixture(name)
+    for path, value in DELETED_KEYS[name].items():
+        *parents, key = re.findall(r"[^.\[\]]+", path)
+        target = raw
+        for part in parents:
+            target = target[int(part)] if isinstance(target, list) else target[part]
+        assert key not in target, path
+        target[key] = value
+    trimmed = run(load_bundled_scenario(name))
+    report = run(scenario_from_dict(raw))
+    fingerprint, records = PINNED[name]
+    assert report.fingerprint == fingerprint
+    assert report.body["ledger"]["records"] == records
+    assert report.body["ledger"]["head_digest"] == trimmed.body["ledger"]["head_digest"]
+    assert report.ledger_jsonl == trimmed.ledger_jsonl
 
 
 # -- bundled replays ---------------------------------------------------------

@@ -209,7 +209,7 @@ class TestDecompose:
         with pytest.raises(CycleError):
             decompose(
                 JobSpec(
-                    "J", "", 1, Decimal(1), "EUR", 10, bad
+                    "J", 1, Decimal(1), "EUR", bad
                 ),
                 mission_id="M",
                 ledger=new_ledger(),
@@ -219,8 +219,6 @@ class TestDecompose:
         "mutation, exc",
         [
             (dict(token_cap=0), ValidationError),
-            (dict(timeout_ticks=0), ValidationError),
-            (dict(tool_whitelist=()), ValidationError),
             (dict(message_cap=0), ValidationError),
         ],
     )
@@ -235,7 +233,7 @@ class TestDecompose:
         templates = job.task_templates[:-1] + (bad_sink,)
         with pytest.raises(exc):
             decompose(
-                JobSpec("J", "", 1, Decimal(1), "EUR", 10, templates),
+                JobSpec("J", 1, Decimal(1), "EUR", templates),
                 mission_id="M",
                 ledger=new_ledger(),
             )
@@ -244,7 +242,7 @@ class TestDecompose:
         with pytest.raises(ValidationError):
             decompose(
                 JobSpec(
-                    "J", "", 1, Decimal(1), "EUR", 10,
+                    "J", 1, Decimal(1), "EUR",
                     (template("A", ["GHOST"]),),
                 ),
                 mission_id="M",
@@ -253,7 +251,7 @@ class TestDecompose:
         with pytest.raises(ValidationError):
             decompose(
                 JobSpec(
-                    "J", "", 1, Decimal(1), "EUR", 10,
+                    "J", 1, Decimal(1), "EUR",
                     (template("A", ["B"]), template("B", seals_provenance=True)),
                 ),
                 mission_id="M",
@@ -265,7 +263,7 @@ class TestDecompose:
         with pytest.raises(ValidationError):
             decompose(
                 JobSpec(
-                    "J", "", 1, Decimal(1), "EUR", 10,
+                    "J", 1, Decimal(1), "EUR",
                     (template("A", seals_provenance=True), template("B", seals_provenance=True)),
                 ),
                 mission_id="M",
@@ -274,7 +272,7 @@ class TestDecompose:
         # single sink that does not seal
         with pytest.raises(ValidationError):
             decompose(
-                JobSpec("J", "", 1, Decimal(1), "EUR", 10, (template("A"),)),
+                JobSpec("J", 1, Decimal(1), "EUR", (template("A"),)),
                 mission_id="M",
                 ledger=new_ledger(),
             )
@@ -282,7 +280,7 @@ class TestDecompose:
     def test_empty_job(self):
         with pytest.raises(ValidationError):
             decompose(
-                JobSpec("J", "", 1, Decimal(1), "EUR", 10, ()),
+                JobSpec("J", 1, Decimal(1), "EUR", ()),
                 mission_id="M",
                 ledger=new_ledger(),
             )
@@ -291,7 +289,7 @@ class TestDecompose:
         with pytest.raises(ValidationError):
             decompose(
                 JobSpec(
-                    "J", "", 1, Decimal(1), "EUR", 10,
+                    "J", 1, Decimal(1), "EUR",
                     (template("A"), template("A", seals_provenance=True)),
                 ),
                 mission_id="M",
