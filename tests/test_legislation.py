@@ -215,11 +215,19 @@ class TestDecompose:
                 ledger=new_ledger(),
             )
 
+    # Explicit ids keep each case's name stable when cases are added or
+    # deleted (the timeout and whitelist cases went with their fields).
     @pytest.mark.parametrize(
         "mutation, exc",
         [
-            (dict(token_cap=0), ValidationError),
-            (dict(message_cap=0), ValidationError),
+            pytest.param(
+                dict(token_cap=0), ValidationError,
+                id="mutation0-ValidationError",
+            ),
+            pytest.param(
+                dict(message_cap=0), ValidationError,
+                id="mutation3-ValidationError",
+            ),
         ],
     )
     def test_missing_caps_rejected(self, mutation, exc):
