@@ -9,10 +9,10 @@ contract scope indicts the agent; anything else is infrastructure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .economy import Treasury
 from .identity import CertEvent, CertState, IdentityRegistry
@@ -53,32 +53,28 @@ class AmendmentRejected(ValueError):
 # -- attribution ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AgentFault:
+class AgentFault(NamedTuple):
     did: str
 
 
-@dataclass(frozen=True)
-class ProviderFault:
+class ProviderFault(NamedTuple):
     endpoint_id: str
 
 
-@dataclass(frozen=True)
-class InfrastructureFault:
+class InfrastructureFault(NamedTuple):
     component: str
 
 
 Attribution = AgentFault | ProviderFault | InfrastructureFault
 
 
-@dataclass(frozen=True)
-class IncidentProbe:
+class IncidentProbe(NamedTuple):
     """Data-driven deviance predicate over ledger records."""
 
     kinds: tuple[RecordKind, ...] = (RecordKind.TOOL_CALL,)
     digest_mismatch: bool = False
     scope_violation: bool = False
-    payload_equals: Mapping[str, object] = field(default_factory=dict)
+    payload_equals: Mapping[str, object] = MappingProxyType({})
 
     def needles(self) -> tuple[bytes, ...]:
         """Bytes that the stored payload of every matching record contains.
@@ -125,8 +121,7 @@ class IncidentProbe:
         return True
 
 
-@dataclass(frozen=True)
-class Incident:
+class Incident(NamedTuple):
     incident_id: str
     mission_id: str
     cause: str
@@ -140,8 +135,7 @@ class Incident:
         }
 
 
-@dataclass(frozen=True)
-class ForensicReport:
+class ForensicReport(NamedTuple):
     incident_id: str
     mission_id: str
     root_locus: tuple[str, int]
@@ -197,18 +191,9 @@ def post_mortem(ledger: AuditLedger, incident: Incident) -> ForensicReport:
 # -- slashing decision ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlashingRubric:
+class SlashingRubric(NamedTuple):
     fraction: Decimal = Decimal("0.05")
     reputation_penalty: Decimal = Decimal("0.5")
-
-
-@dataclass(frozen=True)
-class SlashingDecision:
-    attribution: Attribution
-    did: str | None
-    amount: Decimal
-    reputation_penalty: Decimal
 
 
 def attribute_slashing(
@@ -218,22 +203,16 @@ def attribute_slashing(
     treasury: Treasury,
     ledger: AuditLedger,
     tick: int | None = None,
-) -> SlashingDecision:
-    """Agent fault slashes per rubric; provider or infrastructure fault
-    leaves every stake intact and files an incident report instead."""
+) -> Decimal:
+    """The amount slashed. Agent fault slashes per rubric; provider or
+    infrastructure fault leaves every stake intact and files an incident
+    report instead."""
     if isinstance(report.attribution, AgentFault):
-        did = report.attribution.did
-        amount = treasury.slash(
-            did,
+        return treasury.slash(
+            report.attribution.did,
             rubric.fraction,
             f"forensic attribution for {report.incident_id}",
             mission_id=report.mission_id,
-        )
-        return SlashingDecision(
-            attribution=report.attribution,
-            did=did,
-            amount=amount,
-            reputation_penalty=rubric.reputation_penalty,
         )
     ledger.append(
         RecordKind.ESCALATION,
@@ -247,9 +226,7 @@ def attribute_slashing(
         },
         tick=tick,
     )
-    return SlashingDecision(
-        attribution=report.attribution, did=None, amount=ZERO, reputation_penalty=ZERO
-    )
+    return ZERO
 
 
 # -- dispute FSM ------------------------------------------------------------
@@ -275,55 +252,59 @@ _DISPUTE_FLOW: dict[DisputeState, frozenset[DisputeState]] = {
     DisputeState.CLOSED: frozenset(),
 }
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     votes_for: int
     votes_against: int
     recommendation: str | None = None
     proposed_rules: tuple[Rule, ...] = ()
 
 
-@dataclass(frozen=True)
+# An event without data is a plain class: an empty NamedTuple would be falsy
+# and equal to `()` and to every other empty event.
+
+
 class OpenEvidence:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class BeginDeliberation:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IssueVerdict:
+class IssueVerdict(NamedTuple):
     verdict: Verdict
 
 
-@dataclass(frozen=True)
 class Ratify:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CloseCase:
+class CloseCase(NamedTuple):
     reason: str = ""
 
 
 DisputeEvent = OpenEvidence | BeginDeliberation | IssueVerdict | Ratify | CloseCase
 
 
-@dataclass
 class DisputeCase:
-    case_id: str
-    mission_id: str
-    state: DisputeState
-    filed_tick: int
-    deadline_tick: int
-    panel: tuple[str, str, str]
-    evidence_refs: tuple[int, ...] = ()
-    verdict: Verdict | None = None
-    precedent_ref: str | None = None
-    auto_escalated: bool = False
-    history: list[tuple[str, int]] = field(default_factory=list)
+    """One case's mutable state; `history` lists each `(state, tick)` entered."""
+
+    __slots__ = (
+        "case_id", "mission_id", "state", "filed_tick", "deadline_tick", "panel",
+        "evidence_refs", "verdict", "precedent_ref", "auto_escalated", "history",
+    )
+
+    def __init__(
+        self, case_id: str, mission_id: str, filed_tick: int, deadline_tick: int, panel: tuple[str, ...]
+    ) -> None:
+        self.case_id, self.mission_id, self.panel = case_id, mission_id, panel
+        self.state = DisputeState.FILED
+        self.filed_tick, self.deadline_tick = filed_tick, deadline_tick
+        self.evidence_refs: tuple[int, ...] = ()
+        self.verdict: Verdict | None = None
+        self.precedent_ref: str | None = None
+        self.auto_escalated = False
+        self.history = [(DisputeState.FILED.value, filed_tick)]
 
 
 def file_dispute(
@@ -343,11 +324,9 @@ def file_dispute(
     case = DisputeCase(
         case_id=case_id or f"DISPUTE-{mission_id}-{now_tick}",
         mission_id=mission_id,
-        state=DisputeState.FILED,
         filed_tick=now_tick,
         deadline_tick=now_tick + deadline_ticks,
         panel=tuple(panel),
-        history=[(DisputeState.FILED.value, now_tick)],
     )
     if treasury is not None and complainant is not None:
         treasury.transfer(
@@ -499,8 +478,7 @@ def amend_charter(
 # -- correction loop --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorrectionLoopRun:
+class CorrectionLoopRun(NamedTuple):
     incident_id: str
     step_l: str
     step_i: tuple[str, ...]
@@ -597,11 +575,9 @@ def run_correction_loop(
         step_g = "no amendment"
     stamp("G", {"outcome": step_g})
 
-    decision = attribute_slashing(
-        report, rubric, treasury=treasury, ledger=ledger, tick=tick
-    )
+    slashed = attribute_slashing(report, rubric, treasury=treasury, ledger=ledger, tick=tick)
     step_a = {
-        "slash": fmt(decision.amount),
+        "slash": fmt(slashed),
         "attribution": type(report.attribution).__name__,
     }
     stamp("A", step_a)

@@ -8,7 +8,6 @@ violations, 2 for unusable input.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -71,7 +70,7 @@ def _apply_seed(config, seed: int | None):
         return config
     if not 0 <= seed < 2**64:
         raise ConfigError("seed", "must be a 64-bit unsigned integer")
-    return dataclasses.replace(config, seed=seed)
+    return config._replace(seed=seed)
 
 
 def _report(config, args: argparse.Namespace) -> int:

@@ -8,9 +8,8 @@ accounts, stakes, and escrows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .ledger import AuditLedger, RecordKind
 from .money import ZERO, fmt, nxc, round2
@@ -48,28 +47,22 @@ class InsufficientFunds(RuntimeError):
     pass
 
 
-@dataclass
 class TokenAccount:
-    owner: str
-    balance: Decimal = ZERO
-    stake_locked: Decimal = ZERO
+    __slots__ = ("owner", "balance", "stake_locked")
+
+    def __init__(self, owner: str) -> None:
+        self.owner, self.balance, self.stake_locked = owner, ZERO, ZERO
 
 
-@dataclass
-class RewardPool:
+class RewardPool(NamedTuple):
+    """A funded pool; `distribute` replaces it with its `Distributed` copy."""
+
     mission_id: str
     total: Decimal
     protocol_tax: Decimal
     infra_tax: Decimal
     net: Decimal
     escrow_state: str = "Funded"
-
-
-@dataclass(frozen=True)
-class Distribution:
-    mission_id: str
-    entries: tuple[tuple[str, Decimal], ...]
-    residual: Decimal
 
 
 def split_pool(total, protocol_rate, infra_rate) -> tuple[Decimal, Decimal, Decimal]:
@@ -87,9 +80,10 @@ def split_pool(total, protocol_rate, infra_rate) -> tuple[Decimal, Decimal, Deci
     return protocol_tax, infra_tax, total - protocol_tax - infra_tax
 
 
-def weighted_shares(net: Decimal, weights: Mapping[str, Decimal]) -> Distribution:
-    """Pure distribution arithmetic: per-did round-half-up shares, residual
-    assigned to the highest-weight did (ties break on the lower did string)."""
+def weighted_shares(net: Decimal, weights: Mapping[str, Decimal]) -> tuple[tuple[str, Decimal], ...]:
+    """Pure distribution arithmetic: `(did, share)` pairs sorted by did, each
+    share rounded half-up, with the residual assigned to the highest-weight
+    did (ties break on the lower did string), so the shares sum to `net`."""
     cleaned: dict[str, Decimal] = {}
     for did in sorted(weights):
         w = Decimal(str(weights[did]))
@@ -107,11 +101,7 @@ def weighted_shares(net: Decimal, weights: Mapping[str, Decimal]) -> Distributio
         heaviest = max(cleaned.values())
         top = min(d for d, w in cleaned.items() if w == heaviest)
         entries[top] += residual
-    return Distribution(
-        mission_id="",
-        entries=tuple(sorted(entries.items())),
-        residual=ZERO,
-    )
+    return tuple(sorted(entries.items()))
 
 
 class Treasury:
@@ -122,7 +112,7 @@ class Treasury:
         self._accounts: dict[str, TokenAccount] = {}
         self._pools: dict[str, RewardPool] = {}
         for fund in (JUDICIAL_FUND, INFRA_FUND, ECOSYSTEM_FUND):
-            self._accounts[fund] = TokenAccount(owner=fund)
+            self._accounts[fund] = TokenAccount(fund)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -133,7 +123,7 @@ class Treasury:
             raise UnknownAccount(owner) from None
 
     def open_account(self, owner: str, *, balance="0", stake="0") -> TokenAccount:
-        acct = self._accounts.setdefault(owner, TokenAccount(owner=owner))
+        acct = self._accounts.setdefault(owner, TokenAccount(owner))
         acct.balance += nxc(balance)
         acct.stake_locked += nxc(stake)
         return acct
@@ -200,15 +190,16 @@ class Treasury:
         )
         return pool
 
-    def distribute(self, mission_id: str, weights: Mapping[str, Decimal]) -> Distribution:
+    def distribute(self, mission_id: str, weights: Mapping[str, Decimal]) -> tuple[tuple[str, Decimal], ...]:
+        """Pay the pool's net out by weight; returns the `weighted_shares` paid."""
         pool = self._pools.get(mission_id)
         if pool is None:
             raise UnknownAccount(f"no pool for {mission_id}")
         if pool.escrow_state != "Funded":
             raise DoubleSpend(f"pool for {mission_id} already distributed")
         shares = weighted_shares(pool.net, weights)
-        pool.escrow_state = "Distributed"
-        for did, amount in shares.entries:
+        self._pools[mission_id] = pool._replace(escrow_state="Distributed")
+        for did, amount in shares:
             self.open_account(did).balance += amount
             self._ledger.append(
                 RecordKind.TOKEN_TRANSFER,
@@ -221,9 +212,7 @@ class Treasury:
                     "mission_id": mission_id,
                 },
             )
-        return Distribution(
-            mission_id=mission_id, entries=shares.entries, residual=shares.residual
-        )
+        return shares
 
     # -- sanctions and settlement ------------------------------------------
 
@@ -276,8 +265,7 @@ class Treasury:
 # -- incentive compatibility ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IncentiveParams:
+class IncentiveParams(NamedTuple):
     """Reward/slash/detection schedules over a deviation grid d ∈ [0, d_max].
 
     reward and slash map each grid point to NXC; detection maps it to a
@@ -305,8 +293,7 @@ class IncentiveParams:
         return IncentiveParams(reward=r, slash=s, detection=p)
 
 
-@dataclass(frozen=True)
-class IncentiveResult:
+class IncentiveResult(NamedTuple):
     holds: bool
     violations: tuple[Decimal, ...]
 

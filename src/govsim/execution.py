@@ -10,10 +10,9 @@ exception only where the caller broke a precondition.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 from enum import Enum, IntEnum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .ledger import AuditLedger, RecordKind, canonical
 from .legislation import Charter, TaskDAG, TaskTemplate
@@ -65,14 +64,12 @@ class NotFound(KeyError):
     pass
 
 
-@dataclass
 class BudgetMeter:
-    token_cap: int
-    tool_call_cap: int = 40
-    message_cap: int = 120
-    tokens_spent: int = 0
-    tool_calls: int = 0
-    messages: int = 0
+    __slots__ = ("token_cap", "tool_call_cap", "message_cap", "tokens_spent", "tool_calls", "messages")
+
+    def __init__(self, token_cap: int, tool_call_cap: int = 40, message_cap: int = 120) -> None:
+        self.token_cap, self.tool_call_cap, self.message_cap = token_cap, tool_call_cap, message_cap
+        self.tokens_spent = self.tool_calls = self.messages = 0
 
     def charge(self, *, tokens: int = 0, tool_calls: int = 0, messages: int = 0) -> None:
         if min(tokens, tool_calls, messages) < 0:
@@ -108,8 +105,7 @@ class BudgetMeter:
         }
 
 
-@dataclass(frozen=True)
-class Telemetry:
+class Telemetry(NamedTuple):
     node_id: str
     did: str
     tokens_spent: int
@@ -119,8 +115,7 @@ class Telemetry:
     output_digest: str
 
 
-@dataclass(frozen=True)
-class ToolCallEvidence:
+class ToolCallEvidence(NamedTuple):
     call_index: int
     endpoint_id: str
     category: str
@@ -129,8 +124,7 @@ class ToolCallEvidence:
     contract_scope_ok: bool = True
 
 
-@dataclass(frozen=True)
-class BehaviorOutcome:
+class BehaviorOutcome(NamedTuple):
     metrics: Mapping[str, float]
     tokens_spent: int
     tool_calls: int
@@ -139,8 +133,7 @@ class BehaviorOutcome:
     evidence: tuple[ToolCallEvidence, ...] = ()
 
 
-@dataclass(frozen=True)
-class ProofOfProgress:
+class ProofOfProgress(NamedTuple):
     node_id: str
     output_digest: str
     gate_checks: tuple[tuple[str, bool], ...]
@@ -148,13 +141,11 @@ class ProofOfProgress:
     tick: int
 
 
-@dataclass(frozen=True)
-class GateFailure:
+class GateFailure(NamedTuple):
     check_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FreezeEvent:
+class FreezeEvent(NamedTuple):
     scope: str  # "Targeted" | "MissionWide"
     node_id: str | None
     trigger: str
@@ -162,8 +153,7 @@ class FreezeEvent:
     z_value: float | None = None
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(NamedTuple):
     node_id: str
     snapshot_digest: str
     tick: int
@@ -179,55 +169,48 @@ class EscalationTier(IntEnum):
         return {1: "Advisory", 2: "Restrictive", 3: "CircuitBreaker"}[int(self)]
 
 
-@dataclass(frozen=True)
-class Ok:
+class Ok(NamedTuple):
     z_value: float
 
 
-@dataclass(frozen=True)
-class Baseline:
+class Baseline(NamedTuple):
     metric: str
     mean: float
     std: float
 
 
-@dataclass(frozen=True)
 class Pass:
-    pass
+    """The output filter's clean verdict: no output-scope rule triggered."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Blocked:
+class Blocked(NamedTuple):
     rule_ids: tuple[str, ...]
 
 
-@dataclass
 class NodeRun:
     """Mutable per-node runtime state owned by the event loop."""
 
-    node_id: str
-    template: TaskTemplate
-    assignee: str
-    state: NodeState = NodeState.PENDING
-    meter: BudgetMeter = None  # type: ignore[assignment]
-    telemetry: Telemetry | None = None
-    checkpoint: Checkpoint | None = None
-    items: set[str] = field(default_factory=set)
-    quarantined_items: set[str] = field(default_factory=set)
-    attempts: int = 0
-    verified_tick: int | None = None
-    freeze_events: list[FreezeEvent] = field(default_factory=list)
-    # node id -> first from-state since the owner's last flush; the driver
-    # shares one dict across its runs so a move is recorded where it happens
-    journal: dict[str, NodeState] | None = field(default=None, repr=False, compare=False)
+    __slots__ = (
+        "node_id", "template", "assignee", "state", "meter", "telemetry", "checkpoint", "items",
+        "quarantined_items", "attempts", "verified_tick", "freeze_events", "journal",
+    )
 
-    def __post_init__(self) -> None:
-        if self.meter is None:
-            self.meter = BudgetMeter(
-                token_cap=self.template.token_cap,
-                tool_call_cap=self.template.tool_call_cap,
-                message_cap=self.template.message_cap,
-            )
+    def __init__(self, node_id: str, template: TaskTemplate, assignee: str) -> None:
+        self.node_id, self.template, self.assignee = node_id, template, assignee
+        self.state = NodeState.PENDING
+        self.meter = BudgetMeter(template.token_cap, template.tool_call_cap, template.message_cap)
+        self.telemetry: Telemetry | None = None
+        self.checkpoint: Checkpoint | None = None
+        self.items: set[str] = set()
+        self.quarantined_items: set[str] = set()
+        self.attempts = 0
+        self.verified_tick: int | None = None
+        self.freeze_events: list[FreezeEvent] = []
+        # node id -> first from-state since the owner's last flush; the driver
+        # shares one dict across its runs so a move is recorded where it happens
+        self.journal: dict[str, NodeState] | None = None
 
 
 def transition(run: NodeRun, new_state: NodeState) -> None:

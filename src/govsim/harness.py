@@ -11,11 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from decimal import Decimal, InvalidOperation
 from importlib import resources
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .adjudication import (
     BeginDeliberation,
@@ -99,30 +98,19 @@ class FormatError(ValueError):
 # -- fault injection ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorruptedFeed:
-    endpoint_id: str
+# fault kind -> the document key that names its target
+_FAULT_TARGETS = {"CorruptedFeed": "endpoint_id", "StaleCache": "did", "BehaviorOverride": "node_id"}
 
 
-@dataclass(frozen=True)
-class StaleCache:
-    did: str
+class FaultInjection(NamedTuple):
+    """A fault window. `target` is the corrupted feed's endpoint id, the
+    stale cache's agent did or the overridden node id."""
 
-
-@dataclass(frozen=True)
-class BehaviorOverride:
-    node_id: str
-    behavior_name: str
-
-
-FaultKind = CorruptedFeed | StaleCache | BehaviorOverride
-
-
-@dataclass(frozen=True)
-class FaultInjection:
-    kind: FaultKind
+    kind: str
+    target: str
     activate_tick: int
     deactivate_tick: int
+    behavior_name: str = ""
 
     def active(self, tick: int) -> bool:
         return self.activate_tick <= tick < self.deactivate_tick
@@ -131,8 +119,7 @@ class FaultInjection:
 # -- scenario schema ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AgentSpec:
+class AgentSpec(NamedTuple):
     did: str
     role: str
     owner: str
@@ -144,8 +131,7 @@ class AgentSpec:
     bids: tuple[Bid, ...]
 
 
-@dataclass(frozen=True)
-class AttemptSpec:
+class AttemptSpec(NamedTuple):
     duration_ticks: int
     tokens: int
     tool_calls: int
@@ -156,8 +142,7 @@ class AttemptSpec:
     output: Mapping[str, Any]
 
 
-@dataclass(frozen=True)
-class ProbePlan:
+class ProbePlan(NamedTuple):
     metric: str
     period_ticks: int
     clean_value: float
@@ -165,8 +150,7 @@ class ProbePlan:
     fault_ref: str
 
 
-@dataclass(frozen=True)
-class NodePlan:
+class NodePlan(NamedTuple):
     node_id: str
     first: AttemptSpec
     retry: AttemptSpec | None
@@ -178,8 +162,7 @@ class NodePlan:
     quarantine_items: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class EconomyPlan:
+class EconomyPlan(NamedTuple):
     pool_total: str
     protocol_rate: str
     infra_rate: str
@@ -192,15 +175,13 @@ class EconomyPlan:
     reputation_bonus: Mapping[str, str]
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
+class TimelineEvent(NamedTuple):
     tick: int
     kind: str
     params: Mapping[str, Any]
 
 
-@dataclass(frozen=True)
-class GuardianPlan:
+class GuardianPlan(NamedTuple):
     z_threshold: float = 2.0
     window_ticks: int = 1200
     cosigner: str = "verifier-quorum-01"
@@ -208,8 +189,7 @@ class GuardianPlan:
     escalation_panel: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     seed: int
     tick_scale: int
     clock_origin: str
@@ -260,6 +240,30 @@ def _as_money(value: Any, path: str) -> str:
         return fmt(nxc(value))
     except (InvalidOperation, ValueError, TypeError):
         raise ConfigError(path, f"not a token amount: {value!r}") from None
+
+
+def _as_decimal(value: Any, path: str) -> Decimal:
+    try:
+        number = Decimal(str(value))
+        if number.is_finite():
+            return number
+    except InvalidOperation:
+        pass
+    raise ConfigError(path, f"not a decimal number: {value!r}")
+
+
+def _parse_rules(raw: Any, path: str) -> tuple[Rule, ...]:
+    rules = []
+    for k, rule in enumerate(_as_section(raw, path, list)):
+        rpath = f"{path}[{k}]"
+        rule = _as_section(rule, rpath, dict)
+        try:
+            rules.append(Rule.from_payload(rule))
+        except KeyError as exc:
+            raise ConfigError(rpath, f"missing {exc.args[0]!r}") from None
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise ConfigError(rpath, f"malformed rule: {exc}") from None
+    return tuple(rules)
 
 
 def _parse_attempt(raw: Mapping, path: str, base: Mapping | None = None) -> AttemptSpec:
@@ -317,7 +321,9 @@ def _parse_partner(raw: Any, path: str) -> tuple[str, str]:
 
 
 def _parse_params(kind: Any, raw: Any, path: str) -> dict[str, Any]:
-    """Timeline params, with the objects that the handlers read by key."""
+    """Timeline params. The objects that the handlers read by key are checked
+    here; a correction loop's `rubric` and `amendment` and a dispute's `panel`
+    and `verdict` are replaced by the values the handlers pass on."""
     params = dict(_as_section(raw, path, dict))
     if kind == "correction_loop":
         ipath = f"{path}.incident"
@@ -326,31 +332,47 @@ def _parse_params(kind: Any, raw: Any, path: str) -> dict[str, Any]:
         _require(incident, "cause", ipath)
         probe = _as_section(incident.get("probe", {}), f"{ipath}.probe", dict)
         _as_section(probe.get("payload_equals", {}), f"{ipath}.probe.payload_equals", dict)
-        _as_section(params.get("rubric", {}), f"{path}.rubric", dict)
+        rpath = f"{path}.rubric"
+        rubric = _as_section(params.get("rubric", {}), rpath, dict)
+        params["rubric"] = SlashingRubric(
+            fraction=_as_decimal(rubric.get("fraction", "0.05"), f"{rpath}.fraction"),
+            reputation_penalty=_as_decimal(
+                rubric.get("reputation_penalty", "0.5"), f"{rpath}.reputation_penalty"
+            ),
+        )
+        params["amendment"] = _parse_rules(params.get("amendment", []), f"{path}.amendment")
     elif kind == "dispute":
         _as_section(params.get("evidence_query", {}), f"{path}.evidence_query", dict)
+        panel = _as_section(_require(params, "panel", path), f"{path}.panel", list)
+        for k, member in enumerate(panel):
+            if not isinstance(member, str):
+                raise ConfigError(f"{path}.panel[{k}]", f"expected a string, got {member!r}")
+        params["panel"] = tuple(panel)
+        vpath = f"{path}.verdict"
+        verdict = _as_section(_require(params, "verdict", path), vpath, dict)
+        params["verdict"] = Verdict(
+            votes_for=_as_int(_require(verdict, "votes_for", vpath), f"{vpath}.votes_for", minimum=0),
+            votes_against=_as_int(
+                _require(verdict, "votes_against", vpath), f"{vpath}.votes_against", minimum=0
+            ),
+            recommendation=verdict.get("recommendation"),
+            proposed_rules=_parse_rules(verdict.get("proposed_rules", []), f"{vpath}.proposed_rules"),
+        )
     return params
 
 
 def _parse_fault(raw: Mapping, path: str) -> FaultInjection:
     raw = _as_section(raw, path, dict)
-    kind_name = _require(raw, "kind", path)
-    if kind_name == "CorruptedFeed":
-        kind: FaultKind = CorruptedFeed(endpoint_id=_require(raw, "endpoint_id", path))
-    elif kind_name == "StaleCache":
-        kind = StaleCache(did=_require(raw, "did", path))
-    elif kind_name == "BehaviorOverride":
-        kind = BehaviorOverride(
-            node_id=_require(raw, "node_id", path),
-            behavior_name=_require(raw, "behavior_name", path),
-        )
-    else:
-        raise ConfigError(f"{path}.kind", f"unknown fault kind {kind_name!r}")
+    kind = _require(raw, "kind", path)
+    if not isinstance(kind, str) or kind not in _FAULT_TARGETS:
+        raise ConfigError(f"{path}.kind", f"unknown fault kind {kind!r}")
+    target = _require(raw, _FAULT_TARGETS[kind], path)
+    behavior = _require(raw, "behavior_name", path) if kind == "BehaviorOverride" else ""
     activate = _as_int(_require(raw, "activate_tick", path), f"{path}.activate_tick", minimum=0)
     deactivate = _as_int(_require(raw, "deactivate_tick", path), f"{path}.deactivate_tick", minimum=0)
     if activate >= deactivate:
         raise ConfigError(f"{path}.deactivate_tick", "must be after activate_tick")
-    return FaultInjection(kind=kind, activate_tick=activate, deactivate_tick=deactivate)
+    return FaultInjection(kind, target, activate, deactivate, behavior)
 
 
 def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
@@ -461,6 +483,18 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
         if node_id not in praw_all:
             raise ConfigError(f"execution_plan.{node_id}", "missing")
         plans[node_id] = _parse_plan(node_id, praw_all[node_id], f"execution_plan.{node_id}")
+    # A gate check on a metric its node never reports would never fire.
+    for k, template in enumerate(job.task_templates):
+        condition = template.slashing_condition
+        plan = plans[template.template_id]
+        reported = {m for attempt in (plan.first, plan.retry) if attempt is not None for m in attempt.metrics}
+        if condition.comparator != "missing_field" and (
+            not isinstance(condition.metric, str) or condition.metric not in reported
+        ):
+            raise ConfigError(
+                f"job.task_templates[{k}].slashing_condition.metric",
+                f"no attempt of {template.template_id} reports {condition.metric!r}",
+            )
 
     oraw = _as_section(data.get("orders", {}), "orders", dict)
     orders = tuple(_as_section(oraw.get("items", []), "orders.items", list))
@@ -497,12 +531,12 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     for i, fraw in enumerate(_as_section(data.get("faults", []), "faults", list)):
         path = f"faults[{i}]"
         fault = _parse_fault(fraw, path)
-        if isinstance(fault.kind, CorruptedFeed) and fault.kind.endpoint_id not in known_endpoints:
-            raise ConfigError(f"{path}.endpoint_id", f"no node touches {fault.kind.endpoint_id!r}")
-        if isinstance(fault.kind, StaleCache) and fault.kind.did not in dids:
-            raise ConfigError(f"{path}.did", f"unknown agent {fault.kind.did!r}")
-        if isinstance(fault.kind, BehaviorOverride) and fault.kind.node_id not in node_ids:
-            raise ConfigError(f"{path}.node_id", f"unknown node {fault.kind.node_id!r}")
+        if fault.kind == "CorruptedFeed" and fault.target not in known_endpoints:
+            raise ConfigError(f"{path}.endpoint_id", f"no node touches {fault.target!r}")
+        if fault.kind == "StaleCache" and fault.target not in dids:
+            raise ConfigError(f"{path}.did", f"unknown agent {fault.target!r}")
+        if fault.kind == "BehaviorOverride" and fault.target not in node_ids:
+            raise ConfigError(f"{path}.node_id", f"unknown node {fault.target!r}")
         faults.append(fault)
 
     graw = _as_section(data.get("guardian", {}), "guardian", dict)
@@ -571,11 +605,11 @@ def _digest_of(seed_token: str) -> str:
 # Library of adversarial behaviors, addressable from BehaviorOverride faults
 # and tests. Each returns a transformed copy of the scripted outcome.
 _OVERRIDES: dict[str, Callable[[BehaviorOutcome, NodeRun], BehaviorOutcome]] = {
-    "token-overrun": lambda outcome, run: replace(outcome, tokens_spent=run.meter.token_cap + 1),
-    "tool-storm": lambda outcome, run: replace(outcome, tool_calls=run.meter.tool_call_cap + 1),
-    "message-flood": lambda outcome, run: replace(outcome, messages=run.meter.message_cap + 1),
-    "scope-breach": lambda outcome, run: replace(
-        outcome, evidence=tuple(replace(ev, contract_scope_ok=False) for ev in outcome.evidence)
+    "token-overrun": lambda outcome, run: outcome._replace(tokens_spent=run.meter.token_cap + 1),
+    "tool-storm": lambda outcome, run: outcome._replace(tool_calls=run.meter.tool_call_cap + 1),
+    "message-flood": lambda outcome, run: outcome._replace(messages=run.meter.message_cap + 1),
+    "scope-breach": lambda outcome, run: outcome._replace(
+        evidence=tuple(ev._replace(contract_scope_ok=False) for ev in outcome.evidence)
     ),
 }
 
@@ -589,8 +623,7 @@ def _named_override(name: str, outcome: BehaviorOutcome, run: NodeRun) -> Behavi
 # -- the driver --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Planned:
+class _Planned(NamedTuple):
     tick: int
     node_id: str
     order: int
@@ -599,19 +632,17 @@ class _Planned:
     spec: AttemptSpec | None = None
 
 
-@dataclass
 class RunReport:
     """Everything a replay produced. `body` is the JSON-native payload the
-    fingerprint covers; the live objects ride along for inspection."""
+    fingerprint covers; the driver's live objects ride along for inspection."""
 
-    body: dict
-    ledger_jsonl: str = field(repr=False, default="")
-    charter: Charter | None = field(repr=False, default=None)
-    runs: Mapping[str, NodeRun] = field(repr=False, default_factory=dict)
-    treasury: Treasury | None = field(repr=False, default=None)
-    registry: IdentityRegistry | None = field(repr=False, default=None)
-    ledger: AuditLedger | None = field(repr=False, default=None)
-    dispute_case: DisputeCase | None = field(repr=False, default=None)
+    __slots__ = ("body", "ledger_jsonl", "charter", "runs", "treasury", "registry", "ledger", "dispute_case")
+
+    def __init__(self, body: dict, driver: _Driver) -> None:
+        self.body = body
+        self.ledger_jsonl = driver.ledger.dump_jsonl()
+        self.charter, self.runs, self.dispute_case = driver.charter, driver.runs, driver.dispute_case
+        self.treasury, self.registry, self.ledger = driver.treasury, driver.registry, driver.ledger
 
     @property
     def fingerprint(self) -> str:
@@ -710,31 +741,21 @@ class _Driver:
 
     # -- fault queries -------------------------------------------------------
 
-    def corrupted_endpoints(self, tick: int) -> set[str]:
-        return {
-            f.kind.endpoint_id
-            for f in self.config.faults
-            if isinstance(f.kind, CorruptedFeed) and f.active(tick)
-        }
-
-    def stale_dids(self, tick: int) -> set[str]:
-        return {
-            f.kind.did
-            for f in self.config.faults
-            if isinstance(f.kind, StaleCache) and f.active(tick)
-        }
+    def active_targets(self, kind: str, tick: int) -> set[str]:
+        return {f.target for f in self.config.faults if f.kind == kind and f.active(tick)}
 
     def override_for(self, node_id: str, tick: int) -> str | None:
         for f in self.config.faults:
-            if isinstance(f.kind, BehaviorOverride) and f.kind.node_id == node_id and f.active(tick):
-                return f.kind.behavior_name
+            if f.kind == "BehaviorOverride" and f.target == node_id and f.active(tick):
+                return f.behavior_name
         return None
 
     def probe_corrupt(self, plan: NodePlan, tick: int, assignee: str) -> bool:
         if plan.probe is None:
             return False
-        ref = plan.probe.fault_ref
-        return ref in self.corrupted_endpoints(tick) or assignee in self.stale_dids(tick)
+        if plan.probe.fault_ref in self.active_targets("CorruptedFeed", tick):
+            return True
+        return assignee in self.active_targets("StaleCache", tick)
 
     # -- setup phases --------------------------------------------------------
 
@@ -936,8 +957,8 @@ class _Driver:
                 )
 
     def behavior_for(self, plan: NodePlan, spec: AttemptSpec, tick: int, node_id: str):
-        corrupted = self.corrupted_endpoints(tick)
-        stale = self.stale_dids(tick)
+        corrupted = self.active_targets("CorruptedFeed", tick)
+        stale = self.active_targets("StaleCache", tick)
         override = self.override_for(node_id, tick)
 
         def scripted(run: NodeRun) -> BehaviorOutcome:
@@ -986,7 +1007,6 @@ class _Driver:
             return
         transition(run, NodeState.READY)
         transition(run, NodeState.RUNNING)
-        run.started_tick = event.tick
         run.items = set(plan.items)
         run.checkpoint = Checkpoint(
             node_id=event.node_id,
@@ -1171,7 +1191,7 @@ class _Driver:
         tick = self.completed_tick + self.config.settlement_delay_ticks
         self.advance(tick)
         weights = {did: Decimal(w) for did, w in econ.reward_weights.items()}
-        distribution = self.treasury.distribute(self.config.mission_id, weights)
+        shares = self.treasury.distribute(self.config.mission_id, weights)
         pool = self.treasury.pool(self.config.mission_id)
         for did, bonus in sorted(econ.reputation_bonus.items()):
             profile = self.registry.get(did)
@@ -1187,9 +1207,10 @@ class _Driver:
                 "net": fmt(pool.net),
                 "escrow_state": pool.escrow_state,
             },
-            "rewards": {did: fmt(amount) for did, amount in distribution.entries},
-            "distributed_total": fmt(sum((a for _, a in distribution.entries), Decimal(0))),
-            "residual": fmt(distribution.residual),
+            "rewards": {did: fmt(amount) for did, amount in shares},
+            "distributed_total": fmt(sum((a for _, a in shares), Decimal(0))),
+            # the shares always sum to the net: the residual goes to one did
+            "residual": "0.00",
             "slash_total": "0.00",
             "slashing": [],
         }
@@ -1272,19 +1293,14 @@ class _Driver:
         except Inconclusive:
             self.failures.append(f"post-mortem inconclusive for {incident.incident_id}")
             return
-        rubric_raw = params.get("rubric", {})
-        rubric = SlashingRubric(
-            fraction=Decimal(str(rubric_raw.get("fraction", "0.05"))),
-            reputation_penalty=Decimal(str(rubric_raw.get("reputation_penalty", "0.5"))),
-        )
-        amendment = tuple(Rule.from_payload(r) for r in params.get("amendment", ()))
+        amendment = params["amendment"]
         loop = run_correction_loop(
             incident,
             forensic,
             self.charter,
             treasury=self.treasury,
             registry=self.registry,
-            rubric=rubric,
+            rubric=params["rubric"],
             amendment=amendment,
             regression_orders=self.regression_orders(),
             ledger=self.ledger,
@@ -1332,7 +1348,7 @@ class _Driver:
         t0 = event.tick
         case = file_dispute(
             self.config.mission_id,
-            tuple(params["panel"]),
+            params["panel"],
             t0,
             case_id=params.get("case_id"),
             complainant=params.get("complainant"),
@@ -1353,13 +1369,7 @@ class _Driver:
         self.advance(t0 + int(params.get("deliberate_offset", 86_400)))
         advance_dispute(case, BeginDeliberation(), tick=self.now, ledger=self.ledger)
 
-        vraw = params["verdict"]
-        verdict = Verdict(
-            votes_for=int(vraw["votes_for"]),
-            votes_against=int(vraw["votes_against"]),
-            recommendation=vraw.get("recommendation"),
-            proposed_rules=tuple(Rule.from_payload(r) for r in vraw.get("proposed_rules", ())),
-        )
+        verdict = params["verdict"]
         self.advance(t0 + int(params.get("verdict_offset", 172_800)))
         verdict_tick = self.now
         advance_dispute(
@@ -1532,16 +1542,7 @@ class _Driver:
         }
         body["assertion_failures"] = self.failures + self.check_expectations(body)
         body["fingerprint"] = hashlib.sha256(canonical(body)).hexdigest()
-        return RunReport(
-            body=body,
-            ledger_jsonl=self.ledger.dump_jsonl(),
-            charter=self.charter,
-            runs=self.runs,
-            treasury=self.treasury,
-            registry=self.registry,
-            ledger=self.ledger,
-            dispute_case=self.dispute_case,
-        )
+        return RunReport(body, self)
 
     def execute(self) -> RunReport:
         self.register_roster()

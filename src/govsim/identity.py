@@ -1,7 +1,6 @@
 """Agent registry: DIDs, stakes, reputation, baselines, certification FSM."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from typing import Iterator, Mapping
@@ -65,16 +64,19 @@ class UnknownBaseline(KeyError):
     pass
 
 
-@dataclass
 class AgentProfile:
-    did: str
-    role: str
-    owner: str
-    stake: Decimal
-    reputation: Decimal = Decimal("50.0")
-    cert_state: CertState = CertState.PROVISIONALLY_CERTIFIED
-    baselines: dict[str, tuple[float, float]] = field(default_factory=dict)
-    standby: str | None = None
+    """One registered agent; the registry mutates its reputation and state."""
+
+    __slots__ = ("did", "role", "owner", "stake", "reputation", "cert_state", "baselines", "standby")
+
+    def __init__(
+        self, did: str, role: str, owner: str, stake: Decimal, reputation: Decimal, standby: str | None
+    ) -> None:
+        self.did, self.role, self.owner, self.stake = did, role, owner, stake
+        self.reputation = reputation
+        self.cert_state = CertState.PROVISIONALLY_CERTIFIED
+        self.baselines: dict[str, tuple[float, float]] = {}
+        self.standby = standby
 
 
 class IdentityRegistry:

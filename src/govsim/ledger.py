@@ -35,7 +35,6 @@ import hashlib
 import hmac
 import json
 import secrets
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -147,8 +146,7 @@ def record_digest(record: AuditRecord) -> bytes:
     return hashlib.sha256(header.encode()).digest()
 
 
-@dataclass(frozen=True)
-class ChainVerdict:
+class ChainVerdict(NamedTuple):
     ok: bool
     first_broken_seq: int | None = None
 
@@ -156,8 +154,7 @@ class ChainVerdict:
         return self.ok
 
 
-@dataclass(frozen=True)
-class LogicPedigree:
+class LogicPedigree(NamedTuple):
     mission_id: str
     record_refs: tuple[int, ...]
     anchor_digest: bytes

@@ -9,10 +9,8 @@ mints the authorization token that contract generation requires.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .economy import split_pool
 from .identity import CertState, IdentityRegistry
@@ -44,12 +42,23 @@ class CertificationViolation(ValueError):
 
 _NUMERIC_OPS = {"lt", "lte", "gt", "gte"}
 _ALL_OPS = _NUMERIC_OPS | {"eq", "ne", "present", "absent"}
+_SCOPES = {"manifest", "order", "output", "incident"}
+_ACTIONS = {"Reject", "Escalate"}
+_COMPARATORS = {"gt", "gte", "lt", "lte", "eq", "ne", "abs_gt", "missing_field"}
 
 # op pairs that partition every subject between two rules
 _COMPLEMENT = {
     ("gt", "lte"), ("lte", "gt"), ("gte", "lt"), ("lt", "gte"),
     ("eq", "ne"), ("ne", "eq"), ("present", "absent"), ("absent", "present"),
 }
+
+
+def _one_of(value, allowed: set[str], what: str):
+    """`value` if it is one of `allowed`. The value types do not check their
+    own fields, so `from_payload` checks each closed set on the way in."""
+    if not isinstance(value, str) or value not in allowed:
+        raise ValidationError(f"unknown {what} {value!r}")
+    return value
 
 
 def _as_decimal(value) -> Decimal | None:
@@ -61,16 +70,11 @@ def _as_decimal(value) -> Decimal | None:
         return None
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(NamedTuple):
     field: str
     op: str
     value: object = None
     unless: "Predicate | None" = None
-
-    def __post_init__(self) -> None:
-        if self.op not in _ALL_OPS:
-            raise ValidationError(f"unknown predicate op {self.op!r}")
 
     def triggered(self, subject: Mapping[str, object]) -> bool:
         hit = self._base(subject)
@@ -115,25 +119,18 @@ class Predicate:
         unless = payload.get("unless")
         return Predicate(
             field=payload["field"],
-            op=payload["op"],
+            op=_one_of(payload["op"], _ALL_OPS, "predicate op"),
             value=payload.get("value"),
             unless=Predicate.from_payload(unless) if unless else None,
         )
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     rule_id: str
     scope: str
     predicate: Predicate
     action: str = "Reject"
     description: str = ""
-
-    def __post_init__(self) -> None:
-        if self.scope not in ("manifest", "order", "output", "incident"):
-            raise ValidationError(f"unknown rule scope {self.scope!r}")
-        if self.action not in ("Reject", "Escalate"):
-            raise ValidationError(f"unknown rule action {self.action!r}")
 
     def to_payload(self) -> dict:
         return {
@@ -148,15 +145,14 @@ class Rule:
     def from_payload(payload: Mapping) -> "Rule":
         return Rule(
             rule_id=payload["rule_id"],
-            scope=payload["scope"],
+            scope=_one_of(payload["scope"], _SCOPES, "rule scope"),
             predicate=Predicate.from_payload(payload["predicate"]),
-            action=payload.get("action", "Reject"),
+            action=_one_of(payload.get("action", "Reject"), _ACTIONS, "rule action"),
             description=payload.get("description", ""),
         )
 
 
-@dataclass(frozen=True)
-class Charter:
+class Charter(NamedTuple):
     version: int
     rules: tuple[Rule, ...]
 
@@ -219,16 +215,10 @@ def apply_amendment(charter: Charter, new_rules: Sequence[Rule]) -> Charter:
 # -- job structure ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlashingCondition:
+class SlashingCondition(NamedTuple):
     metric: str
     comparator: str
     threshold: object = None
-
-    def __post_init__(self) -> None:
-        allowed = {"gt", "gte", "lt", "lte", "eq", "ne", "abs_gt", "missing_field"}
-        if self.comparator not in allowed:
-            raise ValidationError(f"unknown comparator {self.comparator!r}")
 
     def violated(self, metrics: Mapping[str, object]) -> bool:
         if self.comparator == "missing_field":
@@ -257,13 +247,12 @@ class SlashingCondition:
     def from_payload(payload: Mapping) -> "SlashingCondition":
         return SlashingCondition(
             metric=payload["metric"],
-            comparator=payload["comparator"],
+            comparator=_one_of(payload["comparator"], _COMPARATORS, "comparator"),
             threshold=payload.get("threshold"),
         )
 
 
-@dataclass(frozen=True)
-class TaskTemplate:
+class TaskTemplate(NamedTuple):
     template_id: str
     depends_on: tuple[str, ...]
     token_cap: int
@@ -287,8 +276,7 @@ class TaskTemplate:
         )
 
 
-@dataclass(frozen=True)
-class JobSpec:
+class JobSpec(NamedTuple):
     job_id: str
     order_count: int
     notional_value: Decimal
@@ -316,29 +304,32 @@ def _grouped(pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
     return {key: tuple(sorted(values)) for key, values in groups.items()}
 
 
-@dataclass(frozen=True)
 class TaskDAG:
-    mission_id: str
-    nodes: Mapping[str, TaskTemplate]
-    edges: tuple[tuple[str, str], ...]
+    """A validated template graph. It never changes, so its adjacency and
+    order are built once, at construction; a cycle raises `CycleError`."""
+
+    __slots__ = ("mission_id", "nodes", "edges", "_dependents", "_dependencies", "_order")
+
+    def __init__(
+        self, mission_id: str, nodes: Mapping[str, TaskTemplate], edges: tuple[tuple[str, str], ...]
+    ) -> None:
+        self.mission_id = mission_id
+        self.nodes = nodes
+        self.edges = edges
+        self._dependents = _grouped(edges)
+        self._dependencies = _grouped((dst, src) for src, dst in edges)
+        self._order = self._kahn()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TaskDAG):
+            return NotImplemented
+        return (self.mission_id, self.nodes, self.edges) == (other.mission_id, other.nodes, other.edges)
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def node(self, node_id: str) -> TaskTemplate:
         return self.nodes[node_id]
-
-    # The DAG is frozen, so each query below is built once per instance.
-    # `cached_property` stores into the instance dict, outside the fields
-    # that equality and `repr` read.
-
-    @cached_property
-    def _dependents(self) -> dict[str, tuple[str, ...]]:
-        return _grouped(self.edges)
-
-    @cached_property
-    def _dependencies(self) -> dict[str, tuple[str, ...]]:
-        return _grouped((dst, src) for src, dst in self.edges)
 
     def dependents(self, node_id: str) -> tuple[str, ...]:
         return self._dependents.get(node_id, ())
@@ -349,8 +340,7 @@ class TaskDAG:
     def topological_order(self) -> tuple[str, ...]:
         return self._order
 
-    @cached_property
-    def _order(self) -> tuple[str, ...]:
+    def _kahn(self) -> tuple[str, ...]:
         indegree = {n: 0 for n in self.nodes}
         for _, dst in self.edges:
             indegree[dst] += 1
@@ -406,7 +396,6 @@ def decompose(job: JobSpec, *, mission_id: str, ledger: AuditLedger) -> TaskDAG:
     if not seen[sinks[0]].seals_provenance:
         raise ValidationError(f"sink node {sinks[0]} does not seal provenance")
     dag = TaskDAG(mission_id=mission_id, nodes=dict(seen), edges=tuple(edges))
-    dag.topological_order()
     ledger.append(
         RecordKind.MISSION_LEGISLATED,
         "legislation",
@@ -420,8 +409,7 @@ def decompose(job: JobSpec, *, mission_id: str, ledger: AuditLedger) -> TaskDAG:
     return dag
 
 
-@dataclass(frozen=True)
-class MissionManifest:
+class MissionManifest(NamedTuple):
     mission_id: str
     job_id: str
     value_ceiling: Decimal
@@ -475,18 +463,15 @@ class MissionManifest:
 # -- prescreening -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Authorized:
+class Authorized(NamedTuple):
     token: str
 
 
-@dataclass(frozen=True)
-class Rejected:
+class Rejected(NamedTuple):
     rule_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Escalated:
+class Escalated(NamedTuple):
     reason: str
 
 
@@ -554,8 +539,7 @@ def prescreen(
 # -- bidding ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bid:
+class Bid(NamedTuple):
     did: str
     node_id: str
     accuracy_sla: Decimal
@@ -571,8 +555,7 @@ class Bid:
         )
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     node_id: str
     assignee: str
     standby: str | None

@@ -1,6 +1,5 @@
 """Builders shared across test modules: a nine-node settlement job, a
 ceiling charter, a fresh ledger, and a small certified registry."""
-from dataclasses import replace
 from decimal import Decimal
 
 from govsim.identity import CertEvent, IdentityRegistry
@@ -62,7 +61,7 @@ def ceiling_charter(extra=()):
 
 def manifest_for(job, charter, notional=None):
     if notional is not None:
-        job = replace(job, notional_value=Decimal(str(notional)))
+        job = job._replace(notional_value=Decimal(str(notional)))
     return MissionManifest.for_job(
         job,
         charter,

@@ -63,13 +63,13 @@ class TestSplitPool:
 class TestWeightedShares:
     def test_residual_deducted_from_lower_did_on_tie(self):
         dist = weighted_shares(nxc("1.01"), {"b": Decimal(1), "a": Decimal(1)})
-        assert dict(dist.entries) == {"a": nxc("0.50"), "b": nxc("0.51")}
+        assert dict(dist) == {"a": nxc("0.50"), "b": nxc("0.51")}
 
     def test_residual_topped_up_on_heaviest(self):
         dist = weighted_shares(
             nxc("100.00"), {"x": Decimal(1), "y": Decimal(1), "z": Decimal(1)}
         )
-        assert dict(dist.entries) == {
+        assert dict(dist) == {
             "x": nxc("33.34"),
             "y": nxc("33.33"),
             "z": nxc("33.33"),
@@ -86,7 +86,7 @@ class TestWeightedShares:
             "audit": nxc("314.00"),
         }
         dist = weighted_shares(nxc("4512.50"), weights)
-        assert dict(dist.entries) == weights
+        assert dict(dist) == weights
 
     @pytest.mark.parametrize("weights", [{}, {"a": Decimal(0)}])
     def test_degenerate_weights(self, weights):
@@ -113,11 +113,11 @@ class TestWeightedShares:
             weights[min(weights)] += 1
         net = Decimal(net_cents) / 100
         dist = weighted_shares(net, weights)
-        total = sum(amount for _, amount in dist.entries)
+        total = sum(amount for _, amount in dist)
         assert total == net
         # a large enough deduction can push the top share negative only if
         # the residual exceeds the rounding error bound of n/2 cents
-        assert all(amount >= 0 for _, amount in dist.entries) or len(weights) > 1
+        assert all(amount >= 0 for _, amount in dist) or len(weights) > 1
 
 
 class TestTreasury:
@@ -144,7 +144,7 @@ class TestTreasury:
         treasury.fund_pool("M-1", "org", "4750.00", "0.035", "0.015")
         weights = {"a": nxc("892.40"), "b": nxc("3620.10")}
         dist = treasury.distribute("M-1", weights)
-        assert dict(dist.entries) == weights
+        assert dict(dist) == weights
         assert treasury.account("a").balance == nxc("892.40")
         with pytest.raises(DoubleSpend):
             treasury.distribute("M-1", weights)

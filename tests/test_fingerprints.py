@@ -1,9 +1,15 @@
-"""Pinned report fingerprints of the bundled fixtures.
+"""Pinned report fingerprints and ledger heads of the bundled fixtures and of
+the benchmark's generated workloads.
 
 A replay is byte-for-byte deterministic, so the fingerprint is an exact check
 of the driver's behaviour: a refactor must leave these values as they are. A
-change that moves one on purpose names the old and the new value.
+change that moves one on purpose names the old and the new value. The ledger
+head covers every payload byte, so it also catches a value that changes its
+JSON encoding without changing the report.
 """
+import runpy
+from pathlib import Path
+
 import pytest
 
 from govsim.harness import (
@@ -12,12 +18,33 @@ from govsim.harness import (
     STRESS_WINDOW_FIXTURE,
     load_bundled_scenario,
     run,
+    scenario_from_dict,
 )
 
 PINNED = {
     CASE_STUDY_FIXTURE: ("a1803bf4f61ebf588113194dd51ab78bb327bb4eca59955cafe605247561f102", 120),
     FAULT_DRILL_FIXTURE: ("87501f33b362488f98c61fcdad657295f48f34b4a05543bed46052e8be1722d9", 39),
     STRESS_WINDOW_FIXTURE: ("68da914ea4d610c147e989b056c4f35d7add4281fc4796e30f3c8742b636b70e", 37),
+}
+
+HEADS = {
+    CASE_STUDY_FIXTURE: "sha256:c13192d9d55e18810e9f870c0486f725f895277a528624f1ab70d147e7ff320f",
+    FAULT_DRILL_FIXTURE: "sha256:b1b2ae2ef7c215a8f99aca03ba31c15c43b0d2cf7f7b6b6dc272ec4d8e855d7e",
+    STRESS_WINDOW_FIXTURE: "sha256:72cd33ce7bdee636a545442fc799deff3f1e0a549ae45609dee08ac0fa19fc72",
+}
+
+# The benchmark's generated documents at seed 11: fingerprint, records, head.
+GENERATED = {
+    "long-chain": (
+        "053dd11216af13cac8e84852eb6670ad7b77ed4521d362060c1bfd23528fff73",
+        2814,
+        "sha256:e3f650f5aa56f51ff6dfece18750c52297ed86d50f9a546791e57c88ebe69221",
+    ),
+    "audit-sweep": (
+        "87d5d7b14b22837f9668e529fd55350382a050597036c1fea14824b3fe954f6b",
+        4119,
+        "sha256:9b7cd45544dfb4f0672d4468740c60523e4fbef1711eaceddada7ae210d2c369",
+    ),
 }
 
 
@@ -27,3 +54,16 @@ def test_fixture_fingerprint_is_pinned(name):
     report = run(load_bundled_scenario(name))
     assert report.body["ledger"]["records"] == records
     assert report.fingerprint == fingerprint
+    assert report.body["ledger"]["head_digest"] == HEADS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_bench_workload_is_pinned(name):
+    # run_path executes the generator's source without importing it as a
+    # module, so nothing is written next to it.
+    workloads = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "workloads.py"))
+    fingerprint, records, head = GENERATED[name]
+    report = run(scenario_from_dict(workloads["GENERATORS"][name](11)))
+    assert report.body["ledger"]["records"] == records
+    assert report.fingerprint == fingerprint
+    assert report.body["ledger"]["head_digest"] == head

@@ -195,6 +195,30 @@ def _missing(path, keys):
     return pytest.param(mutate, path, id=f"{'.'.join(map(str, keys))}=missing")
 
 
+def _dispute(field, value, *keys):
+    """Append case-study's dispute to the timeline with the params value at
+    `keys` (default: `field`) set to `value`, or deleted when `value` is None;
+    the rejection must name `field` under the appended event's params."""
+    keys = keys or (field,)
+
+    def mutate(raw):
+        event = raw_fixture(CASE_STUDY_FIXTURE)["timeline"][2]
+        event["tick"] = 10**9
+        target = event["params"]
+        for key in keys[:-1]:
+            target = target[key]
+        if value is None:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
+        raw["timeline"].append(event)
+
+    shown = "missing" if value is None else repr(value)
+    return pytest.param(
+        mutate, f"timeline[1].params.{field}", id=f"dispute.{'.'.join(map(str, keys))}={shown}"
+    )
+
+
 @pytest.mark.parametrize(
     "mutate, path",
     [
@@ -260,6 +284,37 @@ def _missing(path, keys):
             for key in ("incident_id", "cause")
         ),
         _element("timeline[0].params.rubric", ("timeline", 0, "params", "rubric"), 7),
+        _element("timeline[0].params.rubric.fraction", ("timeline", 0, "params", "rubric", "fraction"), "x"),
+        _element(
+            "timeline[0].params.rubric.reputation_penalty",
+            ("timeline", 0, "params", "rubric", "reputation_penalty"),
+            [1],
+        ),
+        _element("timeline[0].params.amendment", ("timeline", 0, "params", "amendment"), 7),
+        _element("timeline[0].params.amendment[0]", ("timeline", 0, "params", "amendment"), [7]),
+        _element(
+            "timeline[0].params.amendment[0]",
+            ("timeline", 0, "params", "amendment", 0, "predicate"),
+            None,
+        ),
+        _missing("timeline[0].params.amendment[0]", ("timeline", 0, "params", "amendment", 0, "rule_id")),
+        _element(
+            "job.task_templates[0].slashing_condition.metric",
+            ("job", "task_templates", 0, "slashing_condition", "metric"),
+            "nothing",
+        ),
+        _element("charter", ("charter", "rules", 0, "scope"), []),
+        _element("charter", ("charter", "rules", 0, "predicate", "op"), []),
+        _dispute("panel", None),
+        _dispute("panel", "x"),
+        _dispute("panel[1]", 7, "panel", 1),
+        _dispute("verdict", None),
+        _dispute("verdict", 7),
+        _dispute("verdict.votes_for", "3", "verdict", "votes_for"),
+        _dispute("verdict.votes_against", None, "verdict", "votes_against"),
+        _dispute("verdict.proposed_rules", 7, "verdict", "proposed_rules"),
+        _dispute("verdict.proposed_rules[0]", [7], "verdict", "proposed_rules"),
+        _dispute("verdict.proposed_rules[0]", "galaxy", "verdict", "proposed_rules", 0, "scope"),
     ],
 )
 def test_rejections_name_the_field(mutate, path):
@@ -269,6 +324,13 @@ def test_rejections_name_the_field(mutate, path):
         scenario_from_dict(raw)
     assert err.value.field_path == path
     assert str(err.value).startswith(f"{path}:")
+
+
+def test_missing_field_gate_may_name_an_unreported_metric():
+    raw = raw_fixture(FAULT_DRILL_FIXTURE)
+    raw["job"]["task_templates"][0]["slashing_condition"] = {"metric": "nothing", "comparator": "missing_field"}
+    report = run(scenario_from_dict(raw))
+    assert report.fingerprint != PINNED[FAULT_DRILL_FIXTURE][0]
 
 
 @pytest.mark.parametrize("fixture", [CASE_STUDY_FIXTURE, FAULT_DRILL_FIXTURE, STRESS_WINDOW_FIXTURE])

@@ -78,7 +78,7 @@ class TestPredicate:
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ValidationError):
-            Predicate("x", "between", 1)
+            Predicate.from_payload({"field": "x", "op": "between", "value": 1})
 
     def test_payload_roundtrip(self):
         p = Predicate("a", "lte", 36, unless=Predicate("b", "eq", True))
