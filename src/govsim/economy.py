@@ -54,15 +54,16 @@ class TokenAccount:
         self.owner, self.balance, self.stake_locked = owner, ZERO, ZERO
 
 
-class RewardPool(NamedTuple):
-    """A funded pool; `distribute` replaces it with its `Distributed` copy."""
+class RewardPool:
+    """A funded pool; `distribute` sets its `escrow_state` to `Distributed`."""
 
-    mission_id: str
-    total: Decimal
-    protocol_tax: Decimal
-    infra_tax: Decimal
-    net: Decimal
-    escrow_state: str = "Funded"
+    __slots__ = ("mission_id", "total", "protocol_tax", "infra_tax", "net", "escrow_state")
+
+    def __init__(self, mission_id: str, total: Decimal, protocol_tax: Decimal, infra_tax: Decimal, net: Decimal) -> None:
+        self.mission_id, self.total, self.protocol_tax, self.infra_tax, self.net = (
+            mission_id, total, protocol_tax, infra_tax, net
+        )
+        self.escrow_state = "Funded"
 
 
 def split_pool(total, protocol_rate, infra_rate) -> tuple[Decimal, Decimal, Decimal]:
@@ -198,7 +199,7 @@ class Treasury:
         if pool.escrow_state != "Funded":
             raise DoubleSpend(f"pool for {mission_id} already distributed")
         shares = weighted_shares(pool.net, weights)
-        self._pools[mission_id] = pool._replace(escrow_state="Distributed")
+        pool.escrow_state = "Distributed"
         for did, amount in shares:
             self.open_account(did).balance += amount
             self._ledger.append(

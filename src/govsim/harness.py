@@ -75,6 +75,7 @@ from .legislation import (
     JobSpec,
     MissionManifest,
     Rule,
+    _as_decimal,
     decompose,
     generate_contract_stack,
     prescreen,
@@ -242,14 +243,11 @@ def _as_money(value: Any, path: str) -> str:
         raise ConfigError(path, f"not a token amount: {value!r}") from None
 
 
-def _as_decimal(value: Any, path: str) -> Decimal:
-    try:
-        number = Decimal(str(value))
-        if number.is_finite():
-            return number
-    except InvalidOperation:
-        pass
-    raise ConfigError(path, f"not a decimal number: {value!r}")
+def _as_finite_decimal(value: Any, path: str) -> Decimal:
+    number = _as_decimal(value)
+    if number is None or not number.is_finite():
+        raise ConfigError(path, f"not a decimal number: {value!r}")
+    return number
 
 
 def _parse_rules(raw: Any, path: str) -> tuple[Rule, ...]:
@@ -335,8 +333,8 @@ def _parse_params(kind: Any, raw: Any, path: str) -> dict[str, Any]:
         rpath = f"{path}.rubric"
         rubric = _as_section(params.get("rubric", {}), rpath, dict)
         params["rubric"] = SlashingRubric(
-            fraction=_as_decimal(rubric.get("fraction", "0.05"), f"{rpath}.fraction"),
-            reputation_penalty=_as_decimal(
+            fraction=_as_finite_decimal(rubric.get("fraction", "0.05"), f"{rpath}.fraction"),
+            reputation_penalty=_as_finite_decimal(
                 rubric.get("reputation_penalty", "0.5"), f"{rpath}.reputation_penalty"
             ),
         )

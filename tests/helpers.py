@@ -1,5 +1,6 @@
 """Builders shared across test modules: a nine-node settlement job, a
-ceiling charter, a fresh ledger, and a small certified registry."""
+ceiling charter, a fresh ledger, and a small certified registry; and
+`same`, an equality that also compares types."""
 from decimal import Decimal
 
 from govsim.identity import CertEvent, IdentityRegistry
@@ -13,6 +14,12 @@ from govsim.legislation import (
     SlashingCondition,
     TaskTemplate,
 )
+
+
+def same(actual, expected):
+    """Equal and of one type: NamedTuples of two types compare equal when
+    their fields do, so `ProviderFault("x") == InfrastructureFault("x")`."""
+    return type(actual) is type(expected) and actual == expected
 
 
 def template(tid, deps=(), **overrides):

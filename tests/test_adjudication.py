@@ -40,6 +40,8 @@ from govsim.ledger import AuditLedger, RecordKind, UnknownMission
 from govsim.legislation import Charter, Predicate, Rule
 from govsim.money import nxc
 
+from helpers import same
+
 MISSION = "MISSION-X"
 
 
@@ -100,7 +102,7 @@ class TestPostMortem:
         report = post_mortem(ledger, feed_incident())
         # seqs are 0-based: 13 clean records occupy 0..12, first mismatch is 13
         assert report.root_locus == ("TASK-002B", 13)
-        assert report.attribution == ProviderFault(endpoint_id="EP-SANCTIONS-EU-002")
+        assert same(report.attribution, ProviderFault(endpoint_id="EP-SANCTIONS-EU-002"))
         assert report.evidence_refs == (13, 14, 15)
 
     def test_agent_attribution_on_scope_violation(self):
@@ -122,7 +124,7 @@ class TestPostMortem:
         )
         incident = feed_incident(probe=IncidentProbe(scope_violation=True))
         report = post_mortem(ledger, incident)
-        assert report.attribution == AgentFault(did="did:test:exec")
+        assert same(report.attribution, AgentFault(did="did:test:exec"))
 
     def test_infrastructure_fallback(self):
         ledger = AuditLedger(attestation_key=b"adj-test")
@@ -143,7 +145,7 @@ class TestPostMortem:
         )
         incident = feed_incident(probe=IncidentProbe(digest_mismatch=True))
         report = post_mortem(ledger, incident)
-        assert report.attribution == InfrastructureFault(component="EP-QUEUE-07")
+        assert same(report.attribution, InfrastructureFault(component="EP-QUEUE-07"))
 
     def test_tampered_chain_is_inadmissible(self):
         ledger = evidence_ledger()
@@ -277,7 +279,7 @@ class TestPrefilter:
                 report = post_mortem(ledger, incident)
                 assert report.evidence_refs == tuple(expected)
                 assert report.root_locus == (str(first.get("node_id", "")), expected[0])
-                assert report.attribution == _attribute(first)
+                assert same(report.attribution, _attribute(first))
         # The dispute evidence query: every ToolCall whose payload holds the query.
         query = data.draw(st.lists(item, min_size=1, max_size=2).map(dict))
         dispute = IncidentProbe(kinds=(RecordKind.TOOL_CALL,), payload_equals=query)

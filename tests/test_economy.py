@@ -141,11 +141,12 @@ class TestTreasury:
     def test_distribute_moves_escrow_and_closes_pool(self):
         treasury, ledger = make_treasury()
         treasury.open_account("org", balance="10000.00")
-        treasury.fund_pool("M-1", "org", "4750.00", "0.035", "0.015")
+        pool = treasury.fund_pool("M-1", "org", "4750.00", "0.035", "0.015")
         weights = {"a": nxc("892.40"), "b": nxc("3620.10")}
         dist = treasury.distribute("M-1", weights)
         assert dict(dist) == weights
         assert treasury.account("a").balance == nxc("892.40")
+        assert pool.escrow_state == "Distributed"
         with pytest.raises(DoubleSpend):
             treasury.distribute("M-1", weights)
 

@@ -52,7 +52,7 @@ from govsim.legislation import (
     SlashingCondition,
     decompose,
 )
-from helpers import new_ledger, nine_node_job, template
+from helpers import new_ledger, nine_node_job, same, template
 
 
 def run_for(tid="TASK-X", state=NodeState.RUNNING, **template_overrides):
@@ -238,7 +238,7 @@ class TestGateVerify:
         result = gate_verify(
             node, telemetry, cosigner="verifier-1", ledger=new_ledger(), mission_id="M"
         )
-        assert result == GateFailure(check_ids=("fx-rate-lock",))
+        assert same(result, GateFailure(check_ids=("fx-rate-lock",)))
         assert node.state is NodeState.FROZEN
         assert node.freeze_events[-1].trigger == "slashing-condition"
 
@@ -271,7 +271,7 @@ class TestGuardian:
         ledger = new_ledger()
         telemetry, node = self.telemetry(clearance_rate=0.892)
         baseline = Baseline("clearance_rate", 0.892, 0.02)
-        assert guardian_check(telemetry, baseline, run=node, ledger=ledger) == Ok(0.0)
+        assert same(guardian_check(telemetry, baseline, run=node, ledger=ledger), Ok(0.0))
         telemetry, node = self.telemetry(clearance_rate=0.932)
         verdict = guardian_check(telemetry, baseline, run=node, ledger=ledger)
         assert isinstance(verdict, Ok)
@@ -502,7 +502,7 @@ class TestGateContractFilter:
         verdict = gate_contract_filter(
             {"raw_account_data": ["IBAN..."]}, self.charter()
         )
-        assert verdict == Blocked(rule_ids=("no-raw-data",))
+        assert same(verdict, Blocked(rule_ids=("no-raw-data",)))
 
     def test_empty_output_no_rules(self):
         assert isinstance(gate_contract_filter({}, Charter(1, ())), Pass)
