@@ -46,7 +46,8 @@ def ledger_attacks() -> None:
     lines = report.ledger_jsonl.splitlines()
     row = json.loads(lines[victim])
     row["actor"] = "intruder"
-    lines[victim] = json.dumps(row, sort_keys=True)
+    # Written in the dump's own form, so the next record's link catches it.
+    lines[victim] = json.dumps(row, sort_keys=True, separators=(",", ":"))
     offline = verify_jsonl(lines)
     print(f"  forged actor in the dump: offline check broken at seq {offline.first_broken_seq}")
 

@@ -89,10 +89,10 @@ def _report(config, args: argparse.Namespace) -> int:
 
 
 def _verify_ledger(path: Path) -> int:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    verdict = verify_jsonl(lines)
+    records = [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+    verdict = verify_jsonl(records)
     if verdict:
-        print(f"ok: {len(lines)} records, chain intact")
+        print(f"ok: {len(records)} records, chain intact")
         return 0
     print(f"broken at seq {verdict.first_broken_seq}", file=sys.stderr)
     return 1

@@ -20,7 +20,8 @@ is the one a full recomputation gives.
 `pedigree` reads mission ids and digests from the seals, so a pedigree taken
 from an edited, unverified ledger still names the original chain; its caller
 (`post_mortem`) verifies the whole chain against the head first. The offline
-`verify_jsonl` trusts nothing and recomputes every link.
+`verify_jsonl` trusts nothing: it accepts only the exact lines govsim writes
+(`DUMP_LINE`) and checks each link against the header text as read.
 
 Payload searches test the stored bytes before decoding anything. A payload
 whose top-level `key` holds a string `value` encodes that item as exactly
@@ -34,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
+import re
 import secrets
 from enum import Enum
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -96,17 +98,8 @@ class AuditRecord(NamedTuple):
 
     def to_json_line(self) -> str:
         """`json.dumps` of the seven fields with sorted keys, written directly."""
-        return (
-            '{"actor":%s,"attestation_stamp":"%s","kind":%s,"payload_digest":"%s",'
-            '"prev_digest":"%s","seq":%s,"tick":%s}'
-        ) % (
-            _json(self.actor),
-            self.attestation_stamp.hex(),
-            _json(self.kind.value),
-            self.payload_digest.hex(),
-            self.prev_digest.hex(),
-            _json(self.seq),
-            _json(self.tick),
+        return '{"actor":%s,"attestation_stamp":"%s",%s' % (
+            _json(self.actor), self.attestation_stamp.hex(), _tail(self)
         )
 
 
@@ -131,19 +124,34 @@ def pair_needle(key: str, value: str | bool) -> bytes:
     return key_needle(key) + _json(value).encode()
 
 
-def record_digest(record: AuditRecord) -> bytes:
-    """Digest of the chained header. The stamp is excluded: it is verified
-    against the run key, not re-chained. The header is `canonical` of its six
-    fields, written out in sorted key order."""
-    header = '{"actor":%s,"kind":%s,"payload_digest":"%s","prev_digest":"%s","seq":%s,"tick":%s}' % (
-        _json(record.actor),
+def _tail(record: AuditRecord) -> str:
+    """`"kind":…,"tick":N}`: the text after the actor in both the dump line and the chained header."""
+    return '"kind":%s,"payload_digest":"%s","prev_digest":"%s","seq":%s,"tick":%s}' % (
         _json(record.kind),
         record.payload_digest.hex(),
         record.prev_digest.hex(),
         _json(record.seq),
         _json(record.tick),
     )
-    return hashlib.sha256(header.encode()).digest()
+
+
+def record_digest(record: AuditRecord) -> bytes:
+    """Digest of the chained header. The stamp is excluded: it is verified
+    against the run key, not re-chained. The header is `canonical` of its six
+    fields, written out in sorted key order."""
+    return hashlib.sha256(('{"actor":%s,%s' % (_json(record.actor), _tail(record))).encode()).digest()
+
+
+# The line `to_json_line` writes for a record `append` made, with or without
+# its "\n". Groups 1 and 2 are the chained header. The actor is what `_quote`
+# emits: printable ASCII but `"` and `\`, and the escapes it writes for the rest.
+_HEX = "[0-9a-f]{64}"
+DUMP_LINE = re.compile(
+    r'(\{"actor":"[ !#-\[\]-~]*(?:\\(?:["\\bfnrt]|u[0-9a-f]{4})[ !#-\[\]-~]*)*",)'
+    rf'"attestation_stamp":"{_HEX}",'
+    rf'("kind":"(?:{"|".join(kind.value for kind in RecordKind)})","payload_digest":"{_HEX}",'
+    rf'"prev_digest":"({_HEX})","seq":(0|[1-9][0-9]*),"tick":-?(?:0|[1-9][0-9]*)\}})\n?'
+)
 
 
 class ChainVerdict(NamedTuple):
@@ -345,30 +353,21 @@ class AuditLedger:
 
 
 def verify_jsonl(lines: Iterable[str]) -> ChainVerdict:
-    """Offline chain check over a ledger dump: continuity, genesis, and links.
-
-    Payloads and the MAC key are not part of the dump, so the self and stamp
-    checks are unavailable here.
+    """Offline chain check over a ledger dump: form, continuity, genesis and
+    links. Blank lines are skipped. A line that is not exactly what govsim
+    writes (an extra, repeated or reordered key, other spacing, a quoted or
+    float seq, a bool tick, upper-case or spaced hex, an empty stamp) breaks
+    the chain at its seq. Each link is the SHA-256 of the header text as
+    read. Payloads and the MAC key are not in the dump, so the self and
+    stamp checks are unavailable here.
     """
-    prev: AuditRecord | None = None
+    expected = GENESIS_DIGEST.hex()
     for n, line in enumerate(l for l in lines if l.strip()):
-        try:
-            row = json.loads(line)
-            rec = AuditRecord(
-                seq=int(row["seq"]),
-                tick=int(row["tick"]),
-                actor=str(row["actor"]),
-                kind=RecordKind(row["kind"]),
-                payload_digest=bytes.fromhex(row["payload_digest"]),
-                prev_digest=bytes.fromhex(row["prev_digest"]),
-                attestation_stamp=bytes.fromhex(row["attestation_stamp"]),
-            )
-        except (KeyError, ValueError, TypeError):
+        match = DUMP_LINE.fullmatch(line)
+        if match is None:
             return ChainVerdict(False, n)
-        if rec.seq != n:
+        head, tail, prev, seq = match.groups()
+        if seq != "%d" % n or prev != expected:
             return ChainVerdict(False, n)
-        expected_prev = GENESIS_DIGEST if n == 0 else record_digest(prev)
-        if rec.prev_digest != expected_prev:
-            return ChainVerdict(False, n)
-        prev = rec
+        expected = hashlib.sha256((head + tail).encode()).hexdigest()
     return ChainVerdict(True)

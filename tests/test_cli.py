@@ -45,8 +45,13 @@ def test_run_writes_report_file(drill_path, tmp_path, capsys):
 def test_ledger_dump_round_trips_through_verify(drill_path, tmp_path, capsys):
     dump = tmp_path / "ledger.jsonl"
     assert main(["run", str(drill_path), "--out", str(tmp_path / "r.json"), "--ledger-out", str(dump)]) == 0
+    records = json.loads((tmp_path / "r.json").read_text())["ledger"]["records"]
     assert main(["verify-ledger", str(dump)]) == 0
-    assert "chain intact" in capsys.readouterr().out
+    assert capsys.readouterr().out == f"ok: {records} records, chain intact\n"
+    # Blank lines are skipped, and not counted as records.
+    dump.write_text("\n" + dump.read_text().replace("\n", "\n\n"))
+    assert main(["verify-ledger", str(dump)]) == 0
+    assert capsys.readouterr().out == f"ok: {records} records, chain intact\n"
 
 
 def test_verify_ledger_catches_tampering(drill_path, tmp_path, capsys):
@@ -55,10 +60,12 @@ def test_verify_ledger_catches_tampering(drill_path, tmp_path, capsys):
     lines = dump.read_text().splitlines()
     record = json.loads(lines[5])
     record["actor"] = "someone-else"
-    lines[5] = json.dumps(record, sort_keys=True)
+    # Written in the dump's own form, the forged line passes the form check:
+    # the next record's link is what catches it.
+    lines[5] = json.dumps(record, sort_keys=True, separators=(",", ":"))
     dump.write_text("\n".join(lines) + "\n")
     assert main(["verify-ledger", str(dump)]) == 1
-    assert "broken at seq" in capsys.readouterr().err
+    assert capsys.readouterr().err == "broken at seq 6\n"
 
 
 def test_seed_override_reaches_the_report(capsys):

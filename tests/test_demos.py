@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ("replay_settlement.py", "assertion failures: 0"),
         ("fault_containment.py", "escalation case filed: MISSION-STRESS-0004-WND-CB"),
         ("economy_audit.py", "untouched chain verifies: True"),
+        ("economy_audit.py", "forged actor in the dump: offline check broken at seq 20"),
     ],
 )
 def test_demo_runs_and_prints(demo, line):

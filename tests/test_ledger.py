@@ -1,13 +1,15 @@
 import hashlib
 import hmac
+import io
 import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from govsim.ledger import (
     DIGEST_SIZE,
+    DUMP_LINE,
     GENESIS_DIGEST,
     AuditLedger,
     AuditRecord,
@@ -213,6 +215,8 @@ def test_dump_roundtrip_offline_verify():
     led = build_ledger(8)
     dump = led.dump_jsonl()
     assert verify_jsonl(dump.splitlines()).ok
+    # Lines read from a file keep their terminator.
+    assert verify_jsonl(io.StringIO(dump)).ok
 
 
 def test_offline_verify_catches_reordering():
@@ -231,6 +235,81 @@ def test_offline_verify_rejects_garbage_line():
     assert verify_jsonl(lines).first_broken_seq == 1
 
 
+def ledger_of(rows):
+    led = AuditLedger(attestation_key=KEY)
+    for actor, kind, tick in rows:
+        led.append(kind, actor, {"mission_id": "M-1"}, tick=tick)
+    return led
+
+
+def _stamp_edit(edit):
+    def apply(line):
+        stamp = json.loads(line)["attestation_stamp"]
+        return line.replace(stamp, edit(stamp))
+
+    return apply
+
+
+# Edits to seq 1 (tick 1, actor "agent-\u00e9") that keep every value a
+# lenient JSON reader sees: each one must still break the dump at the edited
+# line. The hex edits go to the stamp, which no link covers, so only the
+# line's form can catch them.
+OFF_FORM_EDITS = {
+    "extra key": lambda line: line[:-1] + ',"note":"forged"}',
+    "duplicate key": lambda line: line[:-1] + ',"tick":1}',
+    "string seq": lambda line: line.replace('"seq":1,', '"seq":"1",'),
+    "float seq": lambda line: line.replace('"seq":1,', '"seq":1.0,'),
+    "bool tick": lambda line: line.replace('"tick":1}', '"tick":true}'),
+    "empty stamp": _stamp_edit(lambda stamp: ""),
+    "upper-case hex": _stamp_edit(str.upper),
+    "spaced hex": _stamp_edit(lambda stamp: " ".join(stamp[i : i + 2] for i in range(0, 64, 2))),
+    "json.dumps spacing": lambda line: json.dumps(json.loads(line), sort_keys=True),
+    "trailing space": lambda line: line + " ",
+    "raw non-ASCII actor": lambda line: line.replace("\\u00e9", "\u00e9"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(OFF_FORM_EDITS))
+def test_offline_verify_accepts_only_the_written_form(edit):
+    rows = [("agent-\u00e9", RecordKind.TOOL_CALL, tick) for tick in range(4)]
+    lines = ledger_of(rows).dump_jsonl().splitlines()
+    edited = OFF_FORM_EDITS[edit](lines[1])
+    assert edited != lines[1]
+    lines[1] = edited
+    assert verify_jsonl(lines) == (False, 1)
+
+
+def test_a_tampered_kind_dumps_and_breaks_offline():
+    led = build_ledger(4)
+    led._tamper_field(1, "kind", "Forged")
+    assert verify_jsonl(led.dump_jsonl().splitlines()) == (False, 1)
+
+
+ROWS = st.lists(st.tuples(ACTORS, st.sampled_from(RecordKind), st.integers()), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROWS)
+def test_every_dump_line_is_in_the_written_form(rows):
+    lines = ledger_of(rows).dump_jsonl().splitlines()
+    assert len(lines) == len(rows)
+    assert all(DUMP_LINE.fullmatch(line) for line in lines)
+    assert verify_jsonl(lines).ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROWS, st.randoms(use_true_random=False))
+def test_offline_verify_sees_every_header_mutation(rows, rng):
+    # The dump holds no payload and no key: a payload swap or a bad stamp
+    # only the in-process verify_chain can see. A wrong seq or link breaks
+    # the record itself; any other header edit breaks the next one's link.
+    led = ledger_of(rows)
+    seq, field = mutate_once(led, rng)
+    assume(seq < len(led) - 1 and field not in ("payload", "attestation_stamp"))
+    expected = seq if field in ("seq", "prev_digest") else seq + 1
+    assert verify_jsonl(led.dump_jsonl().splitlines()) == (False, expected)
+
+
 def test_canonical_is_order_insensitive():
     assert canonical({"b": 1, "a": 2}) == canonical({"a": 2, "b": 1})
 
@@ -239,7 +318,7 @@ MUTABLE_FIELDS = ("payload", "payload_digest", "prev_digest", "seq", "tick", "ac
 
 
 def mutate_once(led, rng):
-    """Apply one random raw single-field mutation; returns the chosen seq."""
+    """Apply one random raw single-field mutation; returns the chosen seq and field."""
     seq = rng.randrange(len(led))
     field = rng.choice(MUTABLE_FIELDS)
     rec = led.record(seq)
@@ -257,7 +336,7 @@ def mutate_once(led, rng):
     else:
         other = RecordKind.ESCALATION if rec.kind is not RecordKind.ESCALATION else RecordKind.TOKEN_TRANSFER
         led._tamper_field(seq, "kind", other)
-    return seq
+    return seq, field
 
 
 def test_thousand_random_mutations_all_detected():
@@ -266,7 +345,7 @@ def test_thousand_random_mutations_all_detected():
     assert pristine.verify_chain().ok
     for _ in range(1000):
         fork = pristine.fork()
-        seq = mutate_once(fork, rng)
+        seq, _ = mutate_once(fork, rng)
         verdict = fork.verify_chain()
         assert not verdict.ok, f"undetected mutation at seq {seq}"
         assert verdict.first_broken_seq is not None
