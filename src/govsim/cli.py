@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -29,6 +30,8 @@ from .harness import (
 )
 from .ledger import verify_jsonl
 
+_HEAD_DIGEST = re.compile("sha256:[0-9a-f]{64}")
+
 
 def _add_report_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, default=None, help="write the report here instead of stdout")
@@ -39,6 +42,13 @@ def _add_report_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ledger-out", type=Path, default=None, help="also write the ledger dump (JSONL)"
     )
+
+
+def _head_digest(text: str) -> bytes:
+    """`sha256:` and 64 lower-case hex digits, as a report writes `ledger.head_digest`."""
+    if not _HEAD_DIGEST.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected sha256: and 64 lower-case hex digits, got {text!r}")
+    return bytes.fromhex(text[len("sha256:"):])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,6 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_p = sub.add_parser("verify-ledger", help="audit a ledger dump for chain breaks")
     verify_p.add_argument("ledger", type=Path)
+    verify_p.add_argument(
+        "--head",
+        type=_head_digest,
+        default=None,
+        metavar="sha256:HEX",
+        help="the run report's ledger.head_digest; a dump whose last line does not end there is broken",
+    )
 
     econ_p = sub.add_parser(
         "check-economy", help="sweep an incentive grid for profitable deviations"
@@ -88,9 +105,9 @@ def _report(config, args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _verify_ledger(path: Path) -> int:
+def _verify_ledger(path: Path, head: bytes | None) -> int:
     records = [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
-    verdict = verify_jsonl(records)
+    verdict = verify_jsonl(records, head=head)
     if verdict:
         print(f"ok: {len(records)} records, chain intact")
         return 0
@@ -114,15 +131,20 @@ def _check_economy(path: Path) -> int:
     return 1
 
 
+# Built once per process: `main` is also called in process, many times over
+# (tests, batch scripts), and parsing on a built parser is cheap.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "run":
             return _report(load_scenario(args.scenario), args)
         if args.command == "replay-case-study":
             return _report(load_bundled_scenario(CASE_STUDY_FIXTURE), args)
         if args.command == "verify-ledger":
-            return _verify_ledger(args.ledger)
+            return _verify_ledger(args.ledger, args.head)
         return _check_economy(args.params)
     except (ConfigError, ParamError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,6 +48,7 @@ from .execution import (
     GateFailure,
     NodeRun,
     NodeState,
+    NotFound,
     Ok,
     Pass,
     Telemetry,
@@ -1224,17 +1225,23 @@ class _Driver:
     def regression_orders(self) -> list[Mapping[str, Any]]:
         return [self.order_by_ref(ref) for ref in self.config.regression_refs]
 
-    def release(self, node_id: str, items: Sequence[str], resolution: str, tick: int) -> int:
+    def release(self, node_id: str, items: Sequence[str], resolution: str, tick: int) -> int | None:
         """Release a node's quarantined items and trace it; returns the number
-        of items still held across all nodes."""
-        release_quarantined(
-            self.runs[node_id],
-            items,
-            resolution=resolution,
-            tick=tick,
-            ledger=self.ledger,
-            mission_id=self.config.mission_id,
-        )
+        of items still held across all nodes. Releases nothing, records a
+        failure and returns None when an item is not quarantined in the node
+        (it never verified, say)."""
+        try:
+            release_quarantined(
+                self.runs[node_id],
+                items,
+                resolution=resolution,
+                tick=tick,
+                ledger=self.ledger,
+                mission_id=self.config.mission_id,
+            )
+        except NotFound as exc:
+            self.failures.append(f"release: {exc.args[0]}")
+            return None
         self.quarantine_trace.append(
             {
                 "tick": tick,
@@ -1260,6 +1267,8 @@ class _Driver:
         if released:
             resolution = params.get("resolution", "cross-node-attestation")
             remaining = self.release(params["node_id"], released, resolution, event.tick)
+            if remaining is None:
+                released = []
         self.cross_node_block = {
             "tick": event.tick,
             "amount": fmt(amount),
@@ -1404,9 +1413,10 @@ class _Driver:
         remaining = None
         release = params.get("release")
         if release and isinstance(post, Authorized):
-            released = sorted(release["items"])
             resolution = release.get("resolution", "dispute-verdict")
             remaining = self.release(release["node_id"], release["items"], resolution, self.now)
+            if remaining is not None:
+                released = sorted(release["items"])
 
         self.dispute_block = {
             "case_id": case.case_id,

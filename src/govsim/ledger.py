@@ -2,11 +2,13 @@
 
 Every state transition in a run lands here as an AuditRecord. Records chain
 through SHA-256 digests (genesis uses an all-zero previous digest) and carry a
-keyed attestation stamp standing in for a hardware signature. Payloads are
-stored alongside the chain and digested through a canonical JSON encoding so
-replays are bit-stable. The header and stamp material have a fixed shape and
-are written directly in that encoding's key order, byte for byte what
-`canonical` would produce.
+keyed attestation stamp standing in for a hardware signature: an HMAC-SHA256
+under the run key, taken on a copy of one HMAC keyed when the ledger is made
+(the keyed base is never updated, so every stamp starts from the key alone).
+Payloads are stored alongside the chain and digested through a canonical JSON
+encoding so replays are bit-stable. The header and stamp material have a
+fixed shape and are written directly in that encoding's key order, byte for
+byte what `canonical` would produce.
 
 Storage is immutable: a record is a tuple of ints, strings, a kind and bytes,
 and a payload is kept as its canonical bytes, exactly what its digest covers
@@ -21,7 +23,8 @@ is the one a full recomputation gives.
 from an edited, unverified ledger still names the original chain; its caller
 (`post_mortem`) verifies the whole chain against the head first. The offline
 `verify_jsonl` trusts nothing: it accepts only the exact lines govsim writes
-(`DUMP_LINE`) and checks each link against the header text as read.
+(`DUMP_LINE`) and checks each link against the header text as read, and, given
+the run's head digest, the digest after the last line against it.
 
 Payload searches test the stored bytes before decoding anything. A payload
 whose top-level `key` holds a string `value` encodes that item as exactly
@@ -125,13 +128,16 @@ def pair_needle(key: str, value: str | bool) -> bytes:
 
 
 def _tail(record: AuditRecord) -> str:
-    """`"kind":…,"tick":N}`: the text after the actor in both the dump line and the chained header."""
+    """`"kind":…,"tick":N}`: the text after the actor in both the dump line and
+    the chained header. An int seq or tick and a str kind are written inline;
+    anything else (a tampered field) goes through `_json`."""
+    kind, seq, tick = record.kind, record.seq, record.tick
     return '"kind":%s,"payload_digest":"%s","prev_digest":"%s","seq":%s,"tick":%s}' % (
-        _json(record.kind),
+        _quote(kind) if isinstance(kind, str) else _json(kind),
         record.payload_digest.hex(),
         record.prev_digest.hex(),
-        _json(record.seq),
-        _json(record.tick),
+        "%d" % seq if type(seq) is int else _json(seq),
+        "%d" % tick if type(tick) is int else _json(tick),
     )
 
 
@@ -194,6 +200,8 @@ class AuditLedger:
         clock: Callable[[], int] | None = None,
     ) -> None:
         self._key = attestation_key if attestation_key is not None else secrets.token_bytes(32)
+        # Keyed once; `_stamp` copies it and never updates it in place.
+        self._mac = hmac.new(self._key, digestmod="sha256")
         self._clock = clock
         self._records: list[AuditRecord] = []
         self._payloads: list[bytes] = []
@@ -234,9 +242,11 @@ class AuditLedger:
         return [r for r in self._records if r.kind is kind]
 
     def _stamp(self, seq: int, digest: bytes) -> bytes:
-        """HMAC over `canonical({"payload_digest": …, "seq": seq})`."""
-        material = '{"payload_digest":"%s","seq":%s}' % (digest.hex(), _json(seq))
-        return hmac.digest(self._key, material.encode(), "sha256")
+        """HMAC-SHA256 under the run key over `canonical({"payload_digest": …,
+        "seq": seq})`, taken on a copy of the keyed base HMAC."""
+        mac = self._mac.copy()
+        mac.update(('{"payload_digest":"%s","seq":%s}' % (digest.hex(), _json(seq))).encode())
+        return mac.digest()
 
     def append(
         self,
@@ -246,20 +256,13 @@ class AuditLedger:
         *,
         tick: int | None = None,
     ) -> int:
-        kind = RecordKind(kind)
+        if type(kind) is not RecordKind:
+            kind = RecordKind(kind)
         if tick is None:
             tick = self._clock() if self._clock is not None else 0
         blob, digest = _encode(payload)
         seq = len(self._records)
-        record = AuditRecord(
-            seq=seq,
-            tick=tick,
-            actor=actor,
-            kind=kind,
-            payload_digest=digest,
-            prev_digest=self._head,
-            attestation_stamp=self._stamp(seq, digest),
-        )
+        record = AuditRecord(seq, tick, actor, kind, digest, self._head, self._stamp(seq, digest))
         self._records.append(record)
         self._payloads.append(blob)
         self._head = record_digest(record)
@@ -352,7 +355,7 @@ class AuditLedger:
         self._records[seq] = self._records[seq]._replace(**{field: value})
 
 
-def verify_jsonl(lines: Iterable[str]) -> ChainVerdict:
+def verify_jsonl(lines: Iterable[str], head: bytes | None = None) -> ChainVerdict:
     """Offline chain check over a ledger dump: form, continuity, genesis and
     links. Blank lines are skipped. A line that is not exactly what govsim
     writes (an extra, repeated or reordered key, other spacing, a quoted or
@@ -360,14 +363,22 @@ def verify_jsonl(lines: Iterable[str]) -> ChainVerdict:
     the chain at its seq. Each link is the SHA-256 of the header text as
     read. Payloads and the MAC key are not in the dump, so the self and
     stamp checks are unavailable here.
+
+    Without `head` a dropped tail, or an edit to the last line, goes unseen.
+    Given the run's head digest (the report's `ledger.head_digest`), the
+    digest after the last line must equal it; if not, the dump is broken at
+    its last seq (seq 0 when it holds none), as in `verify_chain`.
     """
     expected = GENESIS_DIGEST.hex()
+    n = -1
     for n, line in enumerate(l for l in lines if l.strip()):
         match = DUMP_LINE.fullmatch(line)
         if match is None:
             return ChainVerdict(False, n)
-        head, tail, prev, seq = match.groups()
+        header, tail, prev, seq = match.groups()
         if seq != "%d" % n or prev != expected:
             return ChainVerdict(False, n)
-        expected = hashlib.sha256((head + tail).encode()).hexdigest()
+        expected = hashlib.sha256((header + tail).encode()).hexdigest()
+    if head is not None and head.hex() != expected:
+        return ChainVerdict(False, max(n, 0))
     return ChainVerdict(True)

@@ -3,12 +3,14 @@
 0 clean, 1 for failed assertions, broken chains, or profitable deviations,
 2 for unusable input. Everything runs in process through main(argv).
 """
+import argparse
 import json
 
 import pytest
 
 from govsim.cli import main
 from govsim.harness import FAULT_DRILL_FIXTURE, bundled_scenario_path
+from test_fingerprints import HEADS, PINNED
 
 
 @pytest.fixture()
@@ -66,6 +68,75 @@ def test_verify_ledger_catches_tampering(drill_path, tmp_path, capsys):
     dump.write_text("\n".join(lines) + "\n")
     assert main(["verify-ledger", str(dump)]) == 1
     assert capsys.readouterr().err == "broken at seq 6\n"
+
+
+def _forge_last(lines):
+    record = json.loads(lines[-1])
+    record["actor"] = "someone-else"
+    return lines[:-1] + [json.dumps(record, sort_keys=True, separators=(",", ":"))]
+
+
+# Edits to the dump that only the head can show, and the intact dump: (edit, seq it breaks at).
+HEAD_EDITS = {
+    "intact": (lambda lines: lines, None),
+    "dropped tail": (lambda lines: lines[:-5], PINNED[FAULT_DRILL_FIXTURE][1] - 6),
+    "forged last line": (_forge_last, PINNED[FAULT_DRILL_FIXTURE][1] - 1),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(HEAD_EDITS))
+def test_verify_ledger_checks_the_report_head(drill_path, tmp_path, capsys, edit):
+    dump = tmp_path / "ledger.jsonl"
+    report = tmp_path / "r.json"
+    assert main(["run", str(drill_path), "--out", str(report), "--ledger-out", str(dump)]) == 0
+    head = json.loads(report.read_text())["ledger"]["head_digest"]
+    change, broken_at = HEAD_EDITS[edit]
+    dump.write_text("\n".join(change(dump.read_text().splitlines())) + "\n")
+    # Without the head every edit reads intact.
+    assert main(["verify-ledger", str(dump)]) == 0
+    capsys.readouterr()
+    if broken_at is None:
+        assert main(["verify-ledger", str(dump), "--head", head]) == 0
+    else:
+        assert main(["verify-ledger", str(dump), "--head", head]) == 1
+        assert capsys.readouterr().err == f"broken at seq {broken_at}\n"
+
+
+@pytest.mark.parametrize(
+    "head", ["c0ffee", "sha256:" + "A" * 64, "sha256:" + "0" * 63, HEADS[FAULT_DRILL_FIXTURE] + " "]
+)
+def test_malformed_head_is_a_usage_error_naming_the_flag(drill_path, capsys, head):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-ledger", str(drill_path), "--head", head])
+    assert exc.value.code == 2
+    assert "--head" in capsys.readouterr().err
+
+
+def test_main_builds_no_parser_and_keeps_no_state_between_calls(drill_path, tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    report = tmp_path / "r.json"
+    main(["run", str(drill_path), "--seed", "7", "--out", str(report)])
+    assert json.loads(report.read_text())["fingerprint"] != PINNED[FAULT_DRILL_FIXTURE][0]
+    # The seed of the call before does not carry over.
+    assert main(["run", str(drill_path), "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["fingerprint"] == PINNED[FAULT_DRILL_FIXTURE][0]
+    assert built == []
+
+
+def test_a_usage_error_leaves_main_usable(drill_path, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(drill_path), "--seed", "seven"])
+    assert exc.value.code == 2
+    report = tmp_path / "r.json"
+    assert main(["run", str(drill_path), "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["fingerprint"] == PINNED[FAULT_DRILL_FIXTURE][0]
 
 
 def test_seed_override_reaches_the_report(capsys):

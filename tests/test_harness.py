@@ -578,6 +578,18 @@ def test_no_fault_run_never_freezes(case_report):
     )
 
 
+def test_dispute_release_from_a_node_that_never_verified_is_a_failure():
+    raw = raw_fixture(CASE_STUDY_FIXTURE)
+    for plan in raw["execution_plan"].values():
+        plan["max_cycles"] = 1
+    raw["expectations"] = {}
+    report = run(scenario_from_dict(raw))
+    assert report.body["mission"]["outcome"] == "Stalled"
+    assert "release: items ['ORD-BR-0001'] are not quarantined in TASK-002B" in report.assertion_failures
+    assert report.body["dispute"]["released"] == []
+    assert report.body["dispute"]["remaining_after"] is None
+
+
 # -- the stress ladder -------------------------------------------------------
 
 

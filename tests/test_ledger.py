@@ -211,6 +211,30 @@ def test_tampered_field_types_encode_like_canonical(actor, seq, tick, digest):
     assert rec.to_json_line() == reference_line(rec)
 
 
+def test_one_ledger_stamps_every_record_from_the_key_alone():
+    # One ledger for every stamp: a keyed base HMAC updated in place would
+    # pass a fresh ledger's first stamp and fail every later one.
+    led = AuditLedger(attestation_key=KEY)
+    for i in range(64):
+        led.append(RecordKind.TOOL_CALL, "agent", {"mission_id": "M-1", "i": i}, tick=i)
+    for rec in led:
+        assert rec.attestation_stamp == reference_stamp(rec.seq, rec.payload_digest)
+    digest = bytes(range(DIGEST_SIZE))
+    assert led._stamp(7, digest) == led._stamp(7, digest) == reference_stamp(7, digest)
+    twin = led.fork()
+    assert twin._stamp(64, digest) == led._stamp(64, digest)
+    assert led.fork().verify_chain().ok
+
+
+def test_append_coerces_a_kind_name_and_rejects_an_unknown_one():
+    led = AuditLedger(attestation_key=KEY)
+    led.append("ToolCall", "agent", {}, tick=0)
+    assert led.record(0).kind is RecordKind.TOOL_CALL
+    with pytest.raises(ValueError):
+        led.append("Forged", "agent", {}, tick=1)
+    assert len(led) == 1
+
+
 def test_dump_roundtrip_offline_verify():
     led = build_ledger(8)
     dump = led.dump_jsonl()
@@ -283,6 +307,22 @@ def test_a_tampered_kind_dumps_and_breaks_offline():
     led = build_ledger(4)
     led._tamper_field(1, "kind", "Forged")
     assert verify_jsonl(led.dump_jsonl().splitlines()) == (False, 1)
+
+
+def test_offline_head_check_sees_a_dropped_tail_and_a_forged_last_line():
+    led = build_ledger(8)
+    head = led.head_digest
+    lines = led.dump_jsonl().splitlines()
+    forged = json.loads(lines[-1])
+    forged["actor"] = "someone-else"
+    forged = json.dumps(forged, sort_keys=True, separators=(",", ":"))
+    for edited, broken_at in ((lines[:-5], 2), (lines[:-1] + [forged], 7)):
+        # Without the head both read intact: every line and link checks out.
+        assert verify_jsonl(edited).ok
+        assert verify_jsonl(edited, head=head) == (False, broken_at)
+    assert verify_jsonl(lines, head=head).ok
+    assert verify_jsonl([], head=head) == (False, 0)
+    assert verify_jsonl([], head=GENESIS_DIGEST).ok
 
 
 ROWS = st.lists(st.tuples(ACTORS, st.sampled_from(RecordKind), st.integers()), min_size=1, max_size=8)
