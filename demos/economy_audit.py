@@ -3,6 +3,7 @@
 Sweeps two incentive grids (one sound, one with a profitable deviation),
 then attacks a real ledger: a single tampered record must break the chain,
 and the offline dump check must catch a forged line."""
+import hashlib
 import json
 
 from govsim import (
@@ -11,6 +12,7 @@ from govsim import (
     replay_fault_drill,
     verify_jsonl,
 )
+from govsim.ledger import canonical
 
 
 def sweep(label: str, reward: dict, slash: dict) -> None:
@@ -39,7 +41,15 @@ def ledger_attacks() -> None:
 
     twin = ledger.fork()
     victim = len(twin) // 2
-    twin._tamper_payload(victim, {**twin.payload(victim), "amount": "999999.00"})
+    # An attacker holding the key rewrites one stored payload and redoes its
+    # digest and stamp; only the next record's link still names the old one.
+    blob = canonical({**twin.payload(victim), "amount": "999999.00"})
+    digest = hashlib.sha256(blob).digest()
+    old = twin.record(victim)
+    twin._payloads[victim] = blob
+    twin._records[victim] = old._replace(
+        payload_digest=digest, attestation_stamp=twin._stamp(old.seq, digest)
+    )
     verdict = twin.verify_chain()
     print(f"  payload rewritten at seq {victim}: broken at seq {verdict.first_broken_seq}")
 

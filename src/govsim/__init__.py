@@ -38,8 +38,8 @@ from .execution import (
     release_quarantined,
     rollback,
 )
+from .errors import ConfigError, GovsimError
 from .harness import (
-    ConfigError,
     RunReport,
     ScenarioConfig,
     emit_report,
@@ -78,6 +78,7 @@ __all__ = [
     "EscalationTier",
     "ForensicReport",
     "FreezeEvent",
+    "GovsimError",
     "IdentityRegistry",
     "IncentiveParams",
     "IncentiveResult",

@@ -15,6 +15,13 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .economy import Treasury
+from .errors import (
+    AmendmentRejected,
+    EvidenceIntegrityError,
+    Inconclusive,
+    InvalidTransition,
+    ValidationError,
+)
 from .identity import CertEvent, CertState, IdentityRegistry
 from .ledger import AuditLedger, AuditRecord, RecordKind, key_needle, pair_needle
 from .legislation import (
@@ -26,28 +33,6 @@ from .legislation import (
     prescreen,
 )
 from .money import ZERO, fmt, round2
-
-
-class EvidenceIntegrityError(RuntimeError):
-    pass
-
-
-class Inconclusive(LookupError):
-    pass
-
-
-class PanelError(ValueError):
-    pass
-
-
-class InvalidTransition(ValueError):
-    pass
-
-
-class AmendmentRejected(ValueError):
-    def __init__(self, rule_ids: Sequence[str]) -> None:
-        super().__init__(f"amendment rejected: {sorted(rule_ids)}")
-        self.rule_ids = tuple(sorted(rule_ids))
 
 
 # -- attribution ------------------------------------------------------------
@@ -320,7 +305,7 @@ def file_dispute(
     treasury: Treasury | None = None,
 ) -> DisputeCase:
     if len(panel) != 3:
-        raise PanelError(f"review panel needs exactly 3 members, got {len(panel)}")
+        raise ValidationError(f"review panel needs exactly 3 members, got {len(panel)}")
     case = DisputeCase(
         case_id=case_id or f"DISPUTE-{mission_id}-{now_tick}",
         mission_id=mission_id,

@@ -13,15 +13,10 @@ import re
 import sys
 from pathlib import Path
 
-from .economy import (
-    IncentiveParams,
-    ParamError,
-    check_incentive_compatibility,
-)
+from .economy import IncentiveParams, check_incentive_compatibility
+from .errors import ConfigError, GovsimError, ValidationError
 from .harness import (
     CASE_STUDY_FIXTURE,
-    ConfigError,
-    FormatError,
     RunReport,
     emit_report,
     load_bundled_scenario,
@@ -118,7 +113,7 @@ def _verify_ledger(path: Path, head: bytes | None) -> int:
 def _check_economy(path: Path) -> int:
     tables = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(tables, dict) or "reward" not in tables or "slash" not in tables:
-        raise ParamError("params file needs 'reward' and 'slash' tables")
+        raise ValidationError("params file needs 'reward' and 'slash' tables")
     params = IncentiveParams.from_tables(
         tables["reward"], tables["slash"], tables.get("detection")
     )
@@ -146,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify-ledger":
             return _verify_ledger(args.ledger, args.head)
         return _check_economy(args.params)
-    except (ConfigError, ParamError, FormatError) as exc:
+    except GovsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -11,40 +11,13 @@ from __future__ import annotations
 from decimal import Decimal
 from typing import Mapping, NamedTuple
 
+from .errors import InsufficientFunds, InvalidTransition, NotFound, ValidationError
 from .ledger import AuditLedger, RecordKind
 from .money import ZERO, fmt, nxc, round2
 
 JUDICIAL_FUND = "JudicialFund"
 INFRA_FUND = "InfraFund"
 ECOSYSTEM_FUND = "EcosystemFund"
-
-
-class RateError(ValueError):
-    pass
-
-
-class WeightError(ValueError):
-    pass
-
-
-class DoubleSpend(RuntimeError):
-    pass
-
-
-class AmountError(ValueError):
-    pass
-
-
-class ParamError(ValueError):
-    pass
-
-
-class UnknownAccount(KeyError):
-    pass
-
-
-class InsufficientFunds(RuntimeError):
-    pass
 
 
 class TokenAccount:
@@ -73,9 +46,9 @@ def split_pool(total, protocol_rate, infra_rate) -> tuple[Decimal, Decimal, Deci
     p = Decimal(str(protocol_rate))
     i = Decimal(str(infra_rate))
     if p < 0 or i < 0 or p >= 1 or i >= 1 or p + i >= 1:
-        raise RateError(f"rates ({p}, {i}) must lie in [0,1) and sum below 1")
+        raise ValidationError(f"rates ({p}, {i}) must lie in [0,1) and sum below 1")
     if total <= 0:
-        raise RateError("pool total must be positive")
+        raise ValidationError("pool total must be positive")
     protocol_tax = round2(total * p)
     infra_tax = round2(total * i)
     return protocol_tax, infra_tax, total - protocol_tax - infra_tax
@@ -89,11 +62,11 @@ def weighted_shares(net: Decimal, weights: Mapping[str, Decimal]) -> tuple[tuple
     for did in sorted(weights):
         w = Decimal(str(weights[did]))
         if w < 0:
-            raise WeightError(f"negative weight for {did}")
+            raise ValidationError(f"negative weight for {did}")
         cleaned[did] = w
     total_weight = sum(cleaned.values())
     if not cleaned or total_weight == 0:
-        raise WeightError("at least one weight must be positive")
+        raise ValidationError("at least one weight must be positive")
     entries = {
         did: round2(net * w / total_weight) for did, w in cleaned.items()
     }
@@ -121,7 +94,7 @@ class Treasury:
         try:
             return self._accounts[owner]
         except KeyError:
-            raise UnknownAccount(owner) from None
+            raise NotFound(f"unknown account {owner}") from None
 
     def open_account(self, owner: str, *, balance="0", stake="0") -> TokenAccount:
         acct = self._accounts.setdefault(owner, TokenAccount(owner))
@@ -139,7 +112,7 @@ class Treasury:
 
     def _move(self, src: str, dst: str, amount: Decimal, memo: str, mission_id: str) -> None:
         if amount < 0:
-            raise AmountError(f"negative transfer {amount}")
+            raise ValidationError(f"negative transfer {amount}")
         source = self.account(src)
         if source.balance < amount:
             raise InsufficientFunds(f"{src} holds {source.balance}, needs {amount}")
@@ -162,7 +135,7 @@ class Treasury:
         self, mission_id: str, sponsor: str, total, protocol_rate, infra_rate
     ) -> RewardPool:
         if mission_id in self._pools:
-            raise DoubleSpend(f"pool for {mission_id} already funded")
+            raise InvalidTransition(f"pool for {mission_id} already funded")
         protocol_tax, infra_tax, net = split_pool(total, protocol_rate, infra_rate)
         self._move(sponsor, JUDICIAL_FUND, protocol_tax, "protocol tax", mission_id)
         self._move(sponsor, INFRA_FUND, infra_tax, "infrastructure tax", mission_id)
@@ -195,9 +168,9 @@ class Treasury:
         """Pay the pool's net out by weight; returns the `weighted_shares` paid."""
         pool = self._pools.get(mission_id)
         if pool is None:
-            raise UnknownAccount(f"no pool for {mission_id}")
+            raise NotFound(f"no pool for {mission_id}")
         if pool.escrow_state != "Funded":
-            raise DoubleSpend(f"pool for {mission_id} already distributed")
+            raise InvalidTransition(f"pool for {mission_id} already distributed")
         shares = weighted_shares(pool.net, weights)
         pool.escrow_state = "Distributed"
         for did, amount in shares:
@@ -220,7 +193,7 @@ class Treasury:
     def slash(self, did: str, fraction, reason: str, *, mission_id: str) -> Decimal:
         fraction = Decimal(str(fraction))
         if fraction < 0 or fraction > 1:
-            raise AmountError(f"slash fraction {fraction} outside [0,1]")
+            raise ValidationError(f"slash fraction {fraction} outside [0,1]")
         acct = self.account(did)
         amount = min(round2(acct.stake_locked * fraction), acct.stake_locked)
         if fraction == 0 or amount == 0:
@@ -252,10 +225,10 @@ class Treasury:
     ) -> tuple[Decimal, Decimal]:
         amount = nxc(offer_amount)
         if amount <= 0:
-            raise AmountError(f"offer amount {amount} must be positive")
+            raise ValidationError(f"offer amount {amount} must be positive")
         rate = Decimal(str(cross_tax_rate))
         if rate < 0 or rate >= 1:
-            raise RateError(f"cross-node tax rate {rate} outside [0,1)")
+            raise ValidationError(f"cross-node tax rate {rate} outside [0,1)")
         tax = round2(amount * rate)
         self._move(payer, provider, amount, memo, mission_id)
         if tax > 0:
@@ -304,24 +277,24 @@ def check_incentive_compatibility(params: IncentiveParams) -> IncentiveResult:
     p(d)·S(d) ≤ R(d) − R(0). Holds iff no point is flagged (strict margin)."""
     grid = [d for d, _ in params.reward]
     if not grid:
-        raise ParamError("empty deviation grid")
+        raise ValidationError("empty deviation grid")
     if grid[0] != 0:
-        raise ParamError("grid must contain the honest point d = 0")
+        raise ValidationError("grid must contain the honest point d = 0")
     slash = dict(params.slash)
     detection = dict(params.detection)
     for name, table in (("slash", slash), ("detection", detection)):
         missing = [d for d in grid if d not in table]
         if missing:
-            raise ParamError(f"{name} undefined at grid points {missing}")
+            raise ValidationError(f"{name} undefined at grid points {missing}")
     if slash[Decimal(0)] != 0:
-        raise ParamError("S(0) must be 0")
+        raise ValidationError("S(0) must be 0")
     prev_p = None
     for d in grid:
         p = detection[d]
         if p < 0 or p > 1:
-            raise ParamError(f"detection prob {p} at d={d} outside [0,1]")
+            raise ValidationError(f"detection prob {p} at d={d} outside [0,1]")
         if prev_p is not None and p < prev_p:
-            raise ParamError("detection prob must be non-decreasing in d")
+            raise ValidationError("detection prob must be non-decreasing in d")
         prev_p = p
     honest_reward = dict(params.reward)[Decimal(0)]
     violations = []

@@ -14,6 +14,7 @@ from decimal import Decimal, ROUND_HALF_UP
 from enum import Enum, IntEnum
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
+from .errors import BudgetExceeded, CapBreached, InvalidTransition, NotFound, ValidationError
 from .ledger import AuditLedger, RecordKind, canonical
 from .legislation import Charter, TaskDAG, TaskTemplate
 
@@ -44,26 +45,6 @@ LEGAL_TRANSITIONS: dict[NodeState, frozenset[NodeState]] = {
 }
 
 
-class StateError(RuntimeError):
-    pass
-
-
-class IllegalNodeTransition(StateError):
-    pass
-
-
-class BudgetExceeded(RuntimeError):
-    pass
-
-
-class CapBreached(RuntimeError):
-    pass
-
-
-class NotFound(KeyError):
-    pass
-
-
 class BudgetMeter:
     __slots__ = ("token_cap", "tool_call_cap", "message_cap", "tokens_spent", "tool_calls", "messages")
 
@@ -73,7 +54,7 @@ class BudgetMeter:
 
     def charge(self, *, tokens: int = 0, tool_calls: int = 0, messages: int = 0) -> None:
         if min(tokens, tool_calls, messages) < 0:
-            raise ValueError("meter charges must be non-negative")
+            raise ValidationError("meter charges must be non-negative")
         self.tokens_spent += tokens
         self.tool_calls += tool_calls
         self.messages += messages
@@ -215,7 +196,7 @@ class NodeRun:
 
 def transition(run: NodeRun, new_state: NodeState) -> None:
     if new_state not in LEGAL_TRANSITIONS[run.state]:
-        raise IllegalNodeTransition(f"{run.node_id}: {run.state.value} -> {new_state.value}")
+        raise InvalidTransition(f"{run.node_id}: {run.state.value} -> {new_state.value}")
     if run.journal is not None:
         run.journal.setdefault(run.node_id, run.state)
     run.state = new_state
@@ -289,7 +270,7 @@ def execute_node(
     """Run the node's scripted behavior under its own meter. A budget or cap
     breach freezes the node and re-raises; the guardian adjudicates after."""
     if run.state is not NodeState.RUNNING:
-        raise StateError(f"{run.node_id} must be Running, is {run.state.value}")
+        raise InvalidTransition(f"{run.node_id} must be Running, is {run.state.value}")
     outcome = behavior(run)
     for evidence in outcome.evidence:
         ledger.append(
@@ -345,7 +326,7 @@ def gate_verify(
     tick: int = 0,
 ) -> ProofOfProgress | GateFailure:
     if run.state is not NodeState.RUNNING:
-        raise StateError(f"{run.node_id} must be Running to gate, is {run.state.value}")
+        raise InvalidTransition(f"{run.node_id} must be Running to gate, is {run.state.value}")
     check_id = run.template.gate_check_id or run.node_id.lower()
     checks: list[tuple[str, bool]] = [
         (check_id, not run.template.slashing_condition.violated(telemetry.metrics)),
@@ -407,7 +388,7 @@ def guardian_check(
     """Strict z-score test on one telemetry metric. At exactly the threshold
     the run is healthy; only beyond it does the guardian freeze."""
     if baseline.std <= 0:
-        raise ValueError(f"baseline std for {baseline.metric} must be positive")
+        raise ValidationError(f"baseline std for {baseline.metric} must be positive")
     observed = telemetry.metrics.get(baseline.metric)
     if observed is None:
         return Ok(z_value=0.0)
@@ -448,10 +429,10 @@ def rollback(
     """Restore a frozen node to its last verified entry point. The meter
     resets with the attempt: the completed rerun's spend is the spend."""
     if run.state is not NodeState.FROZEN:
-        raise StateError(f"{run.node_id} must be Frozen to roll back, is {run.state.value}")
+        raise InvalidTransition(f"{run.node_id} must be Frozen to roll back, is {run.state.value}")
     checkpoint = run.checkpoint
     if checkpoint is not None and checkpoint.tick > tick:
-        raise StateError("checkpoint is newer than the rollback tick")
+        raise InvalidTransition("checkpoint is newer than the rollback tick")
     run.meter.reset()
     run.telemetry = None
     run.attempts += 1
@@ -482,7 +463,7 @@ def quarantine(
     """Suspend named work items into the node's quarantine bay. The rest of
     the batch proceeds; a Running node parks until the bay drains."""
     if run.state not in (NodeState.RUNNING, NodeState.VERIFIED):
-        raise StateError(f"{run.node_id} holds no itemized payload in {run.state.value}")
+        raise InvalidTransition(f"{run.node_id} holds no itemized payload in {run.state.value}")
     ids = sorted(set(item_ids))
     if not ids:
         return run.state
@@ -559,7 +540,7 @@ def gate_contract_filter(
 def budget_utilization(spent: int, capped: int) -> Decimal:
     """Mission-level token efficiency, reported at three decimal places."""
     if capped <= 0:
-        raise ValueError("cap total must be positive")
+        raise ValidationError("cap total must be positive")
     return (Decimal(spent) / Decimal(capped)).quantize(
         Decimal("0.001"), rounding=ROUND_HALF_UP
     )

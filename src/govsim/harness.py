@@ -14,7 +14,7 @@ import random
 from datetime import datetime, timedelta
 from decimal import Decimal, InvalidOperation
 from importlib import resources
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Container, Mapping, NamedTuple, Sequence
 
 from .adjudication import (
     BeginDeliberation,
@@ -22,7 +22,6 @@ from .adjudication import (
     DisputeState,
     Incident,
     IncidentProbe,
-    Inconclusive,
     IssueVerdict,
     OpenEvidence,
     Ratify,
@@ -37,18 +36,24 @@ from .adjudication import (
     run_correction_loop,
 )
 from .economy import Treasury
+from .errors import (
+    BudgetExceeded,
+    CapBreached,
+    ConfigError,
+    GovsimError,
+    Inconclusive,
+    NotFound,
+    ValidationError,
+)
 from .execution import (
     Baseline,
     BehaviorOutcome,
-    BudgetExceeded,
-    CapBreached,
     Checkpoint,
     EscalationTier,
     FreezeEvent,
     GateFailure,
     NodeRun,
     NodeState,
-    NotFound,
     Ok,
     Pass,
     Telemetry,
@@ -83,18 +88,6 @@ from .legislation import (
     run_bidding,
 )
 from .money import fmt, nxc
-
-
-class ConfigError(ValueError):
-    """Scenario rejected at load time; carries the offending field path."""
-
-    def __init__(self, field_path: str, message: str) -> None:
-        self.field_path = field_path
-        super().__init__(f"{field_path}: {message}")
-
-
-class FormatError(ValueError):
-    pass
 
 
 # -- fault injection ---------------------------------------------------------
@@ -251,6 +244,13 @@ def _as_finite_decimal(value: Any, path: str) -> Decimal:
     return number
 
 
+def _known(value: Any, known: Container[str], path: str, what: str) -> str:
+    """`value` if it names one of `known`."""
+    if not isinstance(value, str) or value not in known:
+        raise ConfigError(path, f"unknown {what} {value!r}")
+    return value
+
+
 def _parse_rules(raw: Any, path: str) -> tuple[Rule, ...]:
     rules = []
     for k, rule in enumerate(_as_section(raw, path, list)):
@@ -319,10 +319,13 @@ def _parse_partner(raw: Any, path: str) -> tuple[str, str]:
     return _require(raw, "id", path), _as_money(raw.get("balance", "0"), f"{path}.balance")
 
 
-def _parse_params(kind: Any, raw: Any, path: str) -> dict[str, Any]:
-    """Timeline params. The objects that the handlers read by key are checked
-    here; a correction loop's `rubric` and `amendment` and a dispute's `panel`
-    and `verdict` are replaced by the values the handlers pass on."""
+def _parse_params(
+    kind: Any, raw: Any, path: str, node_ids: set[str], order_ids: set[str]
+) -> dict[str, Any]:
+    """Timeline params. The objects that the handlers read by key, and the
+    nodes and orders they name, are checked here; a correction loop's `rubric`
+    and `amendment` and a dispute's `panel` and `verdict` are replaced by the
+    values the handlers pass on."""
     params = dict(_as_section(raw, path, dict))
     if kind == "correction_loop":
         ipath = f"{path}.incident"
@@ -342,6 +345,13 @@ def _parse_params(kind: Any, raw: Any, path: str) -> dict[str, Any]:
         params["amendment"] = _parse_rules(params.get("amendment", []), f"{path}.amendment")
     elif kind == "dispute":
         _as_section(params.get("evidence_query", {}), f"{path}.evidence_query", dict)
+        if "order_ref" in params:
+            _known(params["order_ref"], order_ids, f"{path}.order_ref", "order")
+        if params.get("release"):
+            rpath = f"{path}.release"
+            release = _as_section(params["release"], rpath, dict)
+            _known(_require(release, "node_id", rpath), node_ids, f"{rpath}.node_id", "node")
+            _require(release, "items", rpath)
         panel = _as_section(_require(params, "panel", path), f"{path}.panel", list)
         for k, member in enumerate(panel):
             if not isinstance(member, str):
@@ -357,6 +367,8 @@ def _parse_params(kind: Any, raw: Any, path: str) -> dict[str, Any]:
             recommendation=verdict.get("recommendation"),
             proposed_rules=_parse_rules(verdict.get("proposed_rules", []), f"{vpath}.proposed_rules"),
         )
+    elif kind == "cross_node_attestation" and params.get("release"):
+        _known(_require(params, "node_id", path), node_ids, f"{path}.node_id", "node")
     return params
 
 
@@ -366,7 +378,10 @@ def _parse_fault(raw: Mapping, path: str) -> FaultInjection:
     if not isinstance(kind, str) or kind not in _FAULT_TARGETS:
         raise ConfigError(f"{path}.kind", f"unknown fault kind {kind!r}")
     target = _require(raw, _FAULT_TARGETS[kind], path)
-    behavior = _require(raw, "behavior_name", path) if kind == "BehaviorOverride" else ""
+    behavior = ""
+    if kind == "BehaviorOverride":
+        behavior = _require(raw, "behavior_name", path)
+        _known(behavior, _OVERRIDES, f"{path}.behavior_name", "behavior")
     activate = _as_int(_require(raw, "activate_tick", path), f"{path}.activate_tick", minimum=0)
     deactivate = _as_int(_require(raw, "deactivate_tick", path), f"{path}.deactivate_tick", minimum=0)
     if activate >= deactivate:
@@ -516,7 +531,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
             raise ConfigError(f"{path}.tick", "timeline must be ordered by tick")
         last_tick = tick
         kind = _require(evraw, "kind", path)
-        params = _parse_params(kind, evraw.get("params", {}), f"{path}.params")
+        params = _parse_params(kind, evraw.get("params", {}), f"{path}.params", node_ids, order_ids)
         timeline.append(TimelineEvent(tick=tick, kind=kind, params=params))
 
     known_endpoints = {
@@ -532,10 +547,10 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
         fault = _parse_fault(fraw, path)
         if fault.kind == "CorruptedFeed" and fault.target not in known_endpoints:
             raise ConfigError(f"{path}.endpoint_id", f"no node touches {fault.target!r}")
-        if fault.kind == "StaleCache" and fault.target not in dids:
-            raise ConfigError(f"{path}.did", f"unknown agent {fault.target!r}")
-        if fault.kind == "BehaviorOverride" and fault.target not in node_ids:
-            raise ConfigError(f"{path}.node_id", f"unknown node {fault.target!r}")
+        if fault.kind == "StaleCache":
+            _known(fault.target, dids, f"{path}.did", "agent")
+        if fault.kind == "BehaviorOverride":
+            _known(fault.target, node_ids, f"{path}.node_id", "node")
         faults.append(fault)
 
     graw = _as_section(data.get("guardian", {}), "guardian", dict)
@@ -613,12 +628,6 @@ _OVERRIDES: dict[str, Callable[[BehaviorOutcome, NodeRun], BehaviorOutcome]] = {
 }
 
 
-def _named_override(name: str, outcome: BehaviorOutcome, run: NodeRun) -> BehaviorOutcome:
-    if name not in _OVERRIDES:
-        raise KeyError(f"no behavior named {name!r}")
-    return _OVERRIDES[name](outcome, run)
-
-
 # -- the driver --------------------------------------------------------------
 
 
@@ -675,7 +684,7 @@ def emit_report(report: RunReport, format: str = "json") -> bytes:
         lines.extend(f"  FAIL {f}" for f in failures)
         lines.append(f"fingerprint {body['fingerprint']}")
         return ("\n".join(lines) + "\n").encode()
-    raise FormatError(f"unknown report format {format!r}")
+    raise ValidationError(f"unknown report format {format!r}")
 
 
 class _Clock:
@@ -724,6 +733,8 @@ class _Driver:
         self.cross_node_block: dict | None = None
         self.failures: list[str] = []
         self.outcome = "Completed"
+        # the planned or timeline event being handled, for an abort line
+        self.event: _Planned | TimelineEvent | None = None
 
     # -- clock helpers ------------------------------------------------------
 
@@ -991,7 +1002,7 @@ class _Driver:
                 evidence=tuple(evidence),
             )
             if override is not None:
-                outcome = _named_override(override, outcome, run)
+                outcome = _OVERRIDES[override](outcome, run)
             self.node_outputs[node_id] = outcome.output
             return outcome
 
@@ -1143,8 +1154,10 @@ class _Driver:
             if self.mission_frozen:
                 break
             self.advance(event.tick)
+            self.event = event
             handlers[event.action](event, self.runs[event.node_id], self.config.plans[event.node_id])
             self.flush_moves(event.tick)
+        self.event = None
 
     # -- wrap-up phases ------------------------------------------------------
 
@@ -1448,7 +1461,9 @@ class _Driver:
                 self.failures.append(f"unknown timeline event kind {event.kind!r}")
                 continue
             self.advance(event.tick)
+            self.event = event
             handler(event)
+        self.event = None
 
     # -- report --------------------------------------------------------------
 
@@ -1552,11 +1567,28 @@ class _Driver:
         body["fingerprint"] = hashlib.sha256(canonical(body)).hexdigest()
         return RunReport(body, self)
 
-    def execute(self) -> RunReport:
+    def abort(self, exc: GovsimError) -> None:
+        """Record a domain error that stopped the run: one failure line naming
+        the error, the tick, the event being handled and the last ledger seq."""
+        self.outcome = "Aborted"
+        event, action, node = self.event, "none", None
+        if isinstance(event, _Planned):
+            action, node = event.action, event.node_id
+        elif event is not None:
+            release = event.params.get("release")
+            action = event.kind
+            node = release.get("node_id") if isinstance(release, Mapping) else event.params.get("node_id")
+        last_seq = len(self.ledger) - 1 if len(self.ledger) else "none"
+        self.failures.append(
+            f"aborted: {type(exc).__name__}: {exc} (tick {self.now}, event {action},"
+            f" node {node or 'none'}, last seq {last_seq})"
+        )
+
+    def execute(self) -> None:
         self.register_roster()
         dag, assignments = self.legislate()
         if dag is None:
-            return self.build_report()
+            return
         self.dag = dag
         self.runs = make_runs(dag, assignments)
         for run in self.runs.values():
@@ -1565,13 +1597,21 @@ class _Driver:
         self.complete_mission()
         self.settle()
         self.run_timeline()
-        return self.build_report()
 
 
 def run(config: ScenarioConfig) -> RunReport:
     """Execute one scenario end to end. Failures surface inside the report
-    (assertion_failures), never as exceptions."""
-    return _Driver(config).execute()
+    (assertion_failures). A `GovsimError` raised by any phase stops the run:
+    the report then has outcome `Aborted`, one `aborted: ...` failure line
+    naming the error, and is built from the state reached. Nothing else is
+    caught, so a `TypeError`, `AttributeError` or builtin `KeyError` or
+    `ValueError` (a scenario the loader should have rejected) still raises."""
+    driver = _Driver(config)
+    try:
+        driver.execute()
+    except GovsimError as exc:
+        driver.abort(exc)
+    return driver.build_report()
 
 
 CASE_STUDY_FIXTURE = "case-study.json"

@@ -5,6 +5,7 @@ from decimal import Decimal
 from enum import Enum
 from typing import Iterator, Mapping
 
+from .errors import InvalidTransition, NotFound, ValidationError
 from .ledger import AuditLedger, RecordKind
 from .money import clamp_score, fmt, nxc, round1
 
@@ -44,26 +45,6 @@ for _state in CertState:
         TRANSITIONS[(_state, CertEvent.REVOKE_ORDER)] = CertState.REVOKED
 
 
-class DuplicateIdentity(ValueError):
-    pass
-
-
-class OwnershipViolation(ValueError):
-    """Every agent must map to a named human principal."""
-
-
-class InvalidTransition(ValueError):
-    pass
-
-
-class UnknownAgent(KeyError):
-    pass
-
-
-class UnknownBaseline(KeyError):
-    pass
-
-
 class AgentProfile:
     """One registered agent; the registry mutates its reputation and state."""
 
@@ -94,7 +75,7 @@ class IdentityRegistry:
         try:
             return self._profiles[did]
         except KeyError:
-            raise UnknownAgent(did) from None
+            raise NotFound(f"unknown agent {did}") from None
 
     def register_agent(
         self,
@@ -108,12 +89,12 @@ class IdentityRegistry:
         baselines: Mapping[str, tuple[float, float]] | None = None,
     ) -> AgentProfile:
         if did in self._profiles:
-            raise DuplicateIdentity(did)
+            raise ValidationError(f"duplicate identity {did}")
         if not owner:
-            raise OwnershipViolation(f"{did}: owner must be a named principal")
+            raise ValidationError(f"{did}: owner must be a named principal")
         stake = nxc(stake)
         if stake < 0:
-            raise ValueError(f"{did}: stake must be non-negative")
+            raise ValidationError(f"{did}: stake must be non-negative")
         profile = AgentProfile(
             did=did,
             role=role,
@@ -124,7 +105,7 @@ class IdentityRegistry:
         )
         for label, (mean, std) in (baselines or {}).items():
             if std <= 0:
-                raise ValueError(f"baseline {label}: std must be > 0")
+                raise ValidationError(f"baseline {label}: std must be > 0")
             profile.baselines[label] = (float(mean), float(std))
         self._profiles[did] = profile
         self._ledger.append(
@@ -181,7 +162,7 @@ class IdentityRegistry:
         try:
             return profile.baselines[behavior_class]
         except KeyError:
-            raise UnknownBaseline(f"{did}: {behavior_class}") from None
+            raise NotFound(f"no baseline {behavior_class!r} for {did}") from None
 
 
 def shortest_certification_path(start: CertState) -> int | None:

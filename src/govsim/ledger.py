@@ -43,6 +43,8 @@ import secrets
 from enum import Enum
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
+from .errors import NotFound, ValidationError
+
 DIGEST_SIZE = 32
 GENESIS_DIGEST = b"\x00" * DIGEST_SIZE
 
@@ -69,14 +71,6 @@ class RecordKind(str, Enum):
     CORRECTION_STAGE = "CorrectionStage"
     NODE_FAILED = "NodeFailed"
     TOOL_CALL = "ToolCall"
-
-
-class RangeError(ValueError):
-    """verify_chain was asked about sequence numbers the ledger does not hold."""
-
-
-class UnknownMission(KeyError):
-    pass
 
 
 # The options `json.dumps` would be given; one encoder skips building one per call.
@@ -279,9 +273,9 @@ class AuditLedger:
         if not records:
             if from_seq == 0 and to_seq == -1:
                 return ChainVerdict(True)
-            raise RangeError("empty ledger")
+            raise ValidationError("empty ledger")
         if from_seq < 0 or to_seq > last or from_seq > to_seq:
-            raise RangeError(f"range [{from_seq}, {to_seq}] outside [0, {last}]")
+            raise ValidationError(f"range [{from_seq}, {to_seq}] outside [0, {last}]")
         # Each digest is computed once: it is the next record's expected link
         # and, after the last record, the expected head.
         digest = GENESIS_DIGEST if from_seq == 0 else record_digest(records[from_seq - 1])
@@ -315,7 +309,7 @@ class AuditLedger:
         edit goes unseen here."""
         refs = tuple(seq for seq, seal in enumerate(self._seals) if seal.mission_id == mission_id)
         if not refs:
-            raise UnknownMission(mission_id)
+            raise NotFound(f"no records for mission {mission_id!r}")
         anchor = hashlib.sha256(b"".join(self._seals[seq].digest for seq in refs)).digest()
         return LogicPedigree(mission_id=mission_id, record_refs=refs, anchor_digest=anchor)
 
@@ -330,29 +324,6 @@ class AuditLedger:
         twin._head = self._head
         twin._seals = list(self._seals)
         return twin
-
-    # -- test hooks ---------------------------------------------------------
-    # These simulate storage-level attacks; nothing in the package calls them.
-    # Like an attacker on storage, they replace slots and leave `_seals` as it
-    # was: `verify_chain` re-derives every replaced slot.
-
-    def _tamper_payload(self, seq: int, payload: Mapping[str, Any]) -> None:
-        """Consistent rewrite: payload, digest, and stamp are all redone, so
-        detection rests on the chain links (or the head check for the last
-        record), not on the per-record self checks."""
-        blob, digest = _encode(payload)
-        old = self._records[seq]
-        self._payloads[seq] = blob
-        self._records[seq] = old._replace(
-            payload_digest=digest, attestation_stamp=self._stamp(old.seq, digest)
-        )
-
-    def _tamper_field(self, seq: int, field: str, value: Any) -> None:
-        """Raw single-field mutation with no recomputation."""
-        if field == "payload":
-            self._payloads[seq] = _encode(value)[0]
-            return
-        self._records[seq] = self._records[seq]._replace(**{field: value})
 
 
 def verify_jsonl(lines: Iterable[str], head: bytes | None = None) -> ChainVerdict:

@@ -13,29 +13,10 @@ from decimal import Decimal, InvalidOperation
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .economy import split_pool
+from .errors import NotFound, ValidationError
 from .identity import CertState, IdentityRegistry
 from .ledger import AuditLedger, RecordKind, canonical
 from .money import fmt, nxc
-
-
-class ValidationError(ValueError):
-    pass
-
-
-class CycleError(ValueError):
-    pass
-
-
-class NoEligibleBid(LookupError):
-    pass
-
-
-class IncompleteAssignment(ValueError):
-    pass
-
-
-class CertificationViolation(ValueError):
-    pass
 
 
 # -- charter ----------------------------------------------------------------
@@ -306,7 +287,7 @@ def _grouped(pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
 
 class TaskDAG:
     """A validated template graph. It never changes, so its adjacency and
-    order are built once, at construction; a cycle raises `CycleError`."""
+    order are built once, at construction; a cycle raises `ValidationError`."""
 
     __slots__ = ("mission_id", "nodes", "edges", "_dependents", "_dependencies", "_order")
 
@@ -358,7 +339,7 @@ class TaskDAG:
             if changed:
                 ready.sort()
         if len(order) != len(self.nodes):
-            raise CycleError("dependency cycle survived decomposition")
+            raise ValidationError("dependency cycle survived decomposition")
         return tuple(order)
 
     def sink_id(self) -> str:
@@ -378,7 +359,7 @@ def decompose(job: JobSpec, *, mission_id: str, ledger: AuditLedger) -> TaskDAG:
             raise ValidationError(f"duplicate template id {tid}")
         for dep in template.depends_on:
             if dep == tid:
-                raise CycleError(f"template {tid} depends on itself")
+                raise ValidationError(f"template {tid} depends on itself")
             if dep not in seen:
                 raise ValidationError(
                     f"template {tid} depends on {dep}, which is not an earlier template"
@@ -590,7 +571,7 @@ def run_bidding(
             continue
         eligible.append((bid, profile))
     if not eligible:
-        raise NoEligibleBid(f"no eligible bid for {node_id}")
+        raise NotFound(f"no eligible bid for {node_id}")
     eligible.sort(
         key=lambda pair: (
             -pair[0].accuracy_sla,
@@ -652,11 +633,11 @@ def generate_contract_stack(
         raise ValidationError("contract generation requires a prescreen authorization token")
     missing = sorted(n for n in dag.nodes if n not in assignments)
     if missing:
-        raise IncompleteAssignment(f"unassigned nodes: {missing}")
+        raise ValidationError(f"unassigned nodes: {missing}")
     for node_id, assignment in assignments.items():
         profile = registry.get(assignment.assignee)
         if profile.cert_state is CertState.REVOKED:
-            raise CertificationViolation(
+            raise ValidationError(
                 f"{assignment.assignee} is revoked and cannot hold {node_id}"
             )
     _, _, net = split_pool(

@@ -1,10 +1,10 @@
 """Builders shared across test modules: a nine-node settlement job, a
-ceiling charter, a fresh ledger, and a small certified registry; and
-`same`, an equality that also compares types."""
+ceiling charter, a fresh ledger, and a small certified registry; `same`, an
+equality that also compares types; and the storage-level ledger tampers."""
 from decimal import Decimal
 
 from govsim.identity import CertEvent, IdentityRegistry
-from govsim.ledger import AuditLedger
+from govsim.ledger import AuditLedger, _encode
 from govsim.legislation import (
     Charter,
     JobSpec,
@@ -99,3 +99,28 @@ def certified_registry():
         "did:test:provisional", "execution", "ops-lead", "5000.00", reputation="99.0"
     )
     return registry
+
+
+# Storage-level attacks on a ledger. Like an attacker on storage, they replace
+# the record and payload slots and leave the seals as they were, so
+# `verify_chain` re-derives every replaced slot.
+
+
+def tamper_payload(ledger, seq, payload):
+    """Consistent rewrite: payload, digest, and stamp are all redone, so
+    detection rests on the chain links (or the head check for the last
+    record), not on the per-record self checks."""
+    blob, digest = _encode(payload)
+    old = ledger._records[seq]
+    ledger._payloads[seq] = blob
+    ledger._records[seq] = old._replace(
+        payload_digest=digest, attestation_stamp=ledger._stamp(old.seq, digest)
+    )
+
+
+def tamper_field(ledger, seq, field, value):
+    """Raw single-field mutation with no recomputation."""
+    if field == "payload":
+        ledger._payloads[seq] = _encode(value)[0]
+        return
+    ledger._records[seq] = ledger._records[seq]._replace(**{field: value})

@@ -6,19 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from govsim.adjudication import (
     AgentFault,
-    AmendmentRejected,
     BeginDeliberation,
     CloseCase,
     DisputeState,
-    EvidenceIntegrityError,
     Incident,
     IncidentProbe,
-    Inconclusive,
     InfrastructureFault,
-    InvalidTransition,
     IssueVerdict,
     OpenEvidence,
-    PanelError,
     ProviderFault,
     Ratify,
     SlashingRubric,
@@ -35,12 +30,20 @@ from govsim.adjudication import (
     run_correction_loop,
 )
 from govsim.economy import JUDICIAL_FUND, Treasury
+from govsim.errors import (
+    AmendmentRejected,
+    EvidenceIntegrityError,
+    Inconclusive,
+    InvalidTransition,
+    NotFound,
+    ValidationError,
+)
 from govsim.identity import CertEvent, CertState, IdentityRegistry
-from govsim.ledger import AuditLedger, RecordKind, UnknownMission
+from govsim.ledger import AuditLedger, RecordKind
 from govsim.legislation import Charter, Predicate, Rule
 from govsim.money import nxc
 
-from helpers import same
+from helpers import same, tamper_field, tamper_payload
 
 MISSION = "MISSION-X"
 
@@ -149,16 +152,16 @@ class TestPostMortem:
 
     def test_tampered_chain_is_inadmissible(self):
         ledger = evidence_ledger()
-        ledger._tamper_field(3, "actor", "someone-else")
+        tamper_field(ledger, 3, "actor", "someone-else")
         with pytest.raises(EvidenceIntegrityError):
             post_mortem(ledger, feed_incident())
 
     @pytest.mark.parametrize(
         "tamper",
         [
-            lambda ledger: ledger._tamper_field(3, "actor", "someone-else"),
-            lambda ledger: ledger._tamper_payload(3, {"mission_id": MISSION, "call_index": 99}),
-            lambda ledger: ledger._tamper_payload(15, {"mission_id": MISSION, "call_index": 99}),
+            lambda ledger: tamper_field(ledger, 3, "actor", "someone-else"),
+            lambda ledger: tamper_payload(ledger, 3, {"mission_id": MISSION, "call_index": 99}),
+            lambda ledger: tamper_payload(ledger, 15, {"mission_id": MISSION, "call_index": 99}),
         ],
         ids=["field", "payload", "last-payload"],
     )
@@ -267,7 +270,7 @@ class TestPrefilter:
         )
         incident = feed_incident(probe=probe)
         if not any(ours for _, ours, _ in rows):
-            with pytest.raises(UnknownMission):
+            with pytest.raises(NotFound, match="no records for mission"):
                 post_mortem(ledger, incident)
         else:
             expected = _reference_matches(ledger, probe, ledger.pedigree(MISSION).record_refs)
@@ -392,7 +395,7 @@ class TestDisputeLifecycle:
 
     @pytest.mark.parametrize("panel", [("a", "b"), ("a", "b", "c", "d"), ()])
     def test_panel_must_be_three(self, panel):
-        with pytest.raises(PanelError):
+        with pytest.raises(ValidationError, match="panel needs exactly 3"):
             file_dispute(MISSION, panel, 0, ledger=AuditLedger(attestation_key=b"adj-test"))
 
     def test_filing_fee_charged(self):

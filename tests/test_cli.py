@@ -9,7 +9,7 @@ import json
 import pytest
 
 from govsim.cli import main
-from govsim.harness import FAULT_DRILL_FIXTURE, bundled_scenario_path
+from govsim.harness import CASE_STUDY_FIXTURE, FAULT_DRILL_FIXTURE, bundled_scenario_path
 from test_fingerprints import HEADS, PINNED
 
 
@@ -190,6 +190,21 @@ def test_failed_expectations_exit_one(drill_path, tmp_path, capsys):
     bad.write_text(json.dumps(raw))
     assert main(["run", str(bad), "--out", str(tmp_path / "r.json")]) == 1
     assert "FAIL mission.outcome" in capsys.readouterr().err
+
+
+def test_a_run_that_aborts_exits_one_with_one_abort_line(tmp_path, capsys):
+    raw = json.loads(bundled_scenario_path(CASE_STUDY_FIXTURE).read_text())
+    raw["economy"]["org_balance"] = "0.00"
+    path = tmp_path / "broke.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("FAIL aborted")] == [
+        "FAIL aborted: InsufficientFunds: AE4E-GSC-FRA-001 holds 0.00, needs 166.25"
+        " (tick 830, event none, node none, last seq 42)"
+    ]
+    assert "Traceback" not in err
+    assert json.loads((tmp_path / "r.json").read_text())["mission"]["outcome"] == "Aborted"
 
 
 def test_unknown_format_is_a_usage_error(drill_path):

@@ -15,20 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from govsim.economy import (
-    AmountError,
-    DoubleSpend,
     IncentiveParams,
-    InsufficientFunds,
     JUDICIAL_FUND,
-    ParamError,
-    RateError,
     Treasury,
-    UnknownAccount,
-    WeightError,
     check_incentive_compatibility,
     split_pool,
     weighted_shares,
 )
+from govsim.errors import InsufficientFunds, InvalidTransition, NotFound, ValidationError
 from govsim.ledger import AuditLedger, RecordKind
 from govsim.money import nxc
 
@@ -52,11 +46,11 @@ class TestSplitPool:
 
     @pytest.mark.parametrize("rates", [("-0.1", "0"), ("0.6", "0.5"), ("1.0", "0")])
     def test_bad_rates(self, rates):
-        with pytest.raises(RateError):
+        with pytest.raises(ValidationError, match="must lie in"):
             split_pool("100.00", *rates)
 
     def test_nonpositive_total(self):
-        with pytest.raises(RateError):
+        with pytest.raises(ValidationError, match="pool total must be positive"):
             split_pool("0", "0.035", "0.015")
 
 
@@ -90,11 +84,11 @@ class TestWeightedShares:
 
     @pytest.mark.parametrize("weights", [{}, {"a": Decimal(0)}])
     def test_degenerate_weights(self, weights):
-        with pytest.raises(WeightError):
+        with pytest.raises(ValidationError, match="at least one weight"):
             weighted_shares(nxc("10.00"), weights)
 
     def test_negative_weight(self):
-        with pytest.raises(WeightError):
+        with pytest.raises(ValidationError, match="negative weight"):
             weighted_shares(nxc("10.00"), {"a": Decimal(-1), "b": Decimal(2)})
 
     @given(
@@ -135,7 +129,7 @@ class TestTreasury:
         treasury, _ = make_treasury()
         treasury.open_account("org", balance="10000.00")
         treasury.fund_pool("M-1", "org", "100.00", "0.035", "0.015")
-        with pytest.raises(DoubleSpend):
+        with pytest.raises(InvalidTransition, match="already funded"):
             treasury.fund_pool("M-1", "org", "100.00", "0.035", "0.015")
 
     def test_distribute_moves_escrow_and_closes_pool(self):
@@ -147,7 +141,7 @@ class TestTreasury:
         assert dict(dist) == weights
         assert treasury.account("a").balance == nxc("892.40")
         assert pool.escrow_state == "Distributed"
-        with pytest.raises(DoubleSpend):
+        with pytest.raises(InvalidTransition, match="already distributed"):
             treasury.distribute("M-1", weights)
 
     def test_conservation_across_full_flow(self):
@@ -184,7 +178,7 @@ class TestTreasury:
     def test_slash_fraction_bounds(self):
         treasury, _ = make_treasury()
         treasury.open_account("agent", stake="100.00")
-        with pytest.raises(AmountError):
+        with pytest.raises(ValidationError, match="slash fraction"):
             treasury.slash("agent", "1.5", "too much", mission_id="M-1")
 
     def test_cross_node_fee_and_tax(self):
@@ -201,7 +195,7 @@ class TestTreasury:
     def test_cross_node_rejects_nonpositive_amount(self):
         treasury, _ = make_treasury()
         treasury.open_account("payer", balance="10.00")
-        with pytest.raises(AmountError):
+        with pytest.raises(ValidationError, match="offer amount"):
             treasury.settle_cross_node("payer", "provider", "0", "0.02", mission_id="M-1")
 
     def test_transfer_guards(self):
@@ -209,7 +203,7 @@ class TestTreasury:
         treasury.open_account("a", balance="5.00")
         with pytest.raises(InsufficientFunds):
             treasury.transfer("a", "b", "6.00", mission_id="M-1")
-        with pytest.raises(UnknownAccount):
+        with pytest.raises(NotFound, match="unknown account"):
             treasury.transfer("ghost", "b", "1.00", mission_id="M-1")
 
 
@@ -263,7 +257,7 @@ class TestIncentiveChecker:
         ],
     )
     def test_param_validation(self, reward, slash, detection):
-        with pytest.raises(ParamError):
+        with pytest.raises(ValidationError, match=r"grid|S\(0\)|detection prob"):
             check_incentive_compatibility(self.grid(reward, slash, detection))
 
     @given(

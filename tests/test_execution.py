@@ -11,24 +11,20 @@ from decimal import Decimal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from govsim.errors import BudgetExceeded, CapBreached, InvalidTransition, NotFound
 from govsim.execution import (
     Baseline,
     BehaviorOutcome,
     Blocked,
-    BudgetExceeded,
     BudgetMeter,
-    CapBreached,
     EscalationTier,
     FreezeEvent,
     GateFailure,
-    IllegalNodeTransition,
     NodeRun,
     NodeState,
-    NotFound,
     Ok,
     Pass,
     ProofOfProgress,
-    StateError,
     ToolCallEvidence,
     budget_utilization,
     escalate,
@@ -95,7 +91,7 @@ class TestLifecycle:
     )
     def test_illegal_transitions_refused(self, src, dst):
         node = run_for(state=src)
-        with pytest.raises(IllegalNodeTransition):
+        with pytest.raises(InvalidTransition, match=" -> "):
             transition(node, dst)
 
     def test_journal_keeps_each_nodes_first_from_state(self):
@@ -107,7 +103,7 @@ class TestLifecycle:
         transition(a, NodeState.RUNNING)
         transition(b, NodeState.FROZEN)
         assert journal == {"TASK-A": NodeState.PENDING, "TASK-B": NodeState.RUNNING}
-        with pytest.raises(IllegalNodeTransition):
+        with pytest.raises(InvalidTransition, match=" -> "):
             transition(a, NodeState.COMPLETED)
         assert journal == {"TASK-A": NodeState.PENDING, "TASK-B": NodeState.RUNNING}
 
@@ -159,7 +155,7 @@ class TestExecuteNode:
 
     def test_requires_running_state(self):
         node = run_for(state=NodeState.READY)
-        with pytest.raises(StateError):
+        with pytest.raises(InvalidTransition, match="must be Running"):
             execute_node(node, lambda r: outcome(), ledger=new_ledger(), mission_id="M")
 
     def test_evidence_lands_on_ledger(self):
@@ -246,7 +242,7 @@ class TestGateVerify:
         node, telemetry = self.verified_node({"rate_deviation_bps": 0.31})
         ledger = new_ledger()
         gate_verify(node, telemetry, cosigner="v", ledger=ledger, mission_id="M")
-        with pytest.raises(StateError):
+        with pytest.raises(InvalidTransition, match="must be Running to gate"):
             gate_verify(node, telemetry, cosigner="v", ledger=ledger, mission_id="M")
 
 
@@ -372,7 +368,7 @@ class TestRollback:
 
     def test_requires_frozen(self):
         node = run_for()
-        with pytest.raises(StateError):
+        with pytest.raises(InvalidTransition, match="must be Frozen"):
             rollback(node, ledger=new_ledger(), mission_id="M")
 
     def test_checkpoint_never_newer_than_rollback(self):
@@ -387,7 +383,7 @@ class TestRollback:
         from govsim.execution import _freeze
 
         _freeze(node, "timeout", 499, ledger=ledger)
-        with pytest.raises(StateError):
+        with pytest.raises(InvalidTransition, match="checkpoint is newer"):
             rollback(node, tick=499, ledger=ledger, mission_id="M")
 
     def test_downstream_states_untouched(self):
@@ -436,7 +432,7 @@ class TestQuarantine:
 
     def test_unknown_items(self):
         node = self.batch_node(count=3)
-        with pytest.raises(NotFound):
+        with pytest.raises(NotFound, match="unknown items"):
             quarantine(node, ["ORD-9999"], ledger=new_ledger(), mission_id="M")
 
     def test_release_two_of_six(self):
@@ -449,7 +445,7 @@ class TestQuarantine:
         )
         assert len(node.quarantined_items) == 4
         assert len(node.items) == 843
-        with pytest.raises(NotFound):
+        with pytest.raises(NotFound, match="not quarantined"):
             release_quarantined(node, ["ORD-0777"], resolution="x", ledger=ledger, mission_id="M")
 
     def test_running_node_parks_and_resumes(self):

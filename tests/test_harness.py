@@ -15,18 +15,20 @@ Derived oracles, computed before the assertions:
 import copy
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
+from govsim.errors import ConfigError, ValidationError
 from govsim.harness import (
     CASE_STUDY_FIXTURE,
     FAULT_DRILL_FIXTURE,
     STRESS_WINDOW_FIXTURE,
-    ConfigError,
-    FormatError,
     bundled_scenario_path,
     emit_report,
     load_bundled_scenario,
@@ -103,6 +105,25 @@ def _unknown_override_node(raw):
             "deactivate_tick": 2,
         }
     )
+
+
+def _unknown_override_behavior(raw):
+    raw["faults"].append(
+        {
+            "kind": "BehaviorOverride",
+            "node_id": "TASK-FX-002",
+            "behavior_name": "nope",
+            "activate_tick": 1,
+            "deactivate_tick": 2,
+        }
+    )
+
+
+def _cross_node_unknown_node(raw):
+    event = raw_fixture(CASE_STUDY_FIXTURE)["timeline"][1]
+    event["tick"] = 10**9
+    event["params"]["node_id"] = "TASK-NOPE"
+    raw["timeline"].append(event)
 
 
 def _missing_plan(raw):
@@ -204,6 +225,9 @@ def _dispute(field, value, *keys):
     def mutate(raw):
         event = raw_fixture(CASE_STUDY_FIXTURE)["timeline"][2]
         event["tick"] = 10**9
+        # fault-drill has no orders, and other nodes
+        del event["params"]["order_ref"]
+        event["params"]["release"]["node_id"] = "TASK-FX-002"
         target = event["params"]
         for key in keys[:-1]:
             target = target[key]
@@ -240,6 +264,8 @@ def _dispute(field, value, *keys):
         (_unknown_feed, "faults[1].endpoint_id"),
         (_unknown_stale_did, "faults[0].did"),
         (_unknown_override_node, "faults[1].node_id"),
+        (_unknown_override_behavior, "faults[1].behavior_name"),
+        (_cross_node_unknown_node, "timeline[1].params.node_id"),
         (_zero_window, "guardian.window_ticks"),
         *(_mission_id(value) for value in (7, None, "", [])),
         *(
@@ -315,6 +341,8 @@ def _dispute(field, value, *keys):
         _dispute("verdict.proposed_rules", 7, "verdict", "proposed_rules"),
         _dispute("verdict.proposed_rules[0]", [7], "verdict", "proposed_rules"),
         _dispute("verdict.proposed_rules[0]", "galaxy", "verdict", "proposed_rules", 0, "scope"),
+        _dispute("order_ref", "NOPE"),
+        _dispute("release.node_id", "TASK-NOPE", "release", "node_id"),
     ],
 )
 def test_rejections_name_the_field(mutate, path):
@@ -590,6 +618,98 @@ def test_dispute_release_from_a_node_that_never_verified_is_a_failure():
     assert report.body["dispute"]["remaining_after"] is None
 
 
+# -- aborted runs ------------------------------------------------------------
+
+
+def _duplicate_first_agent(raw):
+    raw["agents"].append(copy.deepcopy(raw["agents"][0]))
+
+
+def _cut_dispute_panel(raw):
+    params = raw["timeline"][2]["params"]
+    params["panel"] = params["panel"][:2]
+
+
+# Case-study mutations that load and then raise a domain error inside `run`,
+# with the abort line each report must carry.
+ABORTS = {
+    "org_balance": (
+        lambda raw: raw["economy"].update(org_balance="0.00"),
+        "aborted: InsufficientFunds: AE4E-GSC-FRA-001 holds 0.00, needs 166.25"
+        " (tick 830, event none, node none, last seq 42)",
+    ),
+    "stake_floor": (
+        lambda raw: raw["economy"].update(stake_floor="99999999.00"),
+        "aborted: NotFound: no eligible bid for TASK-001A (tick 160, event none, node none, last seq 25)",
+    ),
+    "owner": (
+        lambda raw: raw["agents"][0].update(owner=""),
+        "aborted: ValidationError: did:netx:gsc-fra:agent:strategy-fx-7: owner must be a named principal"
+        " (tick 0, event none, node none, last seq none)",
+    ),
+    "duplicate_agent": (
+        _duplicate_first_agent,
+        "aborted: ValidationError: duplicate identity did:netx:gsc-fra:agent:strategy-fx-7"
+        " (tick 96, event none, node none, last seq 23)",
+    ),
+    "protocol_rate": (
+        lambda raw: raw["economy"].update(protocol_rate="2"),
+        "aborted: ValidationError: rates (2, 0.015) must lie in [0,1) and sum below 1"
+        " (tick 540, event none, node none, last seq 34)",
+    ),
+    "dispute_panel": (
+        _cut_dispute_panel,
+        "aborted: ValidationError: review panel needs exactly 3 members, got 2"
+        " (tick 260282, event dispute, node TASK-002B, last seq 107)",
+    ),
+}
+
+
+def _aborted_run(name):
+    raw = raw_fixture(CASE_STUDY_FIXTURE)
+    ABORTS[name][0](raw)
+    return run(scenario_from_dict(raw))
+
+
+def abort_fingerprints():
+    return {name: _aborted_run(name).fingerprint for name in sorted(ABORTS)}
+
+
+@pytest.mark.parametrize("name", sorted(ABORTS))
+def test_a_domain_error_aborts_the_run_into_its_report(name):
+    report = _aborted_run(name)
+    assert report.body["mission"]["outcome"] == "Aborted"
+    assert [f for f in report.assertion_failures if f.startswith("aborted:")] == [ABORTS[name][1]]
+    assert report.body["ledger"]["records"] == len(report.ledger)
+    head = bytes.fromhex(report.body["ledger"]["head_digest"].removeprefix("sha256:"))
+    assert verify_jsonl(report.ledger_jsonl.splitlines(), head=head)
+    assert _aborted_run(name).fingerprint == report.fingerprint
+
+
+def test_aborted_fingerprints_do_not_depend_on_the_hash_seed():
+    expected = abort_fingerprints()
+    tests = Path(__file__).resolve().parent
+    code = "import json, test_harness; print(json.dumps(test_harness.abort_fingerprints()))"
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == expected
+
+
+def test_an_error_outside_the_domain_still_raises(monkeypatch):
+    from govsim.harness import _Driver
+
+    def gap(self):
+        raise TypeError("loader gap")
+
+    monkeypatch.setattr(_Driver, "settle", gap)
+    with pytest.raises(TypeError, match="loader gap"):
+        run(load_bundled_scenario(FAULT_DRILL_FIXTURE))
+
+
 # -- the stress ladder -------------------------------------------------------
 
 
@@ -722,11 +842,14 @@ def test_each_named_override_reaches_the_run(name, trigger, scope_ok):
     assert calls and all(c["contract_scope_ok"] is scope_ok for c in calls)
 
 
-def test_unknown_override_name_raises_key_error():
-    from govsim.harness import _named_override
-
-    with pytest.raises(KeyError, match="no behavior named 'nope'"):
-        _named_override("nope", None, None)
+@pytest.mark.parametrize("name", ["nope", "", ["tool-storm"]])
+def test_unknown_override_name_is_rejected_at_load(name):
+    raw = raw_fixture(FAULT_DRILL_FIXTURE)
+    _unknown_override_behavior(raw)
+    raw["faults"][1]["behavior_name"] = name
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(raw)
+    assert str(err.value) == f"faults[1].behavior_name: unknown behavior {name!r}"
 
 # -- emission ----------------------------------------------------------------
 
@@ -759,5 +882,5 @@ def test_text_summary_lists_failures():
 
 
 def test_unknown_format_raises(case_report):
-    with pytest.raises(FormatError):
+    with pytest.raises(ValidationError, match="unknown report format"):
         emit_report(case_report, format="yaml")

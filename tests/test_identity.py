@@ -3,16 +3,12 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, strategies as st
 
+from govsim.errors import InvalidTransition, NotFound, ValidationError
 from govsim.identity import (
     TRANSITIONS,
     CertEvent,
     CertState,
-    DuplicateIdentity,
     IdentityRegistry,
-    InvalidTransition,
-    OwnershipViolation,
-    UnknownAgent,
-    UnknownBaseline,
     shortest_certification_path,
 )
 from govsim.ledger import AuditLedger, RecordKind
@@ -38,12 +34,12 @@ def test_register_zero_stake_allowed(registry):
 
 def test_register_duplicate(registry):
     registry.register_agent(DID, "r", "owner", 1)
-    with pytest.raises(DuplicateIdentity):
+    with pytest.raises(ValidationError, match="duplicate identity"):
         registry.register_agent(DID, "r", "owner", 1)
 
 
 def test_register_empty_owner(registry):
-    with pytest.raises(OwnershipViolation):
+    with pytest.raises(ValidationError, match="named principal"):
         registry.register_agent(DID, "r", "", 1)
 
 
@@ -92,9 +88,9 @@ def test_suspend_order_has_no_legal_source(registry):
 
 
 def test_unknown_did(registry):
-    with pytest.raises(UnknownAgent):
+    with pytest.raises(NotFound, match="unknown agent"):
         registry.transition_cert("did:netx:x:agent:ghost", CertEvent.BENCHMARK_PASS)
-    with pytest.raises(UnknownAgent):
+    with pytest.raises(NotFound, match="unknown agent"):
         registry.update_reputation("did:netx:x:agent:ghost", "0.1")
 
 
@@ -117,7 +113,7 @@ def test_baseline_lookup(registry):
         DID, "r", "owner", 1, baselines={"uae-clearance-rate": (0.892, 0.02)}
     )
     assert registry.baseline(DID, "uae-clearance-rate") == (0.892, 0.02)
-    with pytest.raises(UnknownBaseline):
+    with pytest.raises(NotFound, match="no baseline"):
         registry.baseline(DID, "unheard-of")
 
 

@@ -7,19 +7,20 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from govsim.errors import NotFound, ValidationError
 from govsim.ledger import (
     DIGEST_SIZE,
     DUMP_LINE,
     GENESIS_DIGEST,
     AuditLedger,
     AuditRecord,
-    RangeError,
     RecordKind,
-    UnknownMission,
     canonical,
     record_digest,
     verify_jsonl,
 )
+
+from helpers import tamper_field, tamper_payload
 
 KEY = b"k" * 32
 
@@ -60,13 +61,13 @@ def test_empty_ledger_default_range_ok():
 
 def test_range_errors():
     led = build_ledger(3)
-    with pytest.raises(RangeError):
+    with pytest.raises(ValidationError, match="outside"):
         led.verify_chain(0, 3)
-    with pytest.raises(RangeError):
+    with pytest.raises(ValidationError, match="outside"):
         led.verify_chain(-1, 2)
-    with pytest.raises(RangeError):
+    with pytest.raises(ValidationError, match="outside"):
         led.verify_chain(2, 1)
-    with pytest.raises(RangeError):
+    with pytest.raises(ValidationError, match="empty ledger"):
         AuditLedger(attestation_key=KEY).verify_chain(0, 0)
 
 
@@ -74,7 +75,7 @@ def test_tamper_mid_record_breaks_at_next():
     # Oracle: a consistent rewrite of record 5 changes its header digest, so
     # the first link that fails is record 6's prev_digest.
     led = build_ledger(10)
-    led._tamper_payload(5, {"mission_id": "M-1", "i": "evil"})
+    tamper_payload(led, 5, {"mission_id": "M-1", "i": "evil"})
     verdict = led.verify_chain()
     assert not verdict.ok
     assert verdict.first_broken_seq == 6
@@ -82,7 +83,7 @@ def test_tamper_mid_record_breaks_at_next():
 
 def test_tamper_last_record_breaks_at_last():
     led = build_ledger(10)
-    led._tamper_payload(9, {"mission_id": "M-1", "i": "evil"})
+    tamper_payload(led, 9, {"mission_id": "M-1", "i": "evil"})
     verdict = led.verify_chain()
     assert not verdict.ok
     assert verdict.first_broken_seq == 9
@@ -90,14 +91,14 @@ def test_tamper_last_record_breaks_at_last():
 
 def test_raw_payload_swap_fails_self_check_in_place():
     led = build_ledger(10)
-    led._tamper_field(4, "payload", {"mission_id": "M-1", "i": "swapped"})
+    tamper_field(led, 4, "payload", {"mission_id": "M-1", "i": "swapped"})
     verdict = led.verify_chain()
     assert verdict.first_broken_seq == 4
 
 
 def test_stamp_mutation_detected():
     led = build_ledger(6)
-    led._tamper_field(3, "attestation_stamp", b"\x00" * 32)
+    tamper_field(led, 3, "attestation_stamp", b"\x00" * 32)
     assert led.verify_chain().first_broken_seq == 3
 
 
@@ -129,7 +130,7 @@ def test_pedigree_filters_by_mission():
 
 def test_pedigree_unknown_mission():
     led = build_ledger(2)
-    with pytest.raises(UnknownMission):
+    with pytest.raises(NotFound, match="no records for mission"):
         led.pedigree("M-UNSEEN")
 
 
@@ -305,7 +306,7 @@ def test_offline_verify_accepts_only_the_written_form(edit):
 
 def test_a_tampered_kind_dumps_and_breaks_offline():
     led = build_ledger(4)
-    led._tamper_field(1, "kind", "Forged")
+    tamper_field(led, 1, "kind", "Forged")
     assert verify_jsonl(led.dump_jsonl().splitlines()) == (False, 1)
 
 
@@ -363,19 +364,19 @@ def mutate_once(led, rng):
     field = rng.choice(MUTABLE_FIELDS)
     rec = led.record(seq)
     if field == "payload":
-        led._tamper_field(seq, "payload", {"mission_id": "M-1", "x": rng.random()})
+        tamper_field(led, seq, "payload", {"mission_id": "M-1", "x": rng.random()})
     elif field in ("payload_digest", "prev_digest", "attestation_stamp"):
         orig = getattr(rec, field)
-        led._tamper_field(seq, field, bytes([orig[0] ^ 0xFF]) + orig[1:])
+        tamper_field(led, seq, field, bytes([orig[0] ^ 0xFF]) + orig[1:])
     elif field == "seq":
-        led._tamper_field(seq, "seq", rec.seq + 1 + rng.randrange(5))
+        tamper_field(led, seq, "seq", rec.seq + 1 + rng.randrange(5))
     elif field == "tick":
-        led._tamper_field(seq, "tick", rec.tick + 1)
+        tamper_field(led, seq, "tick", rec.tick + 1)
     elif field == "actor":
-        led._tamper_field(seq, "actor", rec.actor + "?")
+        tamper_field(led, seq, "actor", rec.actor + "?")
     else:
         other = RecordKind.ESCALATION if rec.kind is not RecordKind.ESCALATION else RecordKind.TOKEN_TRANSFER
-        led._tamper_field(seq, "kind", other)
+        tamper_field(led, seq, "kind", other)
     return seq, field
 
 
@@ -397,7 +398,7 @@ def test_thousand_random_mutations_all_detected():
 def test_single_consistent_rewrite_always_detected(n, rng):
     led = build_ledger(n)
     seq = rng.randrange(n)
-    led._tamper_payload(seq, {"mission_id": "M-1", "i": "flip"})
+    tamper_payload(led, seq, {"mission_id": "M-1", "i": "flip"})
     verdict = led.verify_chain()
     assert not verdict.ok
     # Break surfaces at the record or immediately after it.
@@ -469,23 +470,23 @@ def apply_op(ledgers, op):
     elif name == "fork":
         ledgers.append(led.fork())
     elif name == "rewrite":
-        led._tamper_payload(seq, {"mission_id": "M-1", "evil": arg})
+        tamper_payload(led, seq, {"mission_id": "M-1", "evil": arg})
     elif name == "swap-payload":
-        led._tamper_field(seq, "payload", {"mission_id": "M-1", "n": arg})
+        tamper_field(led, seq, "payload", {"mission_id": "M-1", "n": arg})
     elif name == "same-payload":
-        led._tamper_field(seq, "payload", led.payload(seq))
+        tamper_field(led, seq, "payload", led.payload(seq))
     elif name == "same-record":
-        led._tamper_field(seq, "actor", rec.actor)
+        tamper_field(led, seq, "actor", rec.actor)
     elif name == "same-rewrite":
-        led._tamper_payload(seq, led.payload(seq))
+        tamper_payload(led, seq, led.payload(seq))
     elif name == "type-swap":
         field = ("tick", "seq")[arg % 2]
         value = getattr(rec, field)
-        led._tamper_field(seq, field, value == 1 if value in (0, 1) else float(value))
+        tamper_field(led, seq, field, value == 1 if value in (0, 1) else float(value))
     elif name == "bad-stamp":
-        led._tamper_field(seq, "attestation_stamp", _flip(rec.attestation_stamp))
+        tamper_field(led, seq, "attestation_stamp", _flip(rec.attestation_stamp))
     else:
-        led._tamper_field(seq, "prev_digest", _flip(rec.prev_digest))
+        tamper_field(led, seq, "prev_digest", _flip(rec.prev_digest))
 
 
 OPS = st.tuples(
