@@ -2,13 +2,16 @@
 
 A scenario file is one reproducible run: roster, job, charter, economy,
 per-node execution scripts, timeline events, and fault windows. The driver
-walks legislation, execution, adjudication, and economy in that order and
-folds everything it saw into a deterministic report whose fingerprint is
-stable across replays of the same file.
+walks legislation, execution, adjudication, and economy in that order. Node
+events run from one queue: each handler schedules what follows the outcome it
+saw, and no event past `mission.global_timeout_ticks` runs. The report's
+fingerprint is stable across replays of the same file.
 """
 from __future__ import annotations
 
 import hashlib
+import heapq
+import itertools
 import json
 import random
 from datetime import datetime, timedelta
@@ -126,6 +129,13 @@ class AgentSpec(NamedTuple):
     bids: tuple[Bid, ...]
 
 
+class EvidenceSpec(NamedTuple):
+    call_index: int
+    endpoint_id: str
+    category: str
+    contract_scope_ok: bool
+
+
 class AttemptSpec(NamedTuple):
     duration_ticks: int
     tokens: int
@@ -133,7 +143,7 @@ class AttemptSpec(NamedTuple):
     messages: int
     evidence_offset: int
     metrics: Mapping[str, float]
-    evidence: tuple[Mapping[str, Any], ...]
+    evidence: tuple[EvidenceSpec, ...]
     output: Mapping[str, Any]
 
 
@@ -155,6 +165,10 @@ class NodePlan(NamedTuple):
     screen: Mapping[str, Any] | None
     items: tuple[str, ...]
     quarantine_items: tuple[str, ...]
+
+    def attempt(self, attempt: int) -> AttemptSpec:
+        """The script of attempt `attempt`: `first`, then `retry` if given."""
+        return self.first if attempt == 0 or self.retry is None else self.retry
 
 
 class EconomyPlan(NamedTuple):
@@ -251,18 +265,36 @@ def _known(value: Any, known: Container[str], path: str, what: str) -> str:
     return value
 
 
+def _as_name(value: Any, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(path, f"expected a non-empty string, got {value!r}")
+    return value
+
+
 def _parse_rules(raw: Any, path: str) -> tuple[Rule, ...]:
     rules = []
     for k, rule in enumerate(_as_section(raw, path, list)):
         rpath = f"{path}[{k}]"
         rule = _as_section(rule, rpath, dict)
         try:
-            rules.append(Rule.from_payload(rule))
+            parsed = Rule.from_payload(rule)
         except KeyError as exc:
             raise ConfigError(rpath, f"missing {exc.args[0]!r}") from None
         except (ValueError, TypeError, AttributeError) as exc:
             raise ConfigError(rpath, f"malformed rule: {exc}") from None
+        _as_name(parsed.rule_id, f"{rpath}.rule_id")
+        rules.append(parsed)
     return tuple(rules)
+
+
+def _parse_evidence(raw: Any, path: str) -> EvidenceSpec:
+    raw = _as_section(raw, path, dict)
+    return EvidenceSpec(
+        call_index=_as_int(_require(raw, "call_index", path), f"{path}.call_index"),
+        endpoint_id=_as_name(_require(raw, "endpoint_id", path), f"{path}.endpoint_id"),
+        category=_as_name(raw.get("category", "agent-action"), f"{path}.category"),
+        contract_scope_ok=bool(raw.get("contract_scope_ok", True)),
+    )
 
 
 def _parse_attempt(raw: Mapping, path: str, base: Mapping | None = None) -> AttemptSpec:
@@ -280,7 +312,10 @@ def _parse_attempt(raw: Mapping, path: str, base: Mapping | None = None) -> Atte
             minimum=1,
         ),
         metrics=dict(_as_section(merged.get("metrics", {}), f"{path}.metrics", dict)),
-        evidence=tuple(merged.get("evidence", ())),
+        evidence=tuple(
+            _parse_evidence(entry, f"{path}.evidence[{k}]")
+            for k, entry in enumerate(_as_section(merged.get("evidence", []), f"{path}.evidence", list))
+        ),
         output=dict(merged.get("output", {})),
     )
 
@@ -353,10 +388,7 @@ def _parse_params(
             _known(_require(release, "node_id", rpath), node_ids, f"{rpath}.node_id", "node")
             _require(release, "items", rpath)
         panel = _as_section(_require(params, "panel", path), f"{path}.panel", list)
-        for k, member in enumerate(panel):
-            if not isinstance(member, str):
-                raise ConfigError(f"{path}.panel[{k}]", f"expected a string, got {member!r}")
-        params["panel"] = tuple(panel)
+        params["panel"] = tuple(_as_name(member, f"{path}.panel[{k}]") for k, member in enumerate(panel))
         vpath = f"{path}.verdict"
         verdict = _as_section(_require(params, "verdict", path), vpath, dict)
         params["verdict"] = Verdict(
@@ -374,9 +406,7 @@ def _parse_params(
 
 def _parse_fault(raw: Mapping, path: str) -> FaultInjection:
     raw = _as_section(raw, path, dict)
-    kind = _require(raw, "kind", path)
-    if not isinstance(kind, str) or kind not in _FAULT_TARGETS:
-        raise ConfigError(f"{path}.kind", f"unknown fault kind {kind!r}")
+    kind = _known(_require(raw, "kind", path), _FAULT_TARGETS, f"{path}.kind", "fault kind")
     target = _require(raw, _FAULT_TARGETS[kind], path)
     behavior = ""
     if kind == "BehaviorOverride":
@@ -397,14 +427,21 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     tick_scale = _as_int(data.get("tick_scale", 1), "tick_scale", minimum=1)
 
     mission_raw = _as_section(_require(data, "mission", ""), "mission", dict)
-    mission_id = _require(mission_raw, "mission_id", "mission")
-    if not isinstance(mission_id, str) or not mission_id:
-        raise ConfigError("mission.mission_id", "must be a non-empty string")
+    mission_id = _as_name(_require(mission_raw, "mission_id", "mission"), "mission.mission_id")
     clock_origin = mission_raw.get("clock_origin", "2026-01-01T00:00:00+00:00")
     try:
-        datetime.fromisoformat(clock_origin)
+        origin = datetime.fromisoformat(clock_origin)
     except ValueError:
         raise ConfigError("mission.clock_origin", "not an ISO-8601 timestamp") from None
+    horizon = _as_int(mission_raw.get("global_timeout_ticks", 600_000), "mission.global_timeout_ticks", minimum=1)
+    exec_start = _as_int(mission_raw.get("exec_start_tick", 900), "mission.exec_start_tick", minimum=0)
+    if exec_start > horizon:
+        raise ConfigError("mission.exec_start_tick", f"is past global_timeout_ticks {horizon}")
+    # the last clock label is the completion tick, 10 after the last verify
+    try:
+        origin + timedelta(seconds=tick_scale * (horizon + 10))
+    except OverflowError:
+        raise ConfigError("tick_scale", f"tick {horizon + 10} leaves the calendar") from None
 
     agents: list[AgentSpec] = []
     dids: set[str] = set()
@@ -455,12 +492,10 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     node_ids = {t.template_id for t in job.task_templates}
 
     charter_raw = _as_section(_require(data, "charter", ""), "charter", dict)
-    try:
-        charter = Charter.from_payload(charter_raw)
-    except KeyError as exc:
-        raise ConfigError(f"charter.{exc.args[0]}", "missing") from None
-    except (ValueError, InvalidOperation) as exc:
-        raise ConfigError("charter", str(exc)) from None
+    charter = Charter(
+        version=_as_int(_require(charter_raw, "version", "charter"), "charter.version"),
+        rules=_parse_rules(_require(charter_raw, "rules", "charter"), "charter.rules"),
+    )
 
     eraw = _as_section(_require(data, "economy", ""), "economy", dict)
     weights = {
@@ -532,10 +567,12 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
         last_tick = tick
         kind = _require(evraw, "kind", path)
         params = _parse_params(kind, evraw.get("params", {}), f"{path}.params", node_ids, order_ids)
+        if tick > horizon:
+            raise ConfigError(f"{path}.tick", f"is past mission.global_timeout_ticks {horizon}")
         timeline.append(TimelineEvent(tick=tick, kind=kind, params=params))
 
     known_endpoints = {
-        spec.get("endpoint_id")
+        spec.endpoint_id
         for plan in plans.values()
         for attempt in (plan.first, plan.retry)
         if attempt is not None
@@ -568,8 +605,8 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
         clock_origin=clock_origin,
         mission_id=mission_id,
         value_ceiling=str(_require(mission_raw, "value_ceiling", "mission")),
-        global_timeout_ticks=_as_int(mission_raw.get("global_timeout_ticks", 600_000), "mission.global_timeout_ticks", minimum=1),
-        exec_start_tick=_as_int(mission_raw.get("exec_start_tick", 900), "mission.exec_start_tick", minimum=0),
+        global_timeout_ticks=horizon,
+        exec_start_tick=exec_start,
         settlement_delay_ticks=_as_int(mission_raw.get("settlement_delay_ticks", 300), "mission.settlement_delay_ticks", minimum=1),
         budget_window_nodes=tuple(mission_raw.get("budget_window_nodes", ())),
         agents=tuple(agents),
@@ -631,13 +668,15 @@ _OVERRIDES: dict[str, Callable[[BehaviorOutcome, NodeRun], BehaviorOutcome]] = {
 # -- the driver --------------------------------------------------------------
 
 
-class _Planned(NamedTuple):
+class _Event(NamedTuple):
+    """A queued node event; `start` is the tick its attempt began."""
+
     tick: int
     node_id: str
-    order: int
+    order: int  # push order, the tie-break after tick and node id
     action: str
     attempt: int
-    spec: AttemptSpec | None = None
+    start: int
 
 
 class RunReport:
@@ -733,8 +772,11 @@ class _Driver:
         self.cross_node_block: dict | None = None
         self.failures: list[str] = []
         self.outcome = "Completed"
-        # the planned or timeline event being handled, for an abort line
-        self.event: _Planned | TimelineEvent | None = None
+        # node events pending, and a count of pushes for their tie-break
+        self.queue: list[_Event] = []
+        self.pushes = itertools.count()
+        # the node or timeline event being handled, for an abort line
+        self.event: _Event | TimelineEvent | None = None
 
     # -- clock helpers ------------------------------------------------------
 
@@ -759,13 +801,6 @@ class _Driver:
             if f.kind == "BehaviorOverride" and f.target == node_id and f.active(tick):
                 return f.behavior_name
         return None
-
-    def probe_corrupt(self, plan: NodePlan, tick: int, assignee: str) -> bool:
-        if plan.probe is None:
-            return False
-        if plan.probe.fault_ref in self.active_targets("CorruptedFeed", tick):
-            return True
-        return assignee in self.active_targets("StaleCache", tick)
 
     # -- setup phases --------------------------------------------------------
 
@@ -798,7 +833,6 @@ class _Driver:
             self.charter,
             mission_id=config.mission_id,
             value_ceiling=config.value_ceiling,
-            global_timeout_ticks=config.global_timeout_ticks,
             reward_pool_total=config.economy.pool_total,
             tax_rates={
                 "protocol": config.economy.protocol_rate,
@@ -850,63 +884,6 @@ class _Driver:
             config.economy.infra_rate,
         )
         return dag, assignments
-
-    # -- execution planning --------------------------------------------------
-
-    def plan_events(self, dag, assignments) -> list[_Planned]:
-        events: list[_Planned] = []
-        verified: dict[str, int | None] = {}
-        counter = 0
-
-        def put(tick: int, node_id: str, action: str, attempt: int, spec=None) -> None:
-            nonlocal counter
-            events.append(_Planned(tick, node_id, counter, action, attempt, spec))
-            counter += 1
-
-        for node_id in dag.topological_order():
-            deps = dag.dependencies(node_id)
-            if any(verified.get(d) is None for d in deps):
-                verified[node_id] = None
-                continue
-            start = max(
-                [self.config.exec_start_tick] + [verified[d] for d in deps]  # type: ignore[list-item]
-            )
-            plan = self.config.plans[node_id]
-            assignee = assignments[node_id].assignee
-            put(start, node_id, "start", 0)
-            attempt = 0
-            spec = plan.first
-            t = start
-            cycles = 0
-            while True:
-                put(t + min(spec.evidence_offset, spec.duration_ticks - 1), node_id, "execute", attempt, spec)
-                freeze_at = None
-                if plan.probe is not None:
-                    k = 1
-                    while (pt := t + k * plan.probe.period_ticks) < t + spec.duration_ticks:
-                        put(pt, node_id, "probe", attempt)
-                        if self.probe_corrupt(plan, pt, assignee):
-                            freeze_at = pt
-                            break
-                        k += 1
-                if freeze_at is None:
-                    vt = t + spec.duration_ticks
-                    put(vt, node_id, "verify", attempt, spec)
-                    if plan.quarantine_items:
-                        put(vt + 2, node_id, "quarantine", attempt)
-                    verified[node_id] = vt
-                    break
-                cycles += 1
-                if cycles >= plan.max_cycles:
-                    verified[node_id] = None
-                    break
-                rb = freeze_at + plan.rollback_delay_ticks
-                put(rb, node_id, "rollback", attempt)
-                t = rb
-                attempt += 1
-                spec = plan.retry if plan.retry is not None else plan.first
-        events.sort(key=lambda e: (e.tick, e.node_id, e.order))
-        return events
 
     # -- execution processing ------------------------------------------------
 
@@ -966,30 +943,27 @@ class _Driver:
                     ledger=self.ledger,
                 )
 
-    def behavior_for(self, plan: NodePlan, spec: AttemptSpec, tick: int, node_id: str):
+    def behavior_for(self, spec: AttemptSpec, tick: int, node_id: str):
         corrupted = self.active_targets("CorruptedFeed", tick)
         stale = self.active_targets("StaleCache", tick)
         override = self.override_for(node_id, tick)
 
         def scripted(run: NodeRun) -> BehaviorOutcome:
             evidence = []
-            for ev_spec in spec.evidence:
-                endpoint = ev_spec["endpoint_id"]
-                declared = _digest_of(f"{self.config.seed}:{node_id}:{endpoint}:{ev_spec['call_index']}")
+            for ev in spec.evidence:
+                declared = _digest_of(f"{self.config.seed}:{node_id}:{ev.endpoint_id}:{ev.call_index}")
                 observed = declared
-                if endpoint in corrupted:
+                if ev.endpoint_id in corrupted:
                     observed = _digest_of(declared + ":corrupted")
-                scope_ok = bool(ev_spec.get("contract_scope_ok", True))
-                if ev_spec.get("category") == "cache_read" and run.assignee in stale:
-                    scope_ok = False
                 evidence.append(
                     ToolCallEvidence(
-                        call_index=int(ev_spec["call_index"]),
-                        endpoint_id=endpoint,
-                        category=ev_spec.get("category", "agent-action"),
+                        call_index=ev.call_index,
+                        endpoint_id=ev.endpoint_id,
+                        category=ev.category,
                         declared_digest=declared,
                         observed_digest=observed,
-                        contract_scope_ok=scope_ok,
+                        contract_scope_ok=ev.contract_scope_ok
+                        and not (ev.category == "cache_read" and run.assignee in stale),
                     )
                 )
             output = dict(spec.output) or {"node_id": node_id, "status": "complete"}
@@ -1008,12 +982,25 @@ class _Driver:
 
         return scripted
 
-    def on_start(self, event: _Planned, run: NodeRun, plan: NodePlan) -> None:
-        deps_ok = all(
-            self.runs[d].state in (NodeState.VERIFIED, NodeState.COMPLETED)
-            for d in self.dag.dependencies(event.node_id)
-        )
-        if run.state is not NodeState.PENDING or not deps_ok:
+    def push(self, tick: int, node_id: str, action: str, attempt: int = 0, start: int = 0) -> None:
+        heapq.heappush(self.queue, _Event(tick, node_id, next(self.pushes), action, attempt, start))
+
+    def begin_attempt(self, node_id: str, attempt: int, start: int) -> None:
+        spec = self.config.plans[node_id].attempt(attempt)
+        self.push(start + min(spec.evidence_offset, spec.duration_ticks - 1), node_id, "execute", attempt, start)
+        self.push_check(node_id, attempt, start, start)
+
+    def push_check(self, node_id: str, attempt: int, start: int, after: int) -> None:
+        """Push the attempt's probe after tick `after`, or its verify if none fits."""
+        plan = self.config.plans[node_id]
+        end = start + plan.attempt(attempt).duration_ticks
+        if plan.probe is not None and after + plan.probe.period_ticks < end:
+            self.push(after + plan.probe.period_ticks, node_id, "probe", attempt, start)
+        else:
+            self.push(end, node_id, "verify", attempt, start)
+
+    def on_start(self, event: _Event, run: NodeRun, plan: NodePlan) -> None:
+        if run.state is not NodeState.PENDING:
             return
         transition(run, NodeState.READY)
         transition(run, NodeState.RUNNING)
@@ -1036,11 +1023,12 @@ class _Driver:
             },
             tick=event.tick,
         )
+        self.begin_attempt(event.node_id, 0, event.tick)
 
-    def on_execute(self, event: _Planned, run: NodeRun, plan: NodePlan) -> None:
+    def on_execute(self, event: _Event, run: NodeRun, plan: NodePlan) -> None:
         if run.state is not NodeState.RUNNING or run.attempts != event.attempt:
             return
-        behavior = self.behavior_for(plan, event.spec, event.tick, event.node_id)
+        behavior = self.behavior_for(plan.attempt(event.attempt), event.tick, event.node_id)
         try:
             execute_node(
                 run,
@@ -1053,14 +1041,13 @@ class _Driver:
             self.note_freeze(run.freeze_events[-1])
             self.escalate_after_freeze(event.tick)
 
-    def on_probe(self, event: _Planned, run: NodeRun, plan: NodePlan) -> None:
+    def on_probe(self, event: _Event, run: NodeRun, plan: NodePlan) -> None:
         if run.state is not NodeState.RUNNING or run.attempts != event.attempt:
             return
-        assert plan.probe is not None
-        value = (
-            plan.probe.corrupt_value
-            if self.probe_corrupt(plan, event.tick, run.assignee)
-            else plan.probe.clean_value
+        probe = plan.probe
+        assert probe is not None
+        corrupt = probe.fault_ref in self.active_targets("CorruptedFeed", event.tick) or (
+            run.assignee in self.active_targets("StaleCache", event.tick)
         )
         telemetry = Telemetry(
             node_id=event.node_id,
@@ -1068,31 +1055,36 @@ class _Driver:
             tokens_spent=0,
             tool_calls=0,
             messages=0,
-            metrics={plan.probe.metric: value},
+            metrics={probe.metric: probe.corrupt_value if corrupt else probe.clean_value},
             output_digest="probe",
         )
-        mean, std = self.registry.baseline(run.assignee, plan.probe.metric)
+        mean, std = self.registry.baseline(run.assignee, probe.metric)
         verdict = guardian_check(
             telemetry,
-            Baseline(metric=plan.probe.metric, mean=mean, std=std),
+            Baseline(metric=probe.metric, mean=mean, std=std),
             run=run,
             z_threshold=self.config.guardian.z_threshold,
             tick=event.tick,
             ledger=self.ledger,
         )
-        if not isinstance(verdict, Ok):
-            self.note_freeze(verdict)
-            self.escalate_after_freeze(event.tick)
+        if isinstance(verdict, Ok):
+            self.push_check(event.node_id, event.attempt, event.start, event.tick)
+            return
+        self.note_freeze(verdict)
+        self.escalate_after_freeze(event.tick)
+        if event.attempt + 1 < plan.max_cycles:
+            self.push(event.tick + plan.rollback_delay_ticks, event.node_id, "rollback", event.attempt)
 
-    def on_rollback(self, event: _Planned, run: NodeRun, plan: NodePlan) -> None:
+    def on_rollback(self, event: _Event, run: NodeRun, plan: NodePlan) -> None:
         if run.state is not NodeState.FROZEN:
             return
         rollback(run, tick=event.tick, ledger=self.ledger, mission_id=self.config.mission_id)
         # a Restrictive escalation halves the headroom once the meter is live again
         if self.escalations and self.escalations[-1]["tier"] == "Restrictive":
             run.meter.restrict_tool_budget()
+        self.begin_attempt(event.node_id, event.attempt + 1, event.tick)
 
-    def on_verify(self, event: _Planned, run: NodeRun, plan: NodePlan) -> None:
+    def on_verify(self, event: _Event, run: NodeRun, plan: NodePlan) -> None:
         if run.state is not NodeState.RUNNING or run.attempts != event.attempt:
             return
         assert run.telemetry is not None
@@ -1121,8 +1113,14 @@ class _Driver:
         if not passed:
             self.note_freeze(run.freeze_events[-1])
             self.escalate_after_freeze(event.tick)
+            return
+        if plan.quarantine_items:
+            self.push(event.tick + 2, event.node_id, "quarantine", event.attempt)
+        for node_id in self.dag.dependents(event.node_id):
+            if all(self.runs[d].state is NodeState.VERIFIED for d in self.dag.dependencies(node_id)):
+                self.push(event.tick, node_id, "start")
 
-    def on_quarantine(self, event: _Planned, run: NodeRun, plan: NodePlan) -> None:
+    def on_quarantine(self, event: _Event, run: NodeRun, plan: NodePlan) -> None:
         if run.state not in (NodeState.RUNNING, NodeState.VERIFIED):
             return
         quarantine(
@@ -1141,8 +1139,10 @@ class _Driver:
             }
         )
 
-    def process_events(self, events: Sequence[_Planned]) -> None:
-        handlers: dict[str, Callable[[_Planned, NodeRun, NodePlan], None]] = {
+    def process_events(self) -> None:
+        """Pop node events in (tick, node id, push order) until the queue
+        drains, the mission freezes or an event falls past the horizon."""
+        handlers: dict[str, Callable[[_Event, NodeRun, NodePlan], None]] = {
             "start": self.on_start,
             "execute": self.on_execute,
             "probe": self.on_probe,
@@ -1150,8 +1150,17 @@ class _Driver:
             "verify": self.on_verify,
             "quarantine": self.on_quarantine,
         }
-        for event in events:
-            if self.mission_frozen:
+        horizon = self.config.global_timeout_ticks
+        for node_id in self.dag.topological_order():
+            if not self.dag.dependencies(node_id):
+                self.push(self.config.exec_start_tick, node_id, "start")
+        while self.queue and not self.mission_frozen:
+            event = heapq.heappop(self.queue)
+            if event.tick > horizon:
+                self.failures.append(
+                    f"horizon: {event.action} of {event.node_id} at tick {event.tick}"
+                    f" is past mission.global_timeout_ticks {horizon}"
+                )
                 break
             self.advance(event.tick)
             self.event = event
@@ -1572,7 +1581,7 @@ class _Driver:
         the error, the tick, the event being handled and the last ledger seq."""
         self.outcome = "Aborted"
         event, action, node = self.event, "none", None
-        if isinstance(event, _Planned):
+        if isinstance(event, _Event):
             action, node = event.action, event.node_id
         elif event is not None:
             release = event.params.get("release")
@@ -1593,7 +1602,7 @@ class _Driver:
         self.runs = make_runs(dag, assignments)
         for run in self.runs.values():
             run.journal = self.journal
-        self.process_events(self.plan_events(dag, assignments))
+        self.process_events()
         self.complete_mission()
         self.settle()
         self.run_timeline()

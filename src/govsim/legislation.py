@@ -153,13 +153,6 @@ class Charter(NamedTuple):
                 return r
         raise KeyError(rule_id)
 
-    @staticmethod
-    def from_payload(payload: Mapping) -> "Charter":
-        return Charter(
-            version=int(payload["version"]),
-            rules=tuple(Rule.from_payload(r) for r in payload["rules"]),
-        )
-
 
 def find_conflicts(charter: Charter, new_rules: Sequence[Rule]) -> list[tuple[str, str]]:
     """Pairs (existing_id, new_id) whose predicates partition every subject
@@ -394,7 +387,6 @@ class MissionManifest(NamedTuple):
     mission_id: str
     job_id: str
     value_ceiling: Decimal
-    global_timeout_ticks: int
     charter_digest: str
     reward_pool_total: Decimal
     tax_rates: Mapping[str, str]
@@ -410,7 +402,6 @@ class MissionManifest(NamedTuple):
         *,
         mission_id: str,
         value_ceiling,
-        global_timeout_ticks: int,
         reward_pool_total,
         tax_rates: Mapping[str, str],
         authorized_principals: Sequence[str],
@@ -419,7 +410,6 @@ class MissionManifest(NamedTuple):
             mission_id=mission_id,
             job_id=job.job_id,
             value_ceiling=Decimal(str(value_ceiling)),
-            global_timeout_ticks=int(global_timeout_ticks),
             charter_digest=charter.digest(),
             reward_pool_total=nxc(reward_pool_total),
             tax_rates=dict(tax_rates),

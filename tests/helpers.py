@@ -74,7 +74,6 @@ def manifest_for(job, charter, notional=None):
         charter,
         mission_id="MISSION-1",
         value_ceiling="50000000",
-        global_timeout_ticks=86400,
         reward_pool_total="4750.00",
         tax_rates={"protocol": "0.035", "infrastructure": "0.015"},
         authorized_principals=("ops-lead", "treasury-lead"),

@@ -17,6 +17,7 @@ import gc
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from decimal import Decimal
@@ -329,8 +330,8 @@ def _dispute(field, value, *keys):
             ("job", "task_templates", 0, "slashing_condition", "metric"),
             "nothing",
         ),
-        _element("charter", ("charter", "rules", 0, "scope"), []),
-        _element("charter", ("charter", "rules", 0, "predicate", "op"), []),
+        _element("charter.rules[0]", ("charter", "rules", 0, "scope"), []),
+        _element("charter.rules[0]", ("charter", "rules", 0, "predicate", "op"), []),
         _dispute("panel", None),
         _dispute("panel", "x"),
         _dispute("panel[1]", 7, "panel", 1),
@@ -343,6 +344,44 @@ def _dispute(field, value, *keys):
         _dispute("verdict.proposed_rules[0]", "galaxy", "verdict", "proposed_rules", 0, "scope"),
         _dispute("order_ref", "NOPE"),
         _dispute("release.node_id", "TASK-NOPE", "release", "node_id"),
+        _element("mission.exec_start_tick", ("mission", "exec_start_tick"), 50_001),
+        _element("timeline[0].tick", ("timeline", 0, "tick"), 50_001),
+        _element("tick_scale", ("tick_scale",), 10**12),
+        _element("tick_scale", ("mission", "global_timeout_ticks"), 10**12),
+        _element("execution_plan.TASK-FX-001.evidence", ("execution_plan", "TASK-FX-001", "evidence"), "x"),
+        _element("execution_plan.TASK-FX-001.evidence[0]", ("execution_plan", "TASK-FX-001", "evidence", 0), 7),
+        *(
+            _missing(
+                f"execution_plan.TASK-FX-001.retry.evidence[0].{key}",
+                ("execution_plan", "TASK-FX-001", "retry", "evidence", 0, key),
+            )
+            for key in ("call_index", "endpoint_id")
+        ),
+        *(
+            _element(
+                "execution_plan.TASK-FX-001.evidence[0].call_index",
+                ("execution_plan", "TASK-FX-001", "evidence", 0, "call_index"),
+                value,
+            )
+            for value in ("x", "9", None, [])
+        ),
+        _element(
+            "execution_plan.TASK-FX-001.retry.evidence[0].endpoint_id",
+            ("execution_plan", "TASK-FX-001", "retry", "evidence", 0, "endpoint_id"),
+            [],
+        ),
+        _element("charter.version", ("charter", "version"), "1"),
+        _missing("charter.rules", ("charter", "rules")),
+        *(
+            _element("charter.rules[1].rule_id", ("charter", "rules", 1, "rule_id"), value)
+            for value in (0, None, [], "")
+        ),
+        _element(
+            "timeline[0].params.amendment[0].rule_id",
+            ("timeline", 0, "params", "amendment", 0, "rule_id"),
+            -5,
+        ),
+        _dispute("verdict.proposed_rules[0].rule_id", 7, "verdict", "proposed_rules", 0, "rule_id"),
     ],
 )
 def test_rejections_name_the_field(mutate, path):
@@ -708,6 +747,88 @@ def test_an_error_outside_the_domain_still_raises(monkeypatch):
     monkeypatch.setattr(_Driver, "settle", gap)
     with pytest.raises(TypeError, match="loader gap"):
         run(load_bundled_scenario(FAULT_DRILL_FIXTURE))
+
+
+# -- the event queue ---------------------------------------------------------
+
+
+def test_a_dependent_whose_id_sorts_first_starts_after_its_dependency():
+    # TASK-AA-002 starts at the tick TASK-FX-001 verifies, and sorts before it
+    text = bundled_scenario_path(FAULT_DRILL_FIXTURE).read_text()
+    report = run(scenario_from_dict(json.loads(text.replace("TASK-FX-002", "TASK-AA-002"))))
+    assert report.body["mission"]["outcome"] == "Completed"
+    assert report.assertion_failures == []
+
+
+HORIZON_RUN = """
+import json, sys, time
+from govsim.harness import run, scenario_from_dict
+raw = json.loads(sys.stdin.read())
+started = time.perf_counter()
+report = run(scenario_from_dict(raw))
+print(json.dumps([time.perf_counter() - started, report.body["mission"]["outcome"], report.assertion_failures]))
+"""
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    "name, keys",
+    [
+        (CASE_STUDY_FIXTURE, ("TASK-002B", "retry")),
+        (FAULT_DRILL_FIXTURE, ("TASK-FX-001",)),
+        (FAULT_DRILL_FIXTURE, ("TASK-FX-001", "retry")),
+    ],
+)
+def test_an_endless_attempt_stops_at_the_horizon(name, keys):
+    raw = raw_fixture(name)
+    target = raw["execution_plan"]
+    for key in keys:
+        target = target[key]
+    target["duration_ticks"] = 10**12
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", HORIZON_RUN],
+        input=json.dumps(raw),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+        preexec_fn=_cap_memory,
+    )
+    assert result.returncode == 0, result.stderr
+    seconds, outcome, failures = json.loads(result.stdout)
+    assert seconds < 1
+    assert outcome == "Stalled"
+    horizon = raw["mission"]["global_timeout_ticks"]
+    stops = [f for f in failures if f.startswith("horizon: ")]
+    assert len(stops) == 1
+    assert stops[0].endswith(f"is past mission.global_timeout_ticks {horizon}")
+
+
+def test_the_guardian_alone_decides_a_probe():
+    # the stale cache still feeds the corrupt value, which a wide baseline
+    # scores inside the threshold: no freeze, no rollback, the node verifies
+    raw = raw_fixture(FAULT_DRILL_FIXTURE)
+    raw["agents"][0]["baselines"]["micropayment_variance"]["std"] = 1
+    raw["expectations"] = {}
+    report = run(scenario_from_dict(raw))
+    assert report.body["mission"]["outcome"] == "Completed"
+    assert report.body["freezes"] == []
+    assert report.assertion_failures == []
+
+
+def test_an_execute_freeze_on_a_probed_node_ends_the_node():
+    raw = raw_fixture(FAULT_DRILL_FIXTURE)
+    raw["execution_plan"]["TASK-FX-001"]["tool_calls"] = 50
+    raw["expectations"] = {}
+    report = run(scenario_from_dict(raw))
+    assert report.body["mission"]["outcome"] == "Stalled"
+    assert [(f["node_id"], f["trigger"]) for f in report.body["freezes"]] == [("TASK-FX-001", "cap-breached")]
+    assert "nodes never verified: ['TASK-FX-001', 'TASK-FX-002']" in report.assertion_failures
+    assert report.body["budgets"]["per_node"]["TASK-FX-001"]["attempts"] == 1
 
 
 # -- the stress ladder -------------------------------------------------------
