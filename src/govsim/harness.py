@@ -17,7 +17,7 @@ import random
 from datetime import datetime, timedelta
 from decimal import Decimal, InvalidOperation
 from importlib import resources
-from typing import Any, Callable, Container, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Container, Mapping, NamedTuple
 
 from .adjudication import (
     BeginDeliberation,
@@ -78,12 +78,19 @@ from .execution import (
 from .identity import CertEvent, IdentityRegistry
 from .ledger import AuditLedger, RecordKind, canonical
 from .legislation import (
+    _ACTIONS,
+    _ALL_OPS,
+    _COMPARATORS,
+    _SCOPES,
     Authorized,
     Bid,
     Charter,
     JobSpec,
     MissionManifest,
+    Predicate,
     Rule,
+    SlashingCondition,
+    TaskTemplate,
     _as_decimal,
     decompose,
     generate_contract_stack,
@@ -122,10 +129,9 @@ class AgentSpec(NamedTuple):
     role: str
     owner: str
     stake: str
-    reputation: str
-    standby: str | None
+    reputation: Decimal
     balance: str
-    baselines: tuple[tuple[str, float, float], ...]
+    baselines: Mapping[str, tuple[float, float]]
     bids: tuple[Bid, ...]
 
 
@@ -152,7 +158,12 @@ class ProbePlan(NamedTuple):
     period_ticks: int
     clean_value: float
     corrupt_value: float
-    fault_ref: str
+    fault_ref: str | None
+
+
+class Screen(NamedTuple):
+    affected: int
+    flagged: tuple[str, ...]
 
 
 class NodePlan(NamedTuple):
@@ -162,7 +173,7 @@ class NodePlan(NamedTuple):
     probe: ProbePlan | None
     rollback_delay_ticks: int
     max_cycles: int
-    screen: Mapping[str, Any] | None
+    screen: Screen | None
     items: tuple[str, ...]
     quarantine_items: tuple[str, ...]
 
@@ -173,21 +184,33 @@ class NodePlan(NamedTuple):
 
 class EconomyPlan(NamedTuple):
     pool_total: str
-    protocol_rate: str
-    infra_rate: str
-    cross_tax_rate: str
+    protocol_rate: Decimal
+    infra_rate: Decimal
+    cross_tax_rate: Decimal
     stake_floor: str
     org_account: str
     org_balance: str
     partner_accounts: tuple[tuple[str, str], ...]
     reward_weights: Mapping[str, str]
-    reputation_bonus: Mapping[str, str]
+    reputation_bonus: Mapping[str, Decimal]
+
+
+class Release(NamedTuple):
+    """Quarantined items a timeline event releases from one node."""
+
+    node_id: str
+    items: tuple[str, ...]
+    resolution: str
 
 
 class TimelineEvent(NamedTuple):
     tick: int
     kind: str
     params: Mapping[str, Any]
+    release: Release | None
+
+
+_TIMELINE_KINDS = ("correction_loop", "dispute", "cross_node_attestation")
 
 
 class GuardianPlan(NamedTuple):
@@ -201,9 +224,9 @@ class GuardianPlan(NamedTuple):
 class ScenarioConfig(NamedTuple):
     seed: int
     tick_scale: int
-    clock_origin: str
+    clock_origin: datetime
     mission_id: str
-    value_ceiling: str
+    value_ceiling: Decimal
     global_timeout_ticks: int
     exec_start_tick: int
     settlement_delay_ticks: int
@@ -213,8 +236,7 @@ class ScenarioConfig(NamedTuple):
     charter: Charter
     economy: EconomyPlan
     plans: Mapping[str, NodePlan]
-    orders: tuple[Mapping[str, Any], ...]
-    regression_refs: tuple[str, ...]
+    regression_orders: tuple[Mapping[str, Any], ...]
     timeline: tuple[TimelineEvent, ...]
     faults: tuple[FaultInjection, ...]
     guardian: GuardianPlan
@@ -258,6 +280,13 @@ def _as_finite_decimal(value: Any, path: str) -> Decimal:
     return number
 
 
+def _as_float(value: Any, path: str) -> float:
+    number = float(_as_finite_decimal(value, path))
+    if abs(number) == float("inf"):
+        raise ConfigError(path, f"out of float range: {value!r}")
+    return number
+
+
 def _known(value: Any, known: Container[str], path: str, what: str) -> str:
     """`value` if it names one of `known`."""
     if not isinstance(value, str) or value not in known:
@@ -271,20 +300,71 @@ def _as_name(value: Any, path: str) -> str:
     return value
 
 
+def _names(value: Any, path: str) -> tuple[str, ...]:
+    return tuple(_as_name(name, f"{path}[{k}]") for k, name in enumerate(_as_section(value, path, list)))
+
+
+def _optional_name(raw: Mapping, key: str, path: str) -> str | None:
+    """`raw[key]`, a name, or None when it is absent or null."""
+    return None if raw.get(key) is None else _as_name(raw[key], f"{path}.{key}")
+
+
+def _parse_predicate(raw: Any, path: str) -> Predicate:
+    raw = _as_section(raw, path, dict)
+    unless = raw.get("unless")
+    return Predicate(
+        field=_as_name(_require(raw, "field", path), f"{path}.field"),
+        op=_known(_require(raw, "op", path), _ALL_OPS, f"{path}.op", "predicate op"),
+        value=raw.get("value"),
+        unless=_parse_predicate(unless, f"{path}.unless") if unless else None,
+    )
+
+
 def _parse_rules(raw: Any, path: str) -> tuple[Rule, ...]:
     rules = []
     for k, rule in enumerate(_as_section(raw, path, list)):
         rpath = f"{path}[{k}]"
         rule = _as_section(rule, rpath, dict)
-        try:
-            parsed = Rule.from_payload(rule)
-        except KeyError as exc:
-            raise ConfigError(rpath, f"missing {exc.args[0]!r}") from None
-        except (ValueError, TypeError, AttributeError) as exc:
-            raise ConfigError(rpath, f"malformed rule: {exc}") from None
-        _as_name(parsed.rule_id, f"{rpath}.rule_id")
-        rules.append(parsed)
+        rules.append(
+            Rule(
+                rule_id=_as_name(_require(rule, "rule_id", rpath), f"{rpath}.rule_id"),
+                scope=_known(_require(rule, "scope", rpath), _SCOPES, f"{rpath}.scope", "rule scope"),
+                predicate=_parse_predicate(_require(rule, "predicate", rpath), f"{rpath}.predicate"),
+                action=_known(rule.get("action", "Reject"), _ACTIONS, f"{rpath}.action", "rule action"),
+                description=rule.get("description", ""),
+            )
+        )
     return tuple(rules)
+
+
+def _parse_template(raw: Any, path: str) -> TaskTemplate:
+    raw = _as_section(raw, path, dict)
+    cpath = f"{path}.slashing_condition"
+    condition = _as_section(_require(raw, "slashing_condition", path), cpath, dict)
+    return TaskTemplate(
+        template_id=_as_name(_require(raw, "template_id", path), f"{path}.template_id"),
+        depends_on=_names(raw.get("depends_on", []), f"{path}.depends_on"),
+        token_cap=_as_int(_require(raw, "token_cap", path), f"{path}.token_cap"),
+        slashing_condition=SlashingCondition(
+            metric=_as_name(_require(condition, "metric", cpath), f"{cpath}.metric"),
+            comparator=_known(_require(condition, "comparator", cpath), _COMPARATORS, f"{cpath}.comparator", "comparator"),
+            threshold=condition.get("threshold"),
+        ),
+        tool_call_cap=_as_int(raw.get("tool_call_cap", 40), f"{path}.tool_call_cap"),
+        message_cap=_as_int(raw.get("message_cap", 120), f"{path}.message_cap"),
+        gate_check_id=_optional_name(raw, "gate_check_id", path),
+        seals_provenance=bool(raw.get("seals_provenance", False)),
+    )
+
+
+def _parse_bid(raw: Any, did: str, path: str) -> Bid:
+    raw = _as_section(raw, path, dict)
+    return Bid(
+        did=did,
+        node_id=_as_name(_require(raw, "node_id", path), f"{path}.node_id"),
+        accuracy_sla=_as_finite_decimal(_require(raw, "accuracy_sla", path), f"{path}.accuracy_sla"),
+        completion_ticks=_as_int(_require(raw, "completion_ticks", path), f"{path}.completion_ticks", minimum=0),
+    )
 
 
 def _parse_evidence(raw: Any, path: str) -> EvidenceSpec:
@@ -316,7 +396,7 @@ def _parse_attempt(raw: Mapping, path: str, base: Mapping | None = None) -> Atte
             _parse_evidence(entry, f"{path}.evidence[{k}]")
             for k, entry in enumerate(_as_section(merged.get("evidence", []), f"{path}.evidence", list))
         ),
-        output=dict(merged.get("output", {})),
+        output=dict(_as_section(merged.get("output", {}), f"{path}.output", dict)),
     )
 
 
@@ -330,11 +410,19 @@ def _parse_plan(node_id: str, raw: Mapping, path: str) -> NodePlan:
         ppath = f"{path}.probe"
         praw = _as_section(raw["probe"], ppath, dict)
         probe = ProbePlan(
-            metric=_require(praw, "metric", ppath),
+            metric=_as_name(_require(praw, "metric", ppath), f"{ppath}.metric"),
             period_ticks=_as_int(_require(praw, "period_ticks", ppath), f"{ppath}.period_ticks", minimum=1),
-            clean_value=float(_require(praw, "clean_value", ppath)),
-            corrupt_value=float(_require(praw, "corrupt_value", ppath)),
-            fault_ref=praw.get("fault_ref", ""),
+            clean_value=_as_float(_require(praw, "clean_value", ppath), f"{ppath}.clean_value"),
+            corrupt_value=_as_float(_require(praw, "corrupt_value", ppath), f"{ppath}.corrupt_value"),
+            fault_ref=_optional_name(praw, "fault_ref", ppath),
+        )
+    screen = None
+    if raw.get("screen") is not None:
+        spath = f"{path}.screen"
+        sraw = _as_section(raw["screen"], spath, dict)
+        screen = Screen(
+            affected=_as_int(_require(sraw, "affected", spath), f"{spath}.affected", minimum=0),
+            flagged=_names(sraw.get("flagged", []), f"{spath}.flagged"),
         )
     return NodePlan(
         node_id=node_id,
@@ -343,32 +431,45 @@ def _parse_plan(node_id: str, raw: Mapping, path: str) -> NodePlan:
         probe=probe,
         rollback_delay_ticks=_as_int(raw.get("rollback_delay_ticks", 300), f"{path}.rollback_delay_ticks", minimum=1),
         max_cycles=_as_int(raw.get("max_cycles", 3), f"{path}.max_cycles", minimum=1),
-        screen=raw.get("screen"),
-        items=tuple(raw.get("items", ())),
-        quarantine_items=tuple(raw.get("quarantine", ())),
+        screen=screen,
+        items=_names(raw.get("items", []), f"{path}.items"),
+        quarantine_items=_names(raw.get("quarantine", []), f"{path}.quarantine"),
     )
 
 
 def _parse_partner(raw: Any, path: str) -> tuple[str, str]:
     raw = _as_section(raw, path, dict)
-    return _require(raw, "id", path), _as_money(raw.get("balance", "0"), f"{path}.balance")
+    return _as_name(_require(raw, "id", path), f"{path}.id"), _as_money(raw.get("balance", "0"), f"{path}.balance")
 
 
 def _parse_params(
-    kind: Any, raw: Any, path: str, node_ids: set[str], order_ids: set[str]
-) -> dict[str, Any]:
-    """Timeline params. The objects that the handlers read by key, and the
-    nodes and orders they name, are checked here; a correction loop's `rubric`
-    and `amendment` and a dispute's `panel` and `verdict` are replaced by the
-    values the handlers pass on."""
+    kind: str,
+    raw: Any,
+    path: str,
+    mission_id: str,
+    payer: str,
+    node_ids: set[str],
+    orders: Mapping[str, Mapping[str, Any]],
+) -> tuple[dict[str, Any], Release | None]:
+    """A timeline event's params, each value replaced by the one its handler
+    passes on and every default filled in, and the release the event makes.
+    `mission_id` goes into the incident, `payer` is the default cross-node
+    payer, and a dispute's `order_ref` becomes the order in `orders`."""
     params = dict(_as_section(raw, path, dict))
     if kind == "correction_loop":
         ipath = f"{path}.incident"
         incident = _as_section(_require(params, "incident", path), ipath, dict)
-        _require(incident, "incident_id", ipath)
-        _require(incident, "cause", ipath)
         probe = _as_section(incident.get("probe", {}), f"{ipath}.probe", dict)
-        _as_section(probe.get("payload_equals", {}), f"{ipath}.probe.payload_equals", dict)
+        params["incident"] = Incident(
+            incident_id=_as_name(_require(incident, "incident_id", ipath), f"{ipath}.incident_id"),
+            mission_id=mission_id,
+            cause=_as_name(_require(incident, "cause", ipath), f"{ipath}.cause"),
+            probe=IncidentProbe(
+                digest_mismatch=bool(probe.get("digest_mismatch", False)),
+                scope_violation=bool(probe.get("scope_violation", False)),
+                payload_equals=dict(_as_section(probe.get("payload_equals", {}), f"{ipath}.probe.payload_equals", dict)),
+            ),
+        )
         rpath = f"{path}.rubric"
         rubric = _as_section(params.get("rubric", {}), rpath, dict)
         params["rubric"] = SlashingRubric(
@@ -378,40 +479,57 @@ def _parse_params(
             ),
         )
         params["amendment"] = _parse_rules(params.get("amendment", []), f"{path}.amendment")
-    elif kind == "dispute":
-        _as_section(params.get("evidence_query", {}), f"{path}.evidence_query", dict)
-        if "order_ref" in params:
-            _known(params["order_ref"], order_ids, f"{path}.order_ref", "order")
-        if params.get("release"):
-            rpath = f"{path}.release"
-            release = _as_section(params["release"], rpath, dict)
-            _known(_require(release, "node_id", rpath), node_ids, f"{rpath}.node_id", "node")
-            _require(release, "items", rpath)
-        panel = _as_section(_require(params, "panel", path), f"{path}.panel", list)
-        params["panel"] = tuple(_as_name(member, f"{path}.panel[{k}]") for k, member in enumerate(panel))
-        vpath = f"{path}.verdict"
-        verdict = _as_section(_require(params, "verdict", path), vpath, dict)
-        params["verdict"] = Verdict(
-            votes_for=_as_int(_require(verdict, "votes_for", vpath), f"{vpath}.votes_for", minimum=0),
-            votes_against=_as_int(
-                _require(verdict, "votes_against", vpath), f"{vpath}.votes_against", minimum=0
-            ),
-            recommendation=verdict.get("recommendation"),
-            proposed_rules=_parse_rules(verdict.get("proposed_rules", []), f"{vpath}.proposed_rules"),
+        return params, None
+    if kind == "cross_node_attestation":
+        params["payer"] = _as_name(params.get("payer", payer), f"{path}.payer")
+        params["provider_account"] = _as_name(_require(params, "provider_account", path), f"{path}.provider_account")
+        params["amount"] = _as_money(_require(params, "amount", path), f"{path}.amount")
+        params["provider_did"] = _optional_name(params, "provider_did", path)
+        params["beneficiary_refs"] = _names(params.get("beneficiary_refs", []), f"{path}.beneficiary_refs")
+        items = _names(params.get("release", []), f"{path}.release")
+        if not items:
+            return params, None
+        return params, Release(
+            node_id=_known(_require(params, "node_id", path), node_ids, f"{path}.node_id", "node"),
+            items=items,
+            resolution=_as_name(params.get("resolution", "cross-node-attestation"), f"{path}.resolution"),
         )
-    elif kind == "cross_node_attestation" and params.get("release"):
-        _known(_require(params, "node_id", path), node_ids, f"{path}.node_id", "node")
-    return params
+    params["evidence_query"] = dict(_as_section(params.get("evidence_query", {}), f"{path}.evidence_query", dict))
+    params["order"] = orders[_known(params["order_ref"], orders, f"{path}.order_ref", "order")] if "order_ref" in params else None
+    release = None
+    if params.get("release"):
+        rpath = f"{path}.release"
+        rraw = _as_section(params["release"], rpath, dict)
+        release = Release(
+            node_id=_known(_require(rraw, "node_id", rpath), node_ids, f"{rpath}.node_id", "node"),
+            items=_names(_require(rraw, "items", rpath), f"{rpath}.items"),
+            resolution=_as_name(rraw.get("resolution", "dispute-verdict"), f"{rpath}.resolution"),
+        )
+    params["panel"] = _names(_require(params, "panel", path), f"{path}.panel")
+    vpath = f"{path}.verdict"
+    verdict = _as_section(_require(params, "verdict", path), vpath, dict)
+    params["verdict"] = Verdict(
+        votes_for=_as_int(_require(verdict, "votes_for", vpath), f"{vpath}.votes_for", minimum=0),
+        votes_against=_as_int(_require(verdict, "votes_against", vpath), f"{vpath}.votes_against", minimum=0),
+        recommendation=verdict.get("recommendation"),
+        proposed_rules=_parse_rules(verdict.get("proposed_rules", []), f"{vpath}.proposed_rules"),
+    )
+    params["open_offset"] = _as_int(params.get("open_offset", 600), f"{path}.open_offset", minimum=0)
+    params["deliberate_offset"] = _as_int(params.get("deliberate_offset", 86_400), f"{path}.deliberate_offset", minimum=0)
+    params["verdict_offset"] = _as_int(params.get("verdict_offset", 172_800), f"{path}.verdict_offset", minimum=0)
+    params["ratify_offset"] = _as_int(params.get("ratify_offset", 244_800), f"{path}.ratify_offset", minimum=0)
+    for key in ("case_id", "complainant", "precedent_id"):
+        params[key] = _optional_name(params, key, path)
+    return params, release
 
 
 def _parse_fault(raw: Mapping, path: str) -> FaultInjection:
     raw = _as_section(raw, path, dict)
     kind = _known(_require(raw, "kind", path), _FAULT_TARGETS, f"{path}.kind", "fault kind")
-    target = _require(raw, _FAULT_TARGETS[kind], path)
+    target = _as_name(_require(raw, _FAULT_TARGETS[kind], path), f"{path}.{_FAULT_TARGETS[kind]}")
     behavior = ""
     if kind == "BehaviorOverride":
-        behavior = _require(raw, "behavior_name", path)
-        _known(behavior, _OVERRIDES, f"{path}.behavior_name", "behavior")
+        behavior = _known(_require(raw, "behavior_name", path), _OVERRIDES, f"{path}.behavior_name", "behavior")
     activate = _as_int(_require(raw, "activate_tick", path), f"{path}.activate_tick", minimum=0)
     deactivate = _as_int(_require(raw, "deactivate_tick", path), f"{path}.deactivate_tick", minimum=0)
     if activate >= deactivate:
@@ -420,7 +538,8 @@ def _parse_fault(raw: Mapping, path: str) -> FaultInjection:
 
 
 def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
-    """Validate a parsed scenario document. Every rejection names the field."""
+    """Validate a parsed scenario document and parse every value into the
+    type the driver reads. Every rejection names the field."""
     seed = _require(data, "seed", "")
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ConfigError("seed", "must be a 64-bit unsigned integer")
@@ -428,10 +547,9 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
 
     mission_raw = _as_section(_require(data, "mission", ""), "mission", dict)
     mission_id = _as_name(_require(mission_raw, "mission_id", "mission"), "mission.mission_id")
-    clock_origin = mission_raw.get("clock_origin", "2026-01-01T00:00:00+00:00")
     try:
-        origin = datetime.fromisoformat(clock_origin)
-    except ValueError:
+        origin = datetime.fromisoformat(mission_raw.get("clock_origin", "2026-01-01T00:00:00+00:00"))
+    except (TypeError, ValueError):
         raise ConfigError("mission.clock_origin", "not an ISO-8601 timestamp") from None
     horizon = _as_int(mission_raw.get("global_timeout_ticks", 600_000), "mission.global_timeout_ticks", minimum=1)
     exec_start = _as_int(mission_raw.get("exec_start_tick", 900), "mission.exec_start_tick", minimum=0)
@@ -448,34 +566,28 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     for i, araw in enumerate(_as_section(_require(data, "agents", ""), "agents", list)):
         path = f"agents[{i}]"
         araw = _as_section(araw, path, dict)
-        did = _require(araw, "did", path)
-        baselines = []
+        did = _as_name(_require(araw, "did", path), f"{path}.did")
+        baselines = {}
         for label, braw in sorted(_as_section(araw.get("baselines", {}), f"{path}.baselines", dict).items()):
             lpath = f"{path}.baselines.{label}"
             braw = _as_section(braw, lpath, dict)
-            std = float(_require(braw, "std", lpath))
+            std = _as_float(_require(braw, "std", lpath), f"{lpath}.std")
             if std <= 0:
                 raise ConfigError(f"{lpath}.std", "must be positive")
-            baselines.append((label, float(_require(braw, "mean", lpath)), std))
-        bids = []
-        for j, braw in enumerate(_as_section(araw.get("bids", []), f"{path}.bids", list)):
-            bpath = f"{path}.bids[{j}]"
-            try:
-                bid = Bid.from_payload({"did": did, **_as_section(braw, bpath, dict)})
-            except (KeyError, ValueError, InvalidOperation) as exc:
-                raise ConfigError(bpath, f"malformed bid: {exc}") from None
-            bids.append(bid)
+            baselines[label] = (_as_float(_require(braw, "mean", lpath), f"{lpath}.mean"), std)
         agents.append(
             AgentSpec(
                 did=did,
-                role=_require(araw, "role", path),
+                role=_as_name(_require(araw, "role", path), f"{path}.role"),
                 owner=_require(araw, "owner", path),
                 stake=_as_money(_require(araw, "stake", path), f"{path}.stake"),
-                reputation=str(araw.get("reputation", "50.0")),
-                standby=araw.get("standby"),
+                reputation=_as_finite_decimal(araw.get("reputation", "50.0"), f"{path}.reputation"),
                 balance=_as_money(araw.get("balance", "0"), f"{path}.balance"),
-                baselines=tuple(baselines),
-                bids=tuple(bids),
+                baselines=baselines,
+                bids=tuple(
+                    _parse_bid(braw, did, f"{path}.bids[{j}]")
+                    for j, braw in enumerate(_as_section(araw.get("bids", []), f"{path}.bids", list))
+                ),
             )
         )
         dids.add(did)
@@ -483,12 +595,16 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
         raise ConfigError("agents", "roster must not be empty")
 
     job_raw = _as_section(_require(data, "job", ""), "job", dict)
-    try:
-        job = JobSpec.from_payload(job_raw)
-    except KeyError as exc:
-        raise ConfigError(f"job.{exc.args[0]}", "missing") from None
-    except (ValueError, InvalidOperation) as exc:
-        raise ConfigError("job", str(exc)) from None
+    job = JobSpec(
+        job_id=_as_name(_require(job_raw, "job_id", "job"), "job.job_id"),
+        order_count=_as_int(_require(job_raw, "order_count", "job"), "job.order_count", minimum=0),
+        notional_value=_as_finite_decimal(_require(job_raw, "notional_value", "job"), "job.notional_value"),
+        currency=_as_name(_require(job_raw, "currency", "job"), "job.currency"),
+        task_templates=tuple(
+            _parse_template(t, f"job.task_templates[{k}]")
+            for k, t in enumerate(_as_section(_require(job_raw, "task_templates", "job"), "job.task_templates", list))
+        ),
+    )
     node_ids = {t.template_id for t in job.task_templates}
 
     charter_raw = _as_section(_require(data, "charter", ""), "charter", dict)
@@ -509,18 +625,21 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
             raise ConfigError(f"economy.reward_weights.{did}", "not a registered agent")
     economy = EconomyPlan(
         pool_total=_as_money(_require(eraw, "pool_total", "economy"), "economy.pool_total"),
-        protocol_rate=str(_require(eraw, "protocol_rate", "economy")),
-        infra_rate=str(_require(eraw, "infra_rate", "economy")),
-        cross_tax_rate=str(eraw.get("cross_tax_rate", "0.02")),
+        protocol_rate=_as_finite_decimal(_require(eraw, "protocol_rate", "economy"), "economy.protocol_rate"),
+        infra_rate=_as_finite_decimal(_require(eraw, "infra_rate", "economy"), "economy.infra_rate"),
+        cross_tax_rate=_as_finite_decimal(eraw.get("cross_tax_rate", "0.02"), "economy.cross_tax_rate"),
         stake_floor=_as_money(eraw.get("stake_floor", "100.00"), "economy.stake_floor"),
-        org_account=_require(eraw, "org_account", "economy"),
+        org_account=_as_name(_require(eraw, "org_account", "economy"), "economy.org_account"),
         org_balance=_as_money(_require(eraw, "org_balance", "economy"), "economy.org_balance"),
         partner_accounts=tuple(
             _parse_partner(p, f"economy.partner_accounts[{k}]")
             for k, p in enumerate(_as_section(eraw.get("partner_accounts", []), "economy.partner_accounts", list))
         ),
         reward_weights=weights,
-        reputation_bonus={k: str(v) for k, v in eraw.get("reputation_bonus", {}).items()},
+        reputation_bonus={
+            did: _as_finite_decimal(bonus, f"economy.reputation_bonus.{did}")
+            for did, bonus in _as_section(eraw.get("reputation_bonus", {}), "economy.reputation_bonus", dict).items()
+        },
     )
 
     plans: dict[str, NodePlan] = {}
@@ -537,24 +656,22 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
         condition = template.slashing_condition
         plan = plans[template.template_id]
         reported = {m for attempt in (plan.first, plan.retry) if attempt is not None for m in attempt.metrics}
-        if condition.comparator != "missing_field" and (
-            not isinstance(condition.metric, str) or condition.metric not in reported
-        ):
+        if condition.comparator != "missing_field" and condition.metric not in reported:
             raise ConfigError(
                 f"job.task_templates[{k}].slashing_condition.metric",
                 f"no attempt of {template.template_id} reports {condition.metric!r}",
             )
 
     oraw = _as_section(data.get("orders", {}), "orders", dict)
-    orders = tuple(_as_section(oraw.get("items", []), "orders.items", list))
-    for k, order in enumerate(orders):
-        if "order_id" not in _as_section(order, f"orders.items[{k}]", dict):
-            raise ConfigError(f"orders.items[{k}].order_id", "missing")
-    order_ids = {o["order_id"] for o in orders}
-    regression_refs = tuple(oraw.get("regression_refs", ()))
-    for ref in regression_refs:
-        if ref not in order_ids:
-            raise ConfigError("orders.regression_refs", f"unknown order {ref!r}")
+    orders: dict[str, Mapping[str, Any]] = {}
+    for k, order in enumerate(_as_section(oraw.get("items", []), "orders.items", list)):
+        opath = f"orders.items[{k}]"
+        order_id = _require(_as_section(order, opath, dict), "order_id", opath)
+        orders.setdefault(_as_name(order_id, f"{opath}.order_id"), order)
+    regression_orders = tuple(
+        orders[_known(ref, orders, "orders.regression_refs", "order")]
+        for ref in _as_section(oraw.get("regression_refs", []), "orders.regression_refs", list)
+    )
 
     timeline: list[TimelineEvent] = []
     last_tick = -1
@@ -565,11 +682,13 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
         if tick < last_tick:
             raise ConfigError(f"{path}.tick", "timeline must be ordered by tick")
         last_tick = tick
-        kind = _require(evraw, "kind", path)
-        params = _parse_params(kind, evraw.get("params", {}), f"{path}.params", node_ids, order_ids)
+        kind = _known(_require(evraw, "kind", path), _TIMELINE_KINDS, f"{path}.kind", "timeline event kind")
+        params, release = _parse_params(
+            kind, evraw.get("params", {}), f"{path}.params", mission_id, economy.org_account, node_ids, orders
+        )
         if tick > horizon:
             raise ConfigError(f"{path}.tick", f"is past mission.global_timeout_ticks {horizon}")
-        timeline.append(TimelineEvent(tick=tick, kind=kind, params=params))
+        timeline.append(TimelineEvent(tick=tick, kind=kind, params=params, release=release))
 
     known_endpoints = {
         spec.endpoint_id
@@ -592,30 +711,29 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
 
     graw = _as_section(data.get("guardian", {}), "guardian", dict)
     guardian = GuardianPlan(
-        z_threshold=float(graw.get("z_threshold", 2.0)),
+        z_threshold=_as_float(graw.get("z_threshold", 2.0), "guardian.z_threshold"),
         window_ticks=_as_int(graw.get("window_ticks", 1200), "guardian.window_ticks", minimum=1),
-        cosigner=graw.get("cosigner", "verifier-quorum-01"),
-        mediator=graw.get("mediator", "consensus-01"),
-        escalation_panel=tuple(_as_section(graw.get("escalation_panel", []), "guardian.escalation_panel", list)),
+        cosigner=_as_name(graw.get("cosigner", "verifier-quorum-01"), "guardian.cosigner"),
+        mediator=_as_name(graw.get("mediator", "consensus-01"), "guardian.mediator"),
+        escalation_panel=_names(graw.get("escalation_panel", []), "guardian.escalation_panel"),
     )
 
     return ScenarioConfig(
         seed=seed,
         tick_scale=tick_scale,
-        clock_origin=clock_origin,
+        clock_origin=origin,
         mission_id=mission_id,
-        value_ceiling=str(_require(mission_raw, "value_ceiling", "mission")),
+        value_ceiling=_as_finite_decimal(_require(mission_raw, "value_ceiling", "mission"), "mission.value_ceiling"),
         global_timeout_ticks=horizon,
         exec_start_tick=exec_start,
         settlement_delay_ticks=_as_int(mission_raw.get("settlement_delay_ticks", 300), "mission.settlement_delay_ticks", minimum=1),
-        budget_window_nodes=tuple(mission_raw.get("budget_window_nodes", ())),
+        budget_window_nodes=_names(mission_raw.get("budget_window_nodes", []), "mission.budget_window_nodes"),
         agents=tuple(agents),
         job=job,
         charter=charter,
         economy=economy,
         plans=plans,
-        orders=orders,
-        regression_refs=regression_refs,
+        regression_orders=regression_orders,
         timeline=tuple(timeline),
         faults=tuple(faults),
         guardian=guardian,
@@ -781,8 +899,7 @@ class _Driver:
     # -- clock helpers ------------------------------------------------------
 
     def clock_label(self, tick: int) -> str:
-        origin = datetime.fromisoformat(self.config.clock_origin)
-        return (origin + timedelta(seconds=tick * self.config.tick_scale)).isoformat()
+        return (self.config.clock_origin + timedelta(seconds=tick * self.config.tick_scale)).isoformat()
 
     @property
     def now(self) -> int:
@@ -813,8 +930,7 @@ class _Driver:
                 spec.owner,
                 spec.stake,
                 reputation=spec.reputation,
-                standby=spec.standby,
-                baselines={label: (mean, std) for label, mean, std in spec.baselines},
+                baselines=spec.baselines,
             )
             self.registry.transition_cert(spec.did, CertEvent.BENCHMARK_PASS)
             self.treasury.open_account(spec.did, balance=spec.balance, stake=spec.stake)
@@ -1102,13 +1218,12 @@ class _Driver:
             {"node_id": event.node_id, "tick": event.tick, "check_id": check_id, "passed": passed}
         )
         if passed and plan.screen is not None:
-            flagged = list(plan.screen.get("flagged", ()))
-            affected = int(plan.screen["affected"])
+            affected, flagged = plan.screen
             self.screening[event.node_id] = {
                 "affected": affected,
                 "cleared": affected - len(flagged),
                 "flagged": len(flagged),
-                "flagged_ids": flagged,
+                "flagged_ids": list(flagged),
             }
         if not passed:
             self.note_freeze(run.freeze_events[-1])
@@ -1198,10 +1313,7 @@ class _Driver:
     def settle(self) -> None:
         econ = self.config.economy
         if self.completed_tick is None:
-            try:
-                escrow_state = self.treasury.pool(self.config.mission_id).escrow_state
-            except KeyError:
-                escrow_state = "Unfunded"
+            escrow_state = self.treasury.pool(self.config.mission_id).escrow_state
             self.token_flows = {
                 "pool": {"total": econ.pool_total, "escrow_state": escrow_state},
                 "rewards": {},
@@ -1211,13 +1323,12 @@ class _Driver:
             return
         tick = self.completed_tick + self.config.settlement_delay_ticks
         self.advance(tick)
-        weights = {did: Decimal(w) for did, w in econ.reward_weights.items()}
-        shares = self.treasury.distribute(self.config.mission_id, weights)
+        shares = self.treasury.distribute(self.config.mission_id, econ.reward_weights)
         pool = self.treasury.pool(self.config.mission_id)
         for did, bonus in sorted(econ.reputation_bonus.items()):
             profile = self.registry.get(did)
             entry = {"before": str(profile.reputation)}
-            self.registry.update_reputation(did, Decimal(bonus))
+            self.registry.update_reputation(did, bonus)
             entry["after"] = str(self.registry.get(did).reputation)
             self.reputation[did] = entry
         self.token_flows = {
@@ -1238,25 +1349,16 @@ class _Driver:
 
     # -- timeline handlers ---------------------------------------------------
 
-    def order_by_ref(self, ref: str) -> Mapping[str, Any]:
-        for order in self.config.orders:
-            if order["order_id"] == ref:
-                return order
-        raise KeyError(ref)
-
-    def regression_orders(self) -> list[Mapping[str, Any]]:
-        return [self.order_by_ref(ref) for ref in self.config.regression_refs]
-
-    def release(self, node_id: str, items: Sequence[str], resolution: str, tick: int) -> int | None:
+    def release(self, release: Release, tick: int) -> int | None:
         """Release a node's quarantined items and trace it; returns the number
         of items still held across all nodes. Releases nothing, records a
         failure and returns None when an item is not quarantined in the node
         (it never verified, say)."""
         try:
             release_quarantined(
-                self.runs[node_id],
-                items,
-                resolution=resolution,
+                self.runs[release.node_id],
+                release.items,
+                resolution=release.resolution,
                 tick=tick,
                 ledger=self.ledger,
                 mission_id=self.config.mission_id,
@@ -1268,9 +1370,9 @@ class _Driver:
             {
                 "tick": tick,
                 "action": "release",
-                "node_id": node_id,
-                "items": sorted(items),
-                "resolution": resolution,
+                "node_id": release.node_id,
+                "items": sorted(release.items),
+                "resolution": release.resolution,
             }
         )
         return sum(len(r.quarantined_items) for r in self.runs.values())
@@ -1278,51 +1380,33 @@ class _Driver:
     def handle_cross_node(self, event: TimelineEvent) -> None:
         params = event.params
         amount, tax = self.treasury.settle_cross_node(
-            params.get("payer", self.config.economy.org_account),
+            params["payer"],
             params["provider_account"],
             params["amount"],
             self.config.economy.cross_tax_rate,
             mission_id=self.config.mission_id,
         )
-        released = list(params.get("release", ()))
-        remaining = None
-        if released:
-            resolution = params.get("resolution", "cross-node-attestation")
-            remaining = self.release(params["node_id"], released, resolution, event.tick)
-            if remaining is None:
-                released = []
+        remaining = None if event.release is None else self.release(event.release, event.tick)
         self.cross_node_block = {
             "tick": event.tick,
             "amount": fmt(amount),
             "tax": fmt(tax),
-            "payer": params.get("payer", self.config.economy.org_account),
+            "payer": params["payer"],
             "provider_account": params["provider_account"],
-            "provider_did": params.get("provider_did"),
-            "beneficiary_refs": list(params.get("beneficiary_refs", ())),
-            "released": sorted(released),
+            "provider_did": params["provider_did"],
+            "beneficiary_refs": list(params["beneficiary_refs"]),
+            "released": [] if remaining is None else sorted(event.release.items),
             "remaining_after": remaining,
         }
 
     def handle_correction_loop(self, event: TimelineEvent) -> None:
         params = event.params
-        iraw = params["incident"]
-        probe_raw = iraw.get("probe", {})
-        incident = Incident(
-            incident_id=iraw["incident_id"],
-            mission_id=self.config.mission_id,
-            cause=iraw["cause"],
-            probe=IncidentProbe(
-                digest_mismatch=bool(probe_raw.get("digest_mismatch", False)),
-                scope_violation=bool(probe_raw.get("scope_violation", False)),
-                payload_equals=dict(probe_raw.get("payload_equals", {})),
-            ),
-        )
+        incident = params["incident"]
         try:
             forensic = post_mortem(self.ledger, incident)
         except Inconclusive:
             self.failures.append(f"post-mortem inconclusive for {incident.incident_id}")
             return
-        amendment = params["amendment"]
         loop = run_correction_loop(
             incident,
             forensic,
@@ -1330,8 +1414,8 @@ class _Driver:
             treasury=self.treasury,
             registry=self.registry,
             rubric=params["rubric"],
-            amendment=amendment,
-            regression_orders=self.regression_orders(),
+            amendment=params["amendment"],
+            regression_orders=self.config.regression_orders,
             ledger=self.ledger,
             start_tick=event.tick,
         )
@@ -1341,7 +1425,7 @@ class _Driver:
                     "tick": event.tick,
                     "from_version": self.charter.version,
                     "to_version": loop.charter.version,
-                    "rule_ids": sorted(r.rule_id for r in amendment),
+                    "rule_ids": sorted(r.rule_id for r in params["amendment"]),
                     "source": "correction-loop",
                 }
             )
@@ -1351,7 +1435,7 @@ class _Driver:
         )
         stage_seqs = [r.seq for r, _ in stages.search(self.ledger)]
         sanction = dict(loop.step_a) if isinstance(loop.step_a, Mapping) else {"note": str(loop.step_a)}
-        if sanction.get("slash") not in (None, "0.00") and self.token_flows:
+        if sanction.get("slash") not in (None, "0.00"):
             self.token_flows["slash_total"] = fmt(
                 nxc(self.token_flows["slash_total"]) + nxc(sanction["slash"])
             )
@@ -1379,27 +1463,26 @@ class _Driver:
             self.config.mission_id,
             params["panel"],
             t0,
-            case_id=params.get("case_id"),
-            complainant=params.get("complainant"),
+            case_id=params["case_id"],
+            complainant=params["complainant"],
             treasury=self.treasury,
             ledger=self.ledger,
         )
         self.dispute_case = case
-        order = self.order_by_ref(params["order_ref"]) if "order_ref" in params else None
+        order = params["order"]
         pre = prescreen(None, None, self.charter, order=order) if order else None
 
-        self.advance(t0 + int(params.get("open_offset", 600)))
+        self.advance(t0 + params["open_offset"])
         check_deadline(case, self.now, ledger=self.ledger)
         advance_dispute(case, OpenEvidence(), tick=self.now, ledger=self.ledger)
-        query = params.get("evidence_query")
-        if query:
-            evidence = IncidentProbe(kinds=(RecordKind.TOOL_CALL,), payload_equals=query)
+        if params["evidence_query"]:
+            evidence = IncidentProbe(kinds=(RecordKind.TOOL_CALL,), payload_equals=params["evidence_query"])
             attach_evidence(case, [r.seq for r, _ in evidence.search(self.ledger)])
-        self.advance(t0 + int(params.get("deliberate_offset", 86_400)))
+        self.advance(t0 + params["deliberate_offset"])
         advance_dispute(case, BeginDeliberation(), tick=self.now, ledger=self.ledger)
 
         verdict = params["verdict"]
-        self.advance(t0 + int(params.get("verdict_offset", 172_800)))
+        self.advance(t0 + params["verdict_offset"])
         verdict_tick = self.now
         advance_dispute(
             case, IssueVerdict(verdict), tick=self.now, ledger=self.ledger, treasury=self.treasury
@@ -1410,7 +1493,7 @@ class _Driver:
             amended = amend_charter(
                 self.charter,
                 verdict.proposed_rules,
-                regression_orders=self.regression_orders(),
+                regression_orders=self.config.regression_orders,
                 ledger=self.ledger,
                 tick=self.now,
                 mission_id=self.config.mission_id,
@@ -1425,20 +1508,15 @@ class _Driver:
                 }
             )
             self.charter = amended
-            self.advance(t0 + int(params.get("ratify_offset", 244_800)))
+            self.advance(t0 + params["ratify_offset"])
             advance_dispute(case, Ratify(), tick=self.now, ledger=self.ledger)
 
-        case.precedent_ref = params.get("precedent_id") or None
+        case.precedent_ref = params["precedent_id"]
 
         post = prescreen(None, None, self.charter, order=order) if order else None
-        released = []
         remaining = None
-        release = params.get("release")
-        if release and isinstance(post, Authorized):
-            resolution = release.get("resolution", "dispute-verdict")
-            remaining = self.release(release["node_id"], release["items"], resolution, self.now)
-            if remaining is not None:
-                released = sorted(release["items"])
+        if event.release is not None and isinstance(post, Authorized):
+            remaining = self.release(event.release, self.now)
 
         self.dispute_block = {
             "case_id": case.case_id,
@@ -1454,7 +1532,7 @@ class _Driver:
                 "before_rules": sorted(getattr(pre, "rule_ids", ())) if pre else [],
                 "after": type(post).__name__ if post else None,
             },
-            "released": released,
+            "released": [] if remaining is None else sorted(event.release.items),
             "remaining_after": remaining,
         }
 
@@ -1465,13 +1543,9 @@ class _Driver:
             "dispute": self.handle_dispute,
         }
         for event in self.config.timeline:
-            handler = handlers.get(event.kind)
-            if handler is None:
-                self.failures.append(f"unknown timeline event kind {event.kind!r}")
-                continue
             self.advance(event.tick)
             self.event = event
-            handler(event)
+            handlers[event.kind](event)
         self.event = None
 
     # -- report --------------------------------------------------------------
@@ -1584,9 +1658,7 @@ class _Driver:
         if isinstance(event, _Event):
             action, node = event.action, event.node_id
         elif event is not None:
-            release = event.params.get("release")
-            action = event.kind
-            node = release.get("node_id") if isinstance(release, Mapping) else event.params.get("node_id")
+            action, node = event.kind, event.release and event.release.node_id
         last_seq = len(self.ledger) - 1 if len(self.ledger) else "none"
         self.failures.append(
             f"aborted: {type(exc).__name__}: {exc} (tick {self.now}, event {action},"

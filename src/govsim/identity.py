@@ -48,16 +48,13 @@ for _state in CertState:
 class AgentProfile:
     """One registered agent; the registry mutates its reputation and state."""
 
-    __slots__ = ("did", "role", "owner", "stake", "reputation", "cert_state", "baselines", "standby")
+    __slots__ = ("did", "role", "owner", "stake", "reputation", "cert_state", "baselines")
 
-    def __init__(
-        self, did: str, role: str, owner: str, stake: Decimal, reputation: Decimal, standby: str | None
-    ) -> None:
+    def __init__(self, did: str, role: str, owner: str, stake: Decimal, reputation: Decimal) -> None:
         self.did, self.role, self.owner, self.stake = did, role, owner, stake
         self.reputation = reputation
         self.cert_state = CertState.PROVISIONALLY_CERTIFIED
         self.baselines: dict[str, tuple[float, float]] = {}
-        self.standby = standby
 
 
 class IdentityRegistry:
@@ -85,7 +82,6 @@ class IdentityRegistry:
         stake,
         *,
         reputation="50.0",
-        standby: str | None = None,
         baselines: Mapping[str, tuple[float, float]] | None = None,
     ) -> AgentProfile:
         if did in self._profiles:
@@ -101,7 +97,6 @@ class IdentityRegistry:
             owner=owner,
             stake=stake,
             reputation=round1(Decimal(str(reputation))),
-            standby=standby,
         )
         for label, (mean, std) in (baselines or {}).items():
             if std <= 0:

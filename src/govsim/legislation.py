@@ -34,14 +34,6 @@ _COMPLEMENT = {
 }
 
 
-def _one_of(value, allowed: set[str], what: str):
-    """`value` if it is one of `allowed`. The value types do not check their
-    own fields, so `from_payload` checks each closed set on the way in."""
-    if not isinstance(value, str) or value not in allowed:
-        raise ValidationError(f"unknown {what} {value!r}")
-    return value
-
-
 def _as_decimal(value) -> Decimal | None:
     if isinstance(value, bool) or value is None:
         return None
@@ -95,16 +87,6 @@ class Predicate(NamedTuple):
             payload["unless"] = self.unless.to_payload()
         return payload
 
-    @staticmethod
-    def from_payload(payload: Mapping) -> "Predicate":
-        unless = payload.get("unless")
-        return Predicate(
-            field=payload["field"],
-            op=_one_of(payload["op"], _ALL_OPS, "predicate op"),
-            value=payload.get("value"),
-            unless=Predicate.from_payload(unless) if unless else None,
-        )
-
 
 class Rule(NamedTuple):
     rule_id: str
@@ -121,16 +103,6 @@ class Rule(NamedTuple):
             "action": self.action,
             "description": self.description,
         }
-
-    @staticmethod
-    def from_payload(payload: Mapping) -> "Rule":
-        return Rule(
-            rule_id=payload["rule_id"],
-            scope=_one_of(payload["scope"], _SCOPES, "rule scope"),
-            predicate=Predicate.from_payload(payload["predicate"]),
-            action=_one_of(payload.get("action", "Reject"), _ACTIONS, "rule action"),
-            description=payload.get("description", ""),
-        )
 
 
 class Charter(NamedTuple):
@@ -217,14 +189,6 @@ class SlashingCondition(NamedTuple):
             "abs_gt": abs(actual) > limit,
         }[self.comparator]
 
-    @staticmethod
-    def from_payload(payload: Mapping) -> "SlashingCondition":
-        return SlashingCondition(
-            metric=payload["metric"],
-            comparator=_one_of(payload["comparator"], _COMPARATORS, "comparator"),
-            threshold=payload.get("threshold"),
-        )
-
 
 class TaskTemplate(NamedTuple):
     template_id: str
@@ -236,19 +200,6 @@ class TaskTemplate(NamedTuple):
     gate_check_id: str | None = None
     seals_provenance: bool = False
 
-    @staticmethod
-    def from_payload(payload: Mapping) -> "TaskTemplate":
-        return TaskTemplate(
-            template_id=payload["template_id"],
-            depends_on=tuple(payload.get("depends_on", ())),
-            token_cap=int(payload["token_cap"]),
-            slashing_condition=SlashingCondition.from_payload(payload["slashing_condition"]),
-            tool_call_cap=int(payload.get("tool_call_cap", 40)),
-            message_cap=int(payload.get("message_cap", 120)),
-            gate_check_id=payload.get("gate_check_id"),
-            seals_provenance=bool(payload.get("seals_provenance", False)),
-        )
-
 
 class JobSpec(NamedTuple):
     job_id: str
@@ -256,18 +207,6 @@ class JobSpec(NamedTuple):
     notional_value: Decimal
     currency: str
     task_templates: tuple[TaskTemplate, ...]
-
-    @staticmethod
-    def from_payload(payload: Mapping) -> "JobSpec":
-        return JobSpec(
-            job_id=payload["job_id"],
-            order_count=int(payload["order_count"]),
-            notional_value=Decimal(str(payload["notional_value"])),
-            currency=payload["currency"],
-            task_templates=tuple(
-                TaskTemplate.from_payload(t) for t in payload["task_templates"]
-            ),
-        )
 
 
 def _grouped(pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
@@ -515,15 +454,6 @@ class Bid(NamedTuple):
     node_id: str
     accuracy_sla: Decimal
     completion_ticks: int
-
-    @staticmethod
-    def from_payload(payload: Mapping) -> "Bid":
-        return Bid(
-            did=payload["did"],
-            node_id=payload["node_id"],
-            accuracy_sla=Decimal(str(payload["accuracy_sla"])),
-            completion_ticks=int(payload["completion_ticks"]),
-        )
 
 
 class Assignment(NamedTuple):

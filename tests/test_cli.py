@@ -256,3 +256,30 @@ def test_check_economy_rejects_malformed_json(tmp_path, capsys):
     params.write_text("{broken")
     assert main(["check-economy", str(params)]) == 2
     assert "JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "keys, value, field",
+    [
+        (("job", "task_templates", 0, "token_cap"), None, "job.task_templates[0].token_cap"),
+        (("agents", 0, "bids", 0, "completion_ticks"), None, "agents[0].bids[0].completion_ticks"),
+        (("mission", "clock_origin"), None, "mission.clock_origin"),
+        (("timeline", 2, "params", "open_offset"), "x", "timeline[2].params.open_offset"),
+        (("timeline", 1, "params", "amount"), "x", "timeline[1].params.amount"),
+        (("timeline", 0, "kind"), "audit", "timeline[0].kind"),
+    ],
+    ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
+)
+def test_run_rejects_a_malformed_scenario_naming_the_field(tmp_path, capsys, keys, value, field):
+    raw = json.loads(bundled_scenario_path(CASE_STUDY_FIXTURE).read_text())
+    target = raw
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {field}: ")
+    assert out.err.count("\n") == 1

@@ -24,6 +24,8 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from govsim.errors import ConfigError, ValidationError
 from govsim.harness import (
@@ -320,18 +322,20 @@ def _dispute(field, value, *keys):
         _element("timeline[0].params.amendment", ("timeline", 0, "params", "amendment"), 7),
         _element("timeline[0].params.amendment[0]", ("timeline", 0, "params", "amendment"), [7]),
         _element(
-            "timeline[0].params.amendment[0]",
+            "timeline[0].params.amendment[0].predicate",
             ("timeline", 0, "params", "amendment", 0, "predicate"),
             None,
         ),
-        _missing("timeline[0].params.amendment[0]", ("timeline", 0, "params", "amendment", 0, "rule_id")),
+        _missing(
+            "timeline[0].params.amendment[0].rule_id", ("timeline", 0, "params", "amendment", 0, "rule_id")
+        ),
         _element(
             "job.task_templates[0].slashing_condition.metric",
             ("job", "task_templates", 0, "slashing_condition", "metric"),
             "nothing",
         ),
-        _element("charter.rules[0]", ("charter", "rules", 0, "scope"), []),
-        _element("charter.rules[0]", ("charter", "rules", 0, "predicate", "op"), []),
+        _element("charter.rules[0].scope", ("charter", "rules", 0, "scope"), []),
+        _element("charter.rules[0].predicate.op", ("charter", "rules", 0, "predicate", "op"), []),
         _dispute("panel", None),
         _dispute("panel", "x"),
         _dispute("panel[1]", 7, "panel", 1),
@@ -341,7 +345,7 @@ def _dispute(field, value, *keys):
         _dispute("verdict.votes_against", None, "verdict", "votes_against"),
         _dispute("verdict.proposed_rules", 7, "verdict", "proposed_rules"),
         _dispute("verdict.proposed_rules[0]", [7], "verdict", "proposed_rules"),
-        _dispute("verdict.proposed_rules[0]", "galaxy", "verdict", "proposed_rules", 0, "scope"),
+        _dispute("verdict.proposed_rules[0].scope", "galaxy", "verdict", "proposed_rules", 0, "scope"),
         _dispute("order_ref", "NOPE"),
         _dispute("release.node_id", "TASK-NOPE", "release", "node_id"),
         _element("mission.exec_start_tick", ("mission", "exec_start_tick"), 50_001),
@@ -437,6 +441,43 @@ def test_bundled_fixtures_all_load():
         config = load_bundled_scenario(name)
         assert config.seed >= 0
         assert config.plans
+
+
+# The loader is total: each single-leaf mutation of a bundled fixture either
+# loads, and then runs to a report, or is rejected with a `ConfigError`.
+MUTATION_VALUES = (None, 0, 1, 2, -5, 7, 50, 333, 2000, "x", [], "<delete>")
+
+
+def _mutation_sites(node, keys=()):
+    """The keys of every object member and array element below `node`,
+    outside `expectations` and `orders.items`."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        if keys + (key,) not in (("expectations",), ("orders", "items")):
+            yield keys + (key,)
+            yield from _mutation_sites(child, keys + (key,))
+
+
+MUTATION_SITES = [(name, keys) for name in sorted(PINNED) for keys in _mutation_sites(raw_fixture(name))]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(MUTATION_SITES), st.sampled_from(MUTATION_VALUES))
+def test_a_mutated_fixture_is_rejected_with_a_config_error_or_runs(site, value):
+    name, keys = site
+    raw = raw_fixture(name)
+    target = raw
+    for key in keys[:-1]:
+        target = target[key]
+    if value == "<delete>":
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = copy.deepcopy(value)
+    try:
+        config = scenario_from_dict(raw)
+    except ConfigError:
+        return
+    assert run(config).body["mission"]["outcome"]
 
 
 # Keys that earlier versions of the bundled fixtures carried and the loader no

@@ -1,4 +1,5 @@
 """Charter evaluation, decomposition, prescreening, bidding, contract stack."""
+import json
 from decimal import Decimal
 from types import SimpleNamespace
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from govsim.economy import split_pool
-from govsim.errors import NotFound, ValidationError
-from govsim.harness import GuardianPlan
+from govsim.errors import ConfigError, NotFound, ValidationError
+from govsim.harness import FAULT_DRILL_FIXTURE, GuardianPlan, bundled_scenario_path, scenario_from_dict
 from govsim.identity import CertEvent, IdentityRegistry
 from govsim.ledger import AuditLedger, RecordKind
 from govsim.legislation import (
@@ -73,13 +74,23 @@ class TestPredicate:
         assert Predicate("count", "eq", "3").triggered({"count": 3})
         assert Predicate("flag", "ne", "settled").triggered({"flag": "pending"})
 
+    @staticmethod
+    def load_with_rule(predicate):
+        """Load fault-drill with one order rule over `predicate` as its charter."""
+        raw = json.loads(bundled_scenario_path(FAULT_DRILL_FIXTURE).read_text())
+        raw["charter"]["rules"] = [Rule("r", "order", predicate).to_payload()]
+        return scenario_from_dict(raw)
+
     def test_unknown_op_rejected(self):
-        with pytest.raises(ValidationError):
-            Predicate.from_payload({"field": "x", "op": "between", "value": 1})
+        with pytest.raises(ConfigError) as err:
+            self.load_with_rule(Predicate("x", "between", 1))
+        assert err.value.field_path == "charter.rules[0].predicate.op"
+        assert str(err.value) == "charter.rules[0].predicate.op: unknown predicate op 'between'"
 
     def test_payload_roundtrip(self):
         p = Predicate("a", "lte", 36, unless=Predicate("b", "eq", True))
-        assert Predicate.from_payload(p.to_payload()) == p
+        loaded = self.load_with_rule(p).charter.rules[0].predicate
+        assert same(loaded, p) and same(loaded.unless, p.unless)
 
 
 class TestCharter:
