@@ -38,7 +38,7 @@ from .adjudication import (
     post_mortem,
     run_correction_loop,
 )
-from .economy import Treasury
+from .economy import RewardPool, Treasury
 from .errors import (
     BudgetExceeded,
     CapBreached,
@@ -76,7 +76,7 @@ from .execution import (
     transition,
 )
 from .identity import CertEvent, IdentityRegistry
-from .ledger import AuditLedger, RecordKind, canonical
+from .ledger import AuditLedger, RecordKind, canonical, key_needle, pair_needle
 from .legislation import (
     _ACTIONS,
     _ALL_OPS,
@@ -97,7 +97,7 @@ from .legislation import (
     prescreen,
     run_bidding,
 )
-from .money import fmt, nxc
+from .money import ZERO, fmt, nxc
 
 
 # -- fault injection ---------------------------------------------------------
@@ -196,7 +196,8 @@ class EconomyPlan(NamedTuple):
 
 
 class Release(NamedTuple):
-    """Quarantined items a timeline event releases from one node."""
+    """Quarantined items a timeline event releases from one node, sorted and
+    each named once."""
 
     node_id: str
     items: tuple[str, ...]
@@ -268,9 +269,11 @@ def _as_section(value: Any, path: str, shape: type) -> Any:
 
 def _as_money(value: Any, path: str) -> str:
     try:
-        return fmt(nxc(value))
+        if not isinstance(value, bool):
+            return fmt(nxc(value))
     except (InvalidOperation, ValueError, TypeError):
-        raise ConfigError(path, f"not a token amount: {value!r}") from None
+        pass
+    raise ConfigError(path, f"not a token amount: {value!r}")
 
 
 def _as_finite_decimal(value: Any, path: str) -> Decimal:
@@ -486,7 +489,7 @@ def _parse_params(
         params["amount"] = _as_money(_require(params, "amount", path), f"{path}.amount")
         params["provider_did"] = _optional_name(params, "provider_did", path)
         params["beneficiary_refs"] = _names(params.get("beneficiary_refs", []), f"{path}.beneficiary_refs")
-        items = _names(params.get("release", []), f"{path}.release")
+        items = tuple(sorted(set(_names(params.get("release", []), f"{path}.release"))))
         if not items:
             return params, None
         return params, Release(
@@ -502,9 +505,11 @@ def _parse_params(
         rraw = _as_section(params["release"], rpath, dict)
         release = Release(
             node_id=_known(_require(rraw, "node_id", rpath), node_ids, f"{rpath}.node_id", "node"),
-            items=_names(_require(rraw, "items", rpath), f"{rpath}.items"),
+            items=tuple(sorted(set(_names(_require(rraw, "items", rpath), f"{rpath}.items")))),
             resolution=_as_name(rraw.get("resolution", "dispute-verdict"), f"{rpath}.resolution"),
         )
+        if not release.items:
+            raise ConfigError(f"{rpath}.items", "names no item")
     params["panel"] = _names(_require(params, "panel", path), f"{path}.panel")
     vpath = f"{path}.verdict"
     verdict = _as_section(_require(params, "verdict", path), vpath, dict)
@@ -579,7 +584,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
             AgentSpec(
                 did=did,
                 role=_as_name(_require(araw, "role", path), f"{path}.role"),
-                owner=_require(araw, "owner", path),
+                owner=_as_name(_require(araw, "owner", path), f"{path}.owner"),
                 stake=_as_money(_require(araw, "stake", path), f"{path}.stake"),
                 reputation=_as_finite_decimal(araw.get("reputation", "50.0"), f"{path}.reputation"),
                 balance=_as_money(araw.get("balance", "0"), f"{path}.balance"),
@@ -620,9 +625,6 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
             _require(eraw, "reward_weights", "economy"), "economy.reward_weights", dict
         ).items()
     }
-    for did in weights:
-        if did not in dids:
-            raise ConfigError(f"economy.reward_weights.{did}", "not a registered agent")
     economy = EconomyPlan(
         pool_total=_as_money(_require(eraw, "pool_total", "economy"), "economy.pool_total"),
         protocol_rate=_as_finite_decimal(_require(eraw, "protocol_rate", "economy"), "economy.protocol_rate"),
@@ -641,6 +643,10 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
             for did, bonus in _as_section(eraw.get("reputation_bonus", {}), "economy.reputation_bonus", dict).items()
         },
     )
+    for field in ("reward_weights", "reputation_bonus"):
+        for did in getattr(economy, field):
+            if did not in dids:
+                raise ConfigError(f"economy.{field}.{did}", "not a registered agent")
 
     plans: dict[str, NodePlan] = {}
     praw_all = _as_section(_require(data, "execution_plan", ""), "execution_plan", dict)
@@ -844,6 +850,69 @@ def emit_report(report: RunReport, format: str = "json") -> bytes:
     raise ValidationError(f"unknown report format {format!r}")
 
 
+# -- report sections read from the ledger ------------------------------------
+
+
+def report_escalations(ledger: AuditLedger, window_ticks: int) -> list[dict]:
+    """The report's `escalations`: one entry per guardian escalation record."""
+    return [
+        {"tick": record.tick, "tier": body["tier"], "freeze_count": body["freeze_count"], "window_ticks": window_ticks}
+        for record, body in ledger.candidates(
+            range(len(ledger)), (RecordKind.ESCALATION,), (pair_needle("action", "guardian-escalation"),)
+        )
+    ]
+
+
+def report_quarantine(ledger: AuditLedger, order_count: int) -> dict[str, Any]:
+    """The report's `quarantine`: each quarantine and release record in seq
+    order, the items quarantined out of `order_count`, and the items the
+    nodes still hold after their last record."""
+    trace, held, quarantined = [], {}, 0
+    for record, body in ledger.candidates(range(len(ledger)), (RecordKind.ESCALATION,), (key_needle("item_ids"),)):
+        entry = {"tick": record.tick, "action": "quarantine", "node_id": body["node_id"], "items": body["item_ids"]}
+        if body["action"] == "quarantine":
+            quarantined += len(body["item_ids"])
+        else:
+            entry.update(action="release", resolution=body["resolution"])
+        trace.append(entry)
+        held[body["node_id"]] = body["held"]
+    return {
+        "quarantined": quarantined,
+        "proceeded": order_count - quarantined,
+        "remaining": sum(held.values()),
+        "trace": trace,
+    }
+
+
+def report_token_flows(ledger: AuditLedger, pool: RewardPool | None) -> dict[str, Any]:
+    """The report's `token_flows`: the mission's pool (None when the run
+    stopped before funding it), each reward transfer and each slash."""
+    seqs = range(len(ledger))
+    rewards = {
+        body["to"]: body["amount"]
+        for _, body in ledger.candidates(
+            seqs, (RecordKind.TOKEN_TRANSFER,), (pair_needle("memo", "performance-weighted reward"),)
+        )
+    }
+    slashing = [
+        {"did": body["did"], "amount": body["amount"]}
+        for _, body in ledger.candidates(seqs, (RecordKind.SLASHING_EVENT,), ())
+    ]
+    flows: dict[str, Any] = {
+        "pool": {} if pool is None else {"total": fmt(pool.total), "escrow_state": pool.escrow_state},
+        "rewards": rewards,
+        "distributed_total": fmt(sum(map(nxc, rewards.values()), ZERO)),
+        "slash_total": fmt(sum((nxc(entry["amount"]) for entry in slashing), ZERO)),
+    }
+    if pool is not None and pool.escrow_state == "Distributed":
+        flows["pool"].update(protocol_tax=fmt(pool.protocol_tax), infra_tax=fmt(pool.infra_tax), net=fmt(pool.net))
+        # the shares always sum to the net: the residual goes to one did
+        flows.update(residual="0.00", slashing=slashing)
+    elif slashing:
+        flows["slashing"] = slashing
+    return flows
+
+
 class _Clock:
     """The driver's current tick, called by its ledger for the record tick. It
     refers to nothing else, so the ledger holds no path back to the driver and
@@ -871,21 +940,19 @@ class _Driver:
         self.runs: dict[str, NodeRun] = {}
         self.journal: dict[str, NodeState] = {}
         self.mission_frozen = False
-        self.freeze_history: list[FreezeEvent] = []
         self.completed_tick: int | None = None
+        self.pool: RewardPool | None = None
         self.dispute_case: DisputeCase | None = None
         self.node_outputs: dict[str, Mapping[str, Any]] = {}
-        # report accumulators
+        # report accumulators for the facts the ledger does not carry
         self.transitions: list[dict] = []
-        self.freezes: list[dict] = []
-        self.escalations: list[dict] = []
+        self.freezes: list[FreezeEvent] = []
         self.gates: list[dict] = []
         self.screening: dict[str, dict] = {}
-        self.quarantine_trace: list[dict] = []
         self.amendments: list[dict] = []
         self.loops: list[dict] = []
         self.reputation: dict[str, dict] = {}
-        self.token_flows: dict[str, Any] = {}
+        self.final_gate: dict | None = None
         self.dispute_block: dict | None = None
         self.cross_node_block: dict | None = None
         self.failures: list[str] = []
@@ -992,7 +1059,7 @@ class _Driver:
             ledger=self.ledger,
         )
         self.advance(830)
-        self.treasury.fund_pool(
+        self.pool = self.treasury.fund_pool(
             config.mission_id,
             config.economy.org_account,
             config.economy.pool_total,
@@ -1014,27 +1081,12 @@ class _Driver:
                 )
         self.journal.clear()
 
-    def note_freeze(self, event: FreezeEvent) -> None:
-        self.freeze_history.append(event)
-        self.freezes.append(
-            {
-                "tick": event.tick,
-                "scope": event.scope,
-                "node_id": event.node_id,
-                "trigger": event.trigger,
-                "z_value": event.z_value,
-                "clock": self.clock_label(event.tick),
-            }
-        )
-
-    def escalate_after_freeze(self, tick: int) -> None:
-        window = self.config.guardian.window_ticks
-        escalation = escalate(self.freeze_history, window)
-        assert escalation is not None
-        tier, freeze_count = escalation
-        self.escalations.append(
-            {"tick": tick, "tier": tier.label, "freeze_count": freeze_count, "window_ticks": window}
-        )
+    def note_freeze(self, freeze: FreezeEvent) -> None:
+        """Keep a node's freeze and record the guardian's escalation on it; a
+        circuit breaker freezes the mission."""
+        self.freezes.append(freeze)
+        tier, freeze_count = escalate(self.freezes, self.config.guardian.window_ticks)
+        tick = freeze.tick
         self.ledger.append(
             RecordKind.ESCALATION,
             "guardian",
@@ -1155,7 +1207,6 @@ class _Driver:
             )
         except (BudgetExceeded, CapBreached):
             self.note_freeze(run.freeze_events[-1])
-            self.escalate_after_freeze(event.tick)
 
     def on_probe(self, event: _Event, run: NodeRun, plan: NodePlan) -> None:
         if run.state is not NodeState.RUNNING or run.attempts != event.attempt:
@@ -1187,7 +1238,6 @@ class _Driver:
             self.push_check(event.node_id, event.attempt, event.start, event.tick)
             return
         self.note_freeze(verdict)
-        self.escalate_after_freeze(event.tick)
         if event.attempt + 1 < plan.max_cycles:
             self.push(event.tick + plan.rollback_delay_ticks, event.node_id, "rollback", event.attempt)
 
@@ -1196,7 +1246,7 @@ class _Driver:
             return
         rollback(run, tick=event.tick, ledger=self.ledger, mission_id=self.config.mission_id)
         # a Restrictive escalation halves the headroom once the meter is live again
-        if self.escalations and self.escalations[-1]["tier"] == "Restrictive":
+        if escalate(self.freezes, self.config.guardian.window_ticks)[0] is EscalationTier.RESTRICTIVE:
             run.meter.restrict_tool_budget()
         self.begin_attempt(event.node_id, event.attempt + 1, event.tick)
 
@@ -1227,7 +1277,6 @@ class _Driver:
             }
         if not passed:
             self.note_freeze(run.freeze_events[-1])
-            self.escalate_after_freeze(event.tick)
             return
         if plan.quarantine_items:
             self.push(event.tick + 2, event.node_id, "quarantine", event.attempt)
@@ -1244,14 +1293,6 @@ class _Driver:
             tick=event.tick,
             ledger=self.ledger,
             mission_id=self.config.mission_id,
-        )
-        self.quarantine_trace.append(
-            {
-                "tick": event.tick,
-                "action": "quarantine",
-                "node_id": event.node_id,
-                "items": sorted(plan.quarantine_items),
-            }
         )
 
     def process_events(self) -> None:
@@ -1311,49 +1352,25 @@ class _Driver:
             self.failures.append(f"final output blocked by {verdict.rule_ids}")
 
     def settle(self) -> None:
-        econ = self.config.economy
         if self.completed_tick is None:
-            escrow_state = self.treasury.pool(self.config.mission_id).escrow_state
-            self.token_flows = {
-                "pool": {"total": econ.pool_total, "escrow_state": escrow_state},
-                "rewards": {},
-                "distributed_total": "0.00",
-                "slash_total": "0.00",
-            }
             return
-        tick = self.completed_tick + self.config.settlement_delay_ticks
-        self.advance(tick)
-        shares = self.treasury.distribute(self.config.mission_id, econ.reward_weights)
-        pool = self.treasury.pool(self.config.mission_id)
+        econ = self.config.economy
+        self.advance(self.completed_tick + self.config.settlement_delay_ticks)
+        self.treasury.distribute(self.config.mission_id, econ.reward_weights)
         for did, bonus in sorted(econ.reputation_bonus.items()):
             profile = self.registry.get(did)
             entry = {"before": str(profile.reputation)}
             self.registry.update_reputation(did, bonus)
             entry["after"] = str(self.registry.get(did).reputation)
             self.reputation[did] = entry
-        self.token_flows = {
-            "pool": {
-                "total": fmt(pool.total),
-                "protocol_tax": fmt(pool.protocol_tax),
-                "infra_tax": fmt(pool.infra_tax),
-                "net": fmt(pool.net),
-                "escrow_state": pool.escrow_state,
-            },
-            "rewards": {did: fmt(amount) for did, amount in shares},
-            "distributed_total": fmt(sum((a for _, a in shares), Decimal(0))),
-            # the shares always sum to the net: the residual goes to one did
-            "residual": "0.00",
-            "slash_total": "0.00",
-            "slashing": [],
-        }
 
     # -- timeline handlers ---------------------------------------------------
 
     def release(self, release: Release, tick: int) -> int | None:
-        """Release a node's quarantined items and trace it; returns the number
-        of items still held across all nodes. Releases nothing, records a
-        failure and returns None when an item is not quarantined in the node
-        (it never verified, say)."""
+        """Release a node's quarantined items; returns the number of items
+        still held across all nodes. Releases nothing, records a failure and
+        returns None when an item is not quarantined in the node (it never
+        verified, say)."""
         try:
             release_quarantined(
                 self.runs[release.node_id],
@@ -1366,15 +1383,6 @@ class _Driver:
         except NotFound as exc:
             self.failures.append(f"release: {exc.args[0]}")
             return None
-        self.quarantine_trace.append(
-            {
-                "tick": tick,
-                "action": "release",
-                "node_id": release.node_id,
-                "items": sorted(release.items),
-                "resolution": release.resolution,
-            }
-        )
         return sum(len(r.quarantined_items) for r in self.runs.values())
 
     def handle_cross_node(self, event: TimelineEvent) -> None:
@@ -1395,7 +1403,7 @@ class _Driver:
             "provider_account": params["provider_account"],
             "provider_did": params["provider_did"],
             "beneficiary_refs": list(params["beneficiary_refs"]),
-            "released": [] if remaining is None else sorted(event.release.items),
+            "released": [] if remaining is None else list(event.release.items),
             "remaining_after": remaining,
         }
 
@@ -1435,13 +1443,6 @@ class _Driver:
         )
         stage_seqs = [r.seq for r, _ in stages.search(self.ledger)]
         sanction = dict(loop.step_a) if isinstance(loop.step_a, Mapping) else {"note": str(loop.step_a)}
-        if sanction.get("slash") not in (None, "0.00"):
-            self.token_flows["slash_total"] = fmt(
-                nxc(self.token_flows["slash_total"]) + nxc(sanction["slash"])
-            )
-            self.token_flows.setdefault("slashing", []).append(
-                {"did": getattr(forensic.attribution, "did", None), "amount": sanction["slash"]}
-            )
         self.loops.append(
             {
                 "incident_id": incident.incident_id,
@@ -1532,7 +1533,7 @@ class _Driver:
                 "before_rules": sorted(getattr(pre, "rule_ids", ())) if pre else [],
                 "after": type(post).__name__ if post else None,
             },
-            "released": [] if remaining is None else sorted(event.release.items),
+            "released": [] if remaining is None else list(event.release.items),
             "remaining_after": remaining,
         }
 
@@ -1566,10 +1567,6 @@ class _Driver:
 
     def build_report(self) -> RunReport:
         config = self.config
-        held = sum(len(run.quarantined_items) for run in self.runs.values())
-        quarantined_total = sum(
-            len(t["items"]) for t in self.quarantine_trace if t["action"] == "quarantine"
-        )
         per_node = {}
         for node_id, run in sorted(self.runs.items()):
             telemetry = run.telemetry
@@ -1588,13 +1585,6 @@ class _Driver:
         utilization = (
             str(budget_utilization(window_spent, window_cap)) if window_cap > 0 else None
         )
-        if not self.token_flows:
-            self.token_flows = {
-                "pool": {},
-                "rewards": {},
-                "distributed_total": "0.00",
-                "slash_total": "0.00",
-            }
 
         body: dict[str, Any] = {
             "mission": {
@@ -1615,16 +1605,11 @@ class _Driver:
                 "charter_version": self.charter.version,
             },
             "transitions": self.transitions,
-            "freezes": self.freezes,
-            "escalations": self.escalations,
+            "freezes": [dict(f._asdict(), clock=self.clock_label(f.tick)) for f in self.freezes],
+            "escalations": report_escalations(self.ledger, config.guardian.window_ticks),
             "gates": self.gates,
             "screening": self.screening,
-            "quarantine": {
-                "quarantined": quarantined_total,
-                "proceeded": config.job.order_count - quarantined_total,
-                "remaining": held,
-                "trace": self.quarantine_trace,
-            },
+            "quarantine": report_quarantine(self.ledger, config.job.order_count),
             "budgets": {
                 "per_node": per_node,
                 "window": {
@@ -1634,13 +1619,13 @@ class _Driver:
                     "utilization": utilization,
                 },
             },
-            "token_flows": self.token_flows,
+            "token_flows": report_token_flows(self.ledger, self.pool),
             "cross_node": self.cross_node_block,
             "reputation": self.reputation,
             "dispute": self.dispute_block,
             "amendments": self.amendments,
             "correction_loops": self.loops,
-            "final_gate": getattr(self, "final_gate", None),
+            "final_gate": self.final_gate,
             "ledger": {
                 "records": len(self.ledger),
                 "head_digest": "sha256:" + self.ledger.head_digest.hex(),

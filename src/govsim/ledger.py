@@ -232,9 +232,6 @@ class AuditLedger:
             hits = [seq for seq in hits if needle in payloads[seq]]
         return [(records[seq], self.payload(seq)) for seq in hits]
 
-    def records_of_kind(self, kind: RecordKind) -> list[AuditRecord]:
-        return [r for r in self._records if r.kind is kind]
-
     def _stamp(self, seq: int, digest: bytes) -> bytes:
         """HMAC-SHA256 under the run key over `canonical({"payload_digest": …,
         "seq": seq})`, taken on a copy of the keyed base HMAC."""

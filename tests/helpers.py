@@ -1,10 +1,12 @@
 """Builders shared across test modules: a nine-node settlement job, a
 ceiling charter, a fresh ledger, and a small certified registry; `same`, an
-equality that also compares types; and the storage-level ledger tampers."""
+equality that also compares types; `ledger_accounts`, the treasury rebuilt
+from a run's ledger; and the storage-level ledger tampers."""
 from decimal import Decimal
 
+from govsim.economy import ECOSYSTEM_FUND, INFRA_FUND, JUDICIAL_FUND
 from govsim.identity import CertEvent, IdentityRegistry
-from govsim.ledger import AuditLedger, _encode
+from govsim.ledger import AuditLedger, RecordKind, _encode
 from govsim.legislation import (
     Charter,
     JobSpec,
@@ -98,6 +100,50 @@ def certified_registry():
         "did:test:provisional", "execution", "ops-lead", "5000.00", reputation="99.0"
     )
     return registry
+
+
+def ledger_accounts(config, ledger):
+    """Every account's `(balance, stake_locked)` as cent strings, rebuilt from
+    the scenario's opening balances plus the ledger's TokenTransfer and
+    SlashingEvent payloads. The pool's escrow is the account
+    `escrow:<mission_id>`."""
+    accounts = {fund: [Decimal(0), Decimal(0)] for fund in (JUDICIAL_FUND, INFRA_FUND, ECOSYSTEM_FUND)}
+
+    def account(owner):
+        return accounts.setdefault(owner, [Decimal(0), Decimal(0)])
+
+    for agent in config.agents:
+        account(agent.did)[0] += Decimal(agent.balance)
+        account(agent.did)[1] += Decimal(agent.stake)
+    account(config.economy.org_account)[0] += Decimal(config.economy.org_balance)
+    for owner, balance in config.economy.partner_accounts:
+        account(owner)[0] += Decimal(balance)
+    for record in ledger:
+        if record.kind is RecordKind.TOKEN_TRANSFER:
+            body = ledger.payload(record.seq)
+            account(body["from"])[0] -= Decimal(body["amount"])
+            account(body["to"])[0] += Decimal(body["amount"])
+        elif record.kind is RecordKind.SLASHING_EVENT:
+            body = ledger.payload(record.seq)
+            account(body["did"])[1] -= Decimal(body["amount"])
+            account(JUDICIAL_FUND)[0] += Decimal(body["amount"])
+    return {owner: (f"{balance:.2f}", f"{stake:.2f}") for owner, (balance, stake) in accounts.items()}
+
+
+def assert_ledger_rebuilds_the_treasury(config, report):
+    """The accounts rebuilt from the ledger equal the treasury's to the cent,
+    and the escrow holds the pool's net until it is distributed. A run that
+    aborted while registering the roster never opened its later accounts."""
+    derived = ledger_accounts(config, report.ledger)
+    treasury = report.treasury
+    actual = {owner: (f"{a.balance:.2f}", f"{a.stake_locked:.2f}") for owner, a in treasury._accounts.items()}
+    assert {owner: derived[owner] for owner in actual} == actual
+    escrow = f"escrow:{config.mission_id}"
+    pool = treasury._pools.get(config.mission_id)
+    if report.body["mission"]["outcome"] != "Aborted":
+        assert set(derived) - set(actual) == ({escrow} if pool is not None else set())
+    held = pool.net if pool is not None and pool.escrow_state == "Funded" else 0
+    assert derived.get(escrow, ("0.00", "0.00")) == (f"{held:.2f}", "0.00")
 
 
 # Storage-level attacks on a ledger. Like an attacker on storage, they replace

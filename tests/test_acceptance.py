@@ -117,7 +117,7 @@ def stress():
 
 
 def _payloads(ledger, kind):
-    return [ledger.payload(rec.seq) for rec in ledger.records_of_kind(kind)]
+    return [ledger.payload(rec.seq) for rec in ledger if rec.kind is kind]
 
 
 # -- 1 -----------------------------------------------------------------------
@@ -180,7 +180,7 @@ def test_c02_freeze_is_surgical(case):
     assert len(rollbacks) == 1
     rollback_tick = next(
         rec.tick
-        for rec in report.ledger.records_of_kind(RecordKind.ROLLBACK_EVENT)
+        for rec in report.ledger if rec.kind is RecordKind.ROLLBACK_EVENT
     )
 
     # neither the sibling branch nor anything downstream moved while frozen
@@ -195,7 +195,7 @@ def test_c02_freeze_is_surgical(case):
     # the rollback restored the attempt's entry checkpoint, recomputed here
     start = next(
         rec
-        for rec in report.ledger.records_of_kind(RecordKind.NODE_STARTED)
+        for rec in report.ledger if rec.kind is RecordKind.NODE_STARTED
         if report.ledger.payload(rec.seq)["node_id"] == "TASK-002B"
         and report.ledger.payload(rec.seq)["attempt"] == 1
     )
@@ -277,7 +277,7 @@ def test_c04_dispute_ratifies_one_amendment(case):
 def _stage_trace(report, incident_id):
     return [
         (report.ledger.payload(rec.seq)["stage"], rec.seq, rec.tick)
-        for rec in report.ledger.records_of_kind(RecordKind.CORRECTION_STAGE)
+        for rec in report.ledger if rec.kind is RecordKind.CORRECTION_STAGE
         if report.ledger.payload(rec.seq)["incident_id"] == incident_id
     ]
 

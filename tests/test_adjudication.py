@@ -288,7 +288,7 @@ class TestPrefilter:
         dispute = IncidentProbe(kinds=(RecordKind.TOOL_CALL,), payload_equals=query)
         assert [r.seq for r, _ in dispute.search(ledger)] == [
             r.seq
-            for r in ledger.records_of_kind(RecordKind.TOOL_CALL)
+            for r in ledger if r.kind is RecordKind.TOOL_CALL
             if all(ledger.payload(r.seq).get(k) == v for k, v in query.items())
         ]
 
@@ -306,9 +306,9 @@ class TestAttributeSlashing:
         )
         assert slashed == nxc("0")
         assert treasury.account("did:test:agent").stake_locked == nxc("6200.00")
-        assert not ledger.records_of_kind(RecordKind.SLASHING_EVENT)
+        assert not [r for r in ledger if r.kind is RecordKind.SLASHING_EVENT]
         incident_reports = [
-            r for r in ledger.records_of_kind(RecordKind.ESCALATION)
+            r for r in ledger if r.kind is RecordKind.ESCALATION
             if ledger.payload(r.seq).get("action") == "incident-report"
         ]
         assert len(incident_reports) == 1
@@ -332,7 +332,7 @@ class TestAttributeSlashing:
         )
         assert slashed == nxc("5.00")
         assert treasury.account(JUDICIAL_FUND).balance == nxc("5.00")
-        assert ledger.records_of_kind(RecordKind.SLASHING_EVENT)
+        assert [r for r in ledger if r.kind is RecordKind.SLASHING_EVENT]
 
     def test_zero_stake_floor(self):
         ledger = AuditLedger(attestation_key=b"adj-test")
@@ -391,7 +391,7 @@ class TestDisputeLifecycle:
         case = filed_case(ledger)
         assert case.state is DisputeState.FILED
         assert case.deadline_tick == 1000 + 259_200
-        assert len(ledger.records_of_kind(RecordKind.DISPUTE_TRANSITION)) == 1
+        assert len([r for r in ledger if r.kind is RecordKind.DISPUTE_TRANSITION]) == 1
 
     @pytest.mark.parametrize("panel", [("a", "b"), ("a", "b", "c", "d"), ()])
     def test_panel_must_be_three(self, panel):
@@ -420,7 +420,7 @@ class TestDisputeLifecycle:
             "Filed", "EvidenceWindow", "Deliberation", "Verdict", "AmendmentPending"
         ]
         # the verdict call lands two transition records: Verdict, then landing
-        assert len(ledger.records_of_kind(RecordKind.DISPUTE_TRANSITION)) == 5
+        assert len([r for r in ledger if r.kind is RecordKind.DISPUTE_TRANSITION]) == 5
 
     def test_verdict_without_recommendation_closes(self):
         ledger = AuditLedger(attestation_key=b"adj-test")
@@ -501,7 +501,7 @@ class TestDisputeLifecycle:
         assert check_deadline(case, case.deadline_tick + 1, ledger=ledger)
         assert not check_deadline(case, case.deadline_tick + 2, ledger=ledger)
         breaches = [
-            r for r in ledger.records_of_kind(RecordKind.ESCALATION)
+            r for r in ledger if r.kind is RecordKind.ESCALATION
             if ledger.payload(r.seq).get("action") == "deadline-breach"
         ]
         assert len(breaches) == 1
@@ -538,7 +538,7 @@ class TestAmendCharter:
         ledger = AuditLedger(attestation_key=b"adj-test")
         charter = self.base_charter()
         assert amend_charter(charter, [], ledger=ledger, mission_id=MISSION) is charter
-        assert not ledger.records_of_kind(RecordKind.CHARTER_AMENDMENT)
+        assert not [r for r in ledger if r.kind is RecordKind.CHARTER_AMENDMENT]
 
     def test_exception_pathway_bumps_version(self):
         ledger = AuditLedger(attestation_key=b"adj-test")
@@ -548,7 +548,7 @@ class TestAmendCharter:
         )
         assert amended.version == 2
         assert amended.rule("lookback-36m").predicate.unless is not None
-        assert len(ledger.records_of_kind(RecordKind.CHARTER_AMENDMENT)) == 1
+        assert len([r for r in ledger if r.kind is RecordKind.CHARTER_AMENDMENT]) == 1
 
     def test_contradiction_rejected(self):
         charter = self.base_charter()
@@ -628,7 +628,7 @@ class TestCorrectionLoop:
         assert treasury.account("did:test:agent").stake_locked == nxc("6200.00")
         stages = [
             (ledger.payload(r.seq)["stage"], r.seq)
-            for r in ledger.records_of_kind(RecordKind.CORRECTION_STAGE)
+            for r in ledger if r.kind is RecordKind.CORRECTION_STAGE
         ]
         assert [s for s, _ in stages] == ["L", "I", "G", "A"]
         seqs = [seq for _, seq in stages]
@@ -706,6 +706,6 @@ class TestCorrectionLoop:
         assert not loop.completed
         assert loop.step_l == "unclassified"
         assert loop.step_g == "not reached"
-        records = ledger.records_of_kind(RecordKind.CORRECTION_STAGE)
+        records = [r for r in ledger if r.kind is RecordKind.CORRECTION_STAGE]
         assert len(records) == 1
         assert ledger.payload(records[0].seq)["open_question"] is True

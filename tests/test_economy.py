@@ -165,7 +165,7 @@ class TestTreasury:
         assert amount == nxc("190.00")
         assert treasury.account("agent").stake_locked == nxc("3610.00")
         assert treasury.account(JUDICIAL_FUND).balance == nxc("190.00")
-        assert ledger.records_of_kind(RecordKind.SLASHING_EVENT)
+        assert [r for r in ledger if r.kind is RecordKind.SLASHING_EVENT]
 
     def test_zero_fraction_slash_emits_nothing(self):
         treasury, ledger = make_treasury()

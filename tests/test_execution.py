@@ -134,7 +134,7 @@ class TestExecuteNode:
             execute_node(node, lambda r: outcome(tokens=501), ledger=ledger, mission_id="M")
         assert node.state is NodeState.FROZEN
         assert node.freeze_events[-1].trigger == "budget-exceeded"
-        assert ledger.records_of_kind(RecordKind.FREEZE_EVENT)
+        assert [r for r in ledger if r.kind is RecordKind.FREEZE_EVENT]
 
     def test_forty_first_tool_call_breaches_cap(self):
         node = run_for()
@@ -169,7 +169,7 @@ class TestExecuteNode:
         ]
         node = run_for()
         execute_node(node, lambda r: outcome(evidence=evidence), ledger=ledger, mission_id="M")
-        recs = ledger.records_of_kind(RecordKind.TOOL_CALL)
+        recs = [r for r in ledger if r.kind is RecordKind.TOOL_CALL]
         assert len(recs) == 2
 
     def test_meter_counters_monotone(self):
@@ -210,7 +210,7 @@ class TestGateVerify:
         assert isinstance(proof, ProofOfProgress)
         assert node.state is NodeState.VERIFIED
         assert node.checkpoint is not None and node.checkpoint.tick == 7
-        records = ledger.records_of_kind(RecordKind.PROOF_OF_PROGRESS)
+        records = [r for r in ledger if r.kind is RecordKind.PROOF_OF_PROGRESS]
         assert len(records) == 1
 
     def test_ledger_variance_zero_within_band(self):
@@ -355,7 +355,7 @@ class TestRollback:
         assert node.meter.tokens_spent == 0
         assert node.attempts == 1
         assert node.telemetry is None
-        recs = ledger.records_of_kind(RecordKind.ROLLBACK_EVENT)
+        recs = [r for r in ledger if r.kind is RecordKind.ROLLBACK_EVENT]
         assert len(recs) == 1
 
     def test_no_checkpoint_restarts_from_ready(self):
@@ -421,7 +421,7 @@ class TestQuarantine:
         assert state is NodeState.VERIFIED
         assert len(node.items) == 841
         assert len(node.quarantined_items) == 6
-        assert ledger.records_of_kind(RecordKind.ESCALATION)
+        assert [r for r in ledger if r.kind is RecordKind.ESCALATION]
 
     def test_zero_items_is_noop(self):
         ledger = new_ledger()

@@ -18,6 +18,7 @@ import json
 import os
 import re
 import resource
+import runpy
 import subprocess
 import sys
 from decimal import Decimal
@@ -43,6 +44,7 @@ from govsim.harness import (
 )
 from govsim.identity import CertState
 from govsim.ledger import RecordKind, verify_jsonl
+from helpers import assert_ledger_rebuilds_the_treasury
 from test_fingerprints import PINNED
 
 
@@ -258,6 +260,19 @@ def _dispute(field, value, *keys):
         (_bad_std, "agents[0].baselines.micropayment_variance.std"),
         (_drop_job_currency, "job.currency"),
         (_unregistered_weight, "economy.reward_weights.did:netx:ghost:agent:nobody"),
+        _element(
+            "economy.reputation_bonus.did:netx:ghost:agent:nobody",
+            ("economy", "reputation_bonus", "did:netx:ghost:agent:nobody"),
+            "1.0",
+        ),
+        *(_element(f"agents[0].{key}", ("agents", 0, key), True) for key in ("stake", "balance")),
+        _element("economy.pool_total", ("economy", "pool_total"), True),
+        _element(
+            "economy.reward_weights.did:netx:drill-lab:agent:exec-fx-77",
+            ("economy", "reward_weights", "did:netx:drill-lab:agent:exec-fx-77"),
+            False,
+        ),
+        *(_element("agents[0].owner", ("agents", 0, "owner"), value) for value in ("", 7)),
         (_missing_plan, "execution_plan.TASK-FX-002"),
         (_stray_plan, "execution_plan.TASK-ZZZ"),
         (_unknown_regression_ref, "orders.regression_refs"),
@@ -348,6 +363,7 @@ def _dispute(field, value, *keys):
         _dispute("verdict.proposed_rules[0].scope", "galaxy", "verdict", "proposed_rules", 0, "scope"),
         _dispute("order_ref", "NOPE"),
         _dispute("release.node_id", "TASK-NOPE", "release", "node_id"),
+        _dispute("release.items", [], "release", "items"),
         _element("mission.exec_start_tick", ("mission", "exec_start_tick"), 50_001),
         _element("timeline[0].tick", ("timeline", 0, "tick"), 50_001),
         _element("tick_scale", ("tick_scale",), 10**12),
@@ -444,7 +460,8 @@ def test_bundled_fixtures_all_load():
 
 
 # The loader is total: each single-leaf mutation of a bundled fixture either
-# loads, and then runs to a report, or is rejected with a `ConfigError`.
+# loads, and then runs to a report whose ledger rebuilds its treasury, or is
+# rejected with a `ConfigError`.
 MUTATION_VALUES = (None, 0, 1, 2, -5, 7, 50, 333, 2000, "x", [], "<delete>")
 
 
@@ -477,7 +494,24 @@ def test_a_mutated_fixture_is_rejected_with_a_config_error_or_runs(site, value):
         config = scenario_from_dict(raw)
     except ConfigError:
         return
-    assert run(config).body["mission"]["outcome"]
+    report = run(config)
+    assert report.body["mission"]["outcome"]
+    assert_ledger_rebuilds_the_treasury(config, report)
+
+
+# Every token movement is on the ledger: the opening balances plus the
+# TokenTransfer and SlashingEvent payloads give the treasury to the cent.
+WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "workloads.py"))["GENERATORS"]
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [(name, None) for name in sorted(PINNED)]
+    + [(name, seed) for name in sorted(WORKLOADS) for seed in (1, 11, 21)],
+)
+def test_the_ledger_rebuilds_the_treasury(name, seed):
+    config = scenario_from_dict(raw_fixture(name) if seed is None else WORKLOADS[name](seed))
+    assert_ledger_rebuilds_the_treasury(config, run(config))
 
 
 # Keys that earlier versions of the bundled fixtures carried and the loader no
@@ -566,7 +600,7 @@ def test_payment_contract_escrow_matches_the_treasury(name):
     report = run(load_bundled_scenario(name))
     (payment,) = [
         report.ledger.payload(r.seq)
-        for r in report.ledger.records_of_kind(RecordKind.CONTRACT_DEPLOYED)
+        for r in report.ledger if r.kind is RecordKind.CONTRACT_DEPLOYED
         if report.ledger.payload(r.seq)["contract"] == "payment"
     ]
     pool = report.treasury.pool(report.body["mission"]["mission_id"])
@@ -686,6 +720,30 @@ def test_no_fault_run_never_freezes(case_report):
     )
 
 
+def test_a_repeated_item_is_quarantined_and_released_once(case_report):
+    raw = raw_fixture(CASE_STUDY_FIXTURE)
+    raw["execution_plan"]["TASK-002C"]["quarantine"].append("ORD-SG-0001")
+    raw["timeline"][1]["params"]["release"].append("ORD-SG-0001")
+    raw["timeline"][2]["params"]["release"]["items"].append("ORD-BR-0001")
+    report = run(scenario_from_dict(raw))
+    quarantine = report.body["quarantine"]
+    assert (quarantine["quarantined"], quarantine["proceeded"]) == (6, 841)
+    assert quarantine["trace"][0]["items"] == ["ORD-SG-0001", "ORD-SG-0002"]
+    assert report.body["cross_node"]["released"] == ["ORD-SG-0001", "ORD-SG-0002"]
+    assert report.body["dispute"]["released"] == ["ORD-BR-0001"]
+    assert report.fingerprint == case_report.fingerprint
+
+
+def test_an_abort_in_the_node_loop_reports_the_funded_pool():
+    raw = raw_fixture(CASE_STUDY_FIXTURE)
+    del raw["agents"][3]["baselines"]["clearance_rate"]
+    report = run(scenario_from_dict(raw))
+    assert report.body["mission"]["outcome"] == "Aborted"
+    (abort,) = [f for f in report.assertion_failures if f.startswith("aborted:")]
+    assert "event probe" in abort
+    assert report.body["token_flows"]["pool"] == {"total": "4750.00", "escrow_state": "Funded"}
+
+
 def test_dispute_release_from_a_node_that_never_verified_is_a_failure():
     raw = raw_fixture(CASE_STUDY_FIXTURE)
     for plan in raw["execution_plan"].values():
@@ -721,11 +779,6 @@ ABORTS = {
     "stake_floor": (
         lambda raw: raw["economy"].update(stake_floor="99999999.00"),
         "aborted: NotFound: no eligible bid for TASK-001A (tick 160, event none, node none, last seq 25)",
-    ),
-    "owner": (
-        lambda raw: raw["agents"][0].update(owner=""),
-        "aborted: ValidationError: did:netx:gsc-fra:agent:strategy-fx-7: owner must be a named principal"
-        " (tick 0, event none, node none, last seq none)",
     ),
     "duplicate_agent": (
         _duplicate_first_agent,
@@ -885,7 +938,7 @@ def test_stress_window_trips_the_breaker():
     ]
     mission_wide = [
         r
-        for r in report.ledger.records_of_kind(RecordKind.FREEZE_EVENT)
+        for r in report.ledger if r.kind is RecordKind.FREEZE_EVENT
         if report.ledger.payload(r.seq).get("scope") == "MissionWide"
     ]
     assert len(mission_wide) == 1
@@ -998,7 +1051,7 @@ def test_each_named_override_reaches_the_run(name, trigger, scope_ok):
     assert triggers == ([trigger] if trigger else [])
     calls = [
         report.ledger.payload(r.seq)
-        for r in report.ledger.records_of_kind(RecordKind.TOOL_CALL)
+        for r in report.ledger if r.kind is RecordKind.TOOL_CALL
         if report.ledger.payload(r.seq)["node_id"] == "TASK-FX-002"
     ]
     assert calls and all(c["contract_scope_ok"] is scope_ok for c in calls)

@@ -208,7 +208,7 @@ class TestDecompose:
     def test_emits_legislated_record(self):
         ledger = AuditLedger(attestation_key=b"k")
         decompose(nine_node_job(), mission_id="MISSION-1", ledger=ledger)
-        recs = ledger.records_of_kind(RecordKind.MISSION_LEGISLATED)
+        recs = [r for r in ledger if r.kind is RecordKind.MISSION_LEGISLATED]
         assert len(recs) == 1
 
     def test_self_dependency_is_a_cycle(self):
@@ -399,7 +399,7 @@ class TestPrescreen:
         charter = ceiling_charter()
         job = nine_node_job()
         prescreen(manifest_for(job, charter), None, charter, ledger=ledger)
-        recs = ledger.records_of_kind(RecordKind.PRESCREEN_DECISION)
+        recs = [r for r in ledger if r.kind is RecordKind.PRESCREEN_DECISION]
         assert len(recs) == 1
 
 
@@ -488,7 +488,7 @@ class TestBidding:
             ledger=ledger,
             mission_id="MISSION-1",
         )
-        rec = ledger.records_of_kind(RecordKind.BID_ACCEPTED)
+        rec = [r for r in ledger if r.kind is RecordKind.BID_ACCEPTED]
         assert len(rec) == 1
 
 
@@ -525,7 +525,7 @@ class TestContractStack:
         deployed = {
             payload["contract"]: payload
             for payload in (
-                ledger.payload(r.seq) for r in ledger.records_of_kind(RecordKind.CONTRACT_DEPLOYED)
+                ledger.payload(r.seq) for r in ledger if r.kind is RecordKind.CONTRACT_DEPLOYED
             )
         }
         return SimpleNamespace(
@@ -618,5 +618,5 @@ class TestContractStack:
     def test_deployment_recorded_per_contract(self):
         ledger = AuditLedger(attestation_key=b"k")
         self.build(ledger=ledger)
-        recs = ledger.records_of_kind(RecordKind.CONTRACT_DEPLOYED)
+        recs = [r for r in ledger if r.kind is RecordKind.CONTRACT_DEPLOYED]
         assert len(recs) == 8
