@@ -545,6 +545,8 @@ def _parse_fault(raw: Mapping, path: str) -> FaultInjection:
 def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     """Validate a parsed scenario document and parse every value into the
     type the driver reads. Every rejection names the field."""
+    if not isinstance(data, Mapping):
+        raise ConfigError("$file", "scenario document must be a JSON object")
     seed = _require(data, "seed", "")
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ConfigError("seed", "must be a 64-bit unsigned integer")
@@ -755,8 +757,6 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError("$file", f"no scenario at {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("$file", f"not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError("$file", "scenario document must be a JSON object")
     return scenario_from_dict(data)
 
 
@@ -1415,6 +1415,7 @@ class _Driver:
         except Inconclusive:
             self.failures.append(f"post-mortem inconclusive for {incident.incident_id}")
             return
+        first = len(self.ledger)
         loop = run_correction_loop(
             incident,
             forensic,
@@ -1441,7 +1442,8 @@ class _Driver:
         stages = IncidentProbe(
             kinds=(RecordKind.CORRECTION_STAGE,), payload_equals={"incident_id": incident.incident_id}
         )
-        stage_seqs = [r.seq for r, _ in stages.search(self.ledger)]
+        # Only this loop's records: an earlier loop may share the incident id.
+        stage_seqs = [r.seq for r, _ in stages.search(self.ledger, range(first, len(self.ledger)))]
         sanction = dict(loop.step_a) if isinstance(loop.step_a, Mapping) else {"note": str(loop.step_a)}
         self.loops.append(
             {

@@ -6,22 +6,25 @@ keyed attestation stamp standing in for a hardware signature: an HMAC-SHA256
 under the run key, taken on a copy of one HMAC keyed when the ledger is made
 (the keyed base is never updated, so every stamp starts from the key alone).
 Payloads are stored alongside the chain and digested through a canonical JSON
-encoding so replays are bit-stable. The header and stamp material have a
-fixed shape and are written directly in that encoding's key order, byte for
-byte what `canonical` would produce.
+encoding so replays are bit-stable: `canonical` runs the C encoder that
+`json.dumps` builds per call, built once at import. The header and stamp
+material have a fixed shape and are written directly in that encoding's key
+order, byte for byte what `canonical` would produce; `append` writes both
+from the digests it has just taken.
 
 Storage is immutable: a record is a tuple of ints, strings, a kind and bytes,
 and a payload is kept as its canonical bytes, exactly what its digest covers
 (`payload` decodes a fresh copy, so readers never alias storage). `append`
-seals each slot: it keeps the record object, the payload bytes object, the
-header digest and the mission id. `verify_chain` checks every seq and link,
-takes the sealed digest for a slot whose record and payload are still the
-very objects sealed (neither can have changed since), and re-derives payload
-digest, stamp and header digest for any slot that was replaced. The verdict
-is the one a full recomputation gives.
-`pedigree` reads mission ids and digests from the seals, so a pedigree taken
-from an edited, unverified ledger still names the original chain; its caller
-(`post_mortem`) verifies the whole chain against the head first. The offline
+also fills four seal columns: per seq, the record object, the payload bytes
+object, the header digest and the mission id. `verify_chain` finds the
+replaced slots (a record or payload that is not the very object sealed) in
+one identity pass. A run of untouched slots passed every check at append, so
+only its first link is checked and its last sealed digest taken; a replaced
+slot has its seq, link, payload digest, stamp and header digest re-derived.
+The verdict is the one a full recomputation gives.
+`pedigree` reads mission ids and digests from the seal columns, so a pedigree
+taken from an edited, unverified ledger still names the original chain; its
+caller (`post_mortem`) verifies the whole chain against the head first. The offline
 `verify_jsonl` trusts nothing: it accepts only the exact lines govsim writes
 (`DUMP_LINE`) and checks each link against the header text as read, and, given
 the run's head digest, the digest after the last line against it.
@@ -41,6 +44,8 @@ import json
 import re
 import secrets
 from enum import Enum
+from itertools import compress, repeat
+from operator import eq, is_not, or_
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import NotFound, ValidationError
@@ -73,15 +78,21 @@ class RecordKind(str, Enum):
     TOOL_CALL = "ToolCall"
 
 
-# The options `json.dumps` would be given; one encoder skips building one per call.
+# The options `json.dumps` would be given, and the C encoder `_ENCODER.encode`
+# builds from them per call, built once. It keeps no circular-reference
+# markers: a shared dict would keep the ids of any encode that failed.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _DECODER = json.JSONDecoder()
 _quote = json.encoder.encode_basestring_ascii
+_encode_c = json.encoder.c_make_encoder(None, _ENCODER.default, _quote, None, ":", ",", True, False, True)
 
 
 def canonical(payload: Mapping[str, Any]) -> bytes:
-    """Deterministic field-ordered encoding; digests must be bit-stable."""
-    return _ENCODER.encode(payload).encode("utf-8")
+    """Deterministic field-ordered encoding; digests must be bit-stable.
+    The bytes are `json.dumps(payload, sort_keys=True, separators=(",",
+    ":")).encode()`. A value JSON cannot hold raises `TypeError`; a circular
+    one raises `RecursionError`."""
+    return "".join(_encode_c(payload, 0)).encode()
 
 
 class AuditRecord(NamedTuple):
@@ -168,22 +179,6 @@ class LogicPedigree(NamedTuple):
     anchor_digest: bytes
 
 
-class _Seal(NamedTuple):
-    """What `append` stored and derived for one seq. Storage-level edits
-    replace `_records`/`_payloads` slots and never touch the seal."""
-
-    record: AuditRecord
-    blob: bytes
-    digest: bytes
-    mission_id: Any
-
-
-def _encode(payload: Mapping[str, Any]) -> tuple[bytes, bytes]:
-    """A payload's canonical bytes and their digest."""
-    blob = canonical(dict(payload))
-    return blob, hashlib.sha256(blob).digest()
-
-
 class AuditLedger:
     """Single-writer in-process ledger. Owned by the event loop; records are
     immutable once appended and safe to hand out."""
@@ -200,7 +195,12 @@ class AuditLedger:
         self._records: list[AuditRecord] = []
         self._payloads: list[bytes] = []
         self._head = GENESIS_DIGEST
-        self._seals: list[_Seal] = []
+        # The seal columns, written only by `append`: per seq, the record and
+        # payload bytes it stored, the header digest and the mission id.
+        self._sealed: list[AuditRecord] = []
+        self._blobs: list[bytes] = []
+        self._digests: list[bytes] = []
+        self._missions: list[Any] = []
 
     def __len__(self) -> int:
         return len(self._records)
@@ -251,19 +251,30 @@ class AuditLedger:
             kind = RecordKind(kind)
         if tick is None:
             tick = self._clock() if self._clock is not None else 0
-        blob, digest = _encode(payload)
+        # `canonical`, `_stamp` and `record_digest` written out, sharing the hex digests.
+        blob = "".join(_encode_c(dict(payload), 0)).encode()
+        digest = hashlib.sha256(blob).digest()
+        hexdigest = digest.hex()
         seq = len(self._records)
-        record = AuditRecord(seq, tick, actor, kind, digest, self._head, self._stamp(seq, digest))
+        mac = self._mac.copy()
+        mac.update(('{"payload_digest":"%s","seq":%d}' % (hexdigest, seq)).encode())
+        record = AuditRecord(seq, tick, actor, kind, digest, self._head, mac.digest())
+        header = '{"actor":%s,"kind":%s,"payload_digest":"%s","prev_digest":"%s","seq":%d,"tick":%s}' % (
+            _json(actor), _quote(kind), hexdigest, self._head.hex(), seq, _json(tick)
+        )
+        self._head = hashlib.sha256(header.encode()).digest()
         self._records.append(record)
         self._payloads.append(blob)
-        self._head = record_digest(record)
-        self._seals.append(_Seal(record, blob, self._head, payload.get("mission_id")))
+        self._sealed.append(record)
+        self._blobs.append(blob)
+        self._digests.append(self._head)
+        self._missions.append(payload.get("mission_id"))
         return seq
 
     def verify_chain(
         self, from_seq: int = 0, to_seq: int | None = None
     ) -> ChainVerdict:
-        records, payloads, seals = self._records, self._payloads, self._seals
+        records, payloads = self._records, self._payloads
         last = len(records) - 1
         if to_seq is None:
             to_seq = last
@@ -276,24 +287,32 @@ class AuditLedger:
         # Each digest is computed once: it is the next record's expected link
         # and, after the last record, the expected head.
         digest = GENESIS_DIGEST if from_seq == 0 else record_digest(records[from_seq - 1])
-        for n in range(from_seq, to_seq + 1):
-            rec = records[n]
-            if rec.seq != n:
-                return ChainVerdict(False, n)
-            if rec.prev_digest != digest:
-                return ChainVerdict(False, n)
-            seal = seals[n]
-            if rec is seal.record and payloads[n] is seal.blob:
-                # The sealed objects are immutable: re-deriving them would
-                # give the self check, stamp and digest they passed at append.
-                digest = seal.digest
-                continue
-            if hashlib.sha256(payloads[n]).digest() != rec.payload_digest:
-                return ChainVerdict(False, n)
+        # A replaced slot holds a record or payload that is not the very
+        # object `append` sealed; one identity pass finds them all.
+        stop = to_seq + 1
+        new_record = map(is_not, records[from_seq:stop], self._sealed[from_seq:stop])
+        new_blob = map(is_not, payloads[from_seq:stop], self._blobs[from_seq:stop])
+        n = from_seq
+        for bad in (*compress(range(from_seq, stop), map(or_, new_record, new_blob)), stop):
+            if n < bad:
+                # Untouched slots hold immutable objects that passed every
+                # check at append, and each one's link is the digest sealed
+                # for the one before: only the run's first link can differ.
+                if records[n].prev_digest != digest:
+                    return ChainVerdict(False, n)
+                digest = self._digests[bad - 1]
+            if bad == stop:
+                break
+            n = bad + 1
+            rec = records[bad]
+            if rec.seq != bad or rec.prev_digest != digest:
+                return ChainVerdict(False, bad)
+            if hashlib.sha256(payloads[bad]).digest() != rec.payload_digest:
+                return ChainVerdict(False, bad)
             if not hmac.compare_digest(
                 self._stamp(rec.seq, rec.payload_digest), rec.attestation_stamp
             ):
-                return ChainVerdict(False, n)
+                return ChainVerdict(False, bad)
             digest = record_digest(rec)
         if to_seq == last and digest != self._head:
             return ChainVerdict(False, last)
@@ -302,12 +321,13 @@ class AuditLedger:
     def pedigree(self, mission_id: str) -> LogicPedigree:
         """The mission's records in seq order, anchored on the header digests
         sealed at append. Verify the chain first: mission ids and digests are
-        read from the seals, not re-derived from storage, so an unverified
-        edit goes unseen here."""
-        refs = tuple(seq for seq, seal in enumerate(self._seals) if seal.mission_id == mission_id)
+        read from the seal columns, not re-derived from storage, so an
+        unverified edit goes unseen here."""
+        mine = list(map(eq, self._missions, repeat(mission_id)))
+        refs = tuple(compress(range(len(mine)), mine))
         if not refs:
             raise NotFound(f"no records for mission {mission_id!r}")
-        anchor = hashlib.sha256(b"".join(self._seals[seq].digest for seq in refs)).digest()
+        anchor = hashlib.sha256(b"".join(compress(self._digests, mine))).digest()
         return LogicPedigree(mission_id=mission_id, record_refs=refs, anchor_digest=anchor)
 
     def dump_jsonl(self) -> str:
@@ -316,10 +336,9 @@ class AuditLedger:
     def fork(self) -> "AuditLedger":
         """Independent copy sharing nothing mutable; used by tamper tests."""
         twin = AuditLedger(attestation_key=self._key, clock=self._clock)
-        twin._records = list(self._records)
-        twin._payloads = list(self._payloads)
+        for column in ("_records", "_payloads", "_sealed", "_blobs", "_digests", "_missions"):
+            setattr(twin, column, list(getattr(self, column)))
         twin._head = self._head
-        twin._seals = list(self._seals)
         return twin
 
 

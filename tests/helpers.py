@@ -2,11 +2,12 @@
 ceiling charter, a fresh ledger, and a small certified registry; `same`, an
 equality that also compares types; `ledger_accounts`, the treasury rebuilt
 from a run's ledger; and the storage-level ledger tampers."""
+import hashlib
 from decimal import Decimal
 
 from govsim.economy import ECOSYSTEM_FUND, INFRA_FUND, JUDICIAL_FUND
 from govsim.identity import CertEvent, IdentityRegistry
-from govsim.ledger import AuditLedger, RecordKind, _encode
+from govsim.ledger import AuditLedger, RecordKind, canonical
 from govsim.legislation import (
     Charter,
     JobSpec,
@@ -155,7 +156,8 @@ def tamper_payload(ledger, seq, payload):
     """Consistent rewrite: payload, digest, and stamp are all redone, so
     detection rests on the chain links (or the head check for the last
     record), not on the per-record self checks."""
-    blob, digest = _encode(payload)
+    blob = canonical(payload)
+    digest = hashlib.sha256(blob).digest()
     old = ledger._records[seq]
     ledger._payloads[seq] = blob
     ledger._records[seq] = old._replace(
@@ -166,6 +168,6 @@ def tamper_payload(ledger, seq, payload):
 def tamper_field(ledger, seq, field, value):
     """Raw single-field mutation with no recomputation."""
     if field == "payload":
-        ledger._payloads[seq] = _encode(value)[0]
+        ledger._payloads[seq] = canonical(value)
         return
     ledger._records[seq] = ledger._records[seq]._replace(**{field: value})

@@ -13,6 +13,7 @@ Derived oracles, computed before the assertions:
     -> 09:02:03+01:00
 """
 import copy
+import functools
 import gc
 import json
 import os
@@ -48,8 +49,13 @@ from helpers import assert_ledger_rebuilds_the_treasury
 from test_fingerprints import PINNED
 
 
+@functools.lru_cache(maxsize=None)
+def _fixture_text(name):
+    return bundled_scenario_path(name).read_text()
+
+
 def raw_fixture(name):
-    return json.loads(bundled_scenario_path(name).read_text())
+    return json.loads(_fixture_text(name))
 
 
 @pytest.fixture(scope="module")
@@ -452,6 +458,14 @@ def test_non_object_document_rejected(tmp_path):
         load_scenario(doc)
 
 
+@pytest.mark.parametrize("document", [None, 7, [], "x"])
+def test_a_document_that_is_not_an_object_is_a_config_error(document):
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(document)
+    assert err.value.field_path == "$file"
+    assert str(err.value) == "$file: scenario document must be a JSON object"
+
+
 def test_bundled_fixtures_all_load():
     for name in (CASE_STUDY_FIXTURE, FAULT_DRILL_FIXTURE, STRESS_WINDOW_FIXTURE):
         config = load_bundled_scenario(name)
@@ -478,10 +492,8 @@ def _mutation_sites(node, keys=()):
 MUTATION_SITES = [(name, keys) for name in sorted(PINNED) for keys in _mutation_sites(raw_fixture(name))]
 
 
-@settings(deadline=None)
-@given(st.sampled_from(MUTATION_SITES), st.sampled_from(MUTATION_VALUES))
-def test_a_mutated_fixture_is_rejected_with_a_config_error_or_runs(site, value):
-    name, keys = site
+def mutated_fixture(name, keys, value):
+    """The fixture with the member at `keys` set to `value`, or removed."""
     raw = raw_fixture(name)
     target = raw
     for key in keys[:-1]:
@@ -490,8 +502,15 @@ def test_a_mutated_fixture_is_rejected_with_a_config_error_or_runs(site, value):
         del target[keys[-1]]
     else:
         target[keys[-1]] = copy.deepcopy(value)
+    return raw
+
+
+@settings(deadline=None)
+@given(st.sampled_from(MUTATION_SITES), st.sampled_from(MUTATION_VALUES))
+def test_a_mutated_fixture_is_rejected_with_a_config_error_or_runs(site, value):
+    name, keys = site
     try:
-        config = scenario_from_dict(raw)
+        config = scenario_from_dict(mutated_fixture(name, keys, value))
     except ConfigError:
         return
     report = run(config)
@@ -512,6 +531,31 @@ WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" 
 def test_the_ledger_rebuilds_the_treasury(name, seed):
     config = scenario_from_dict(raw_fixture(name) if seed is None else WORKLOADS[name](seed))
     assert_ledger_rebuilds_the_treasury(config, run(config))
+
+
+def test_the_audit_sweep_does_a_counted_amount_of_ledger_work(monkeypatch):
+    # Call counts, unlike times, do not move with the host. On an untampered
+    # run `append` derives each stamp and header digest inline, once, and
+    # `verify_chain` takes the sealed digests: nothing re-derives either.
+    import govsim.ledger as ledger
+
+    calls = {"record_digest": 0, "_stamp": 0, "payload": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    counted(ledger, "record_digest")
+    counted(ledger.AuditLedger, "_stamp")
+    counted(ledger.AuditLedger, "payload")
+    report = run(scenario_from_dict(WORKLOADS["audit-sweep"](11)))
+    assert report.body["ledger"]["records"] == 4119
+    assert calls == {"record_digest": 0, "_stamp": 0, "payload": 2526}
 
 
 # Keys that earlier versions of the bundled fixtures carried and the loader no
@@ -589,6 +633,19 @@ def test_case_study_correction_loop_blames_the_feed(case_report):
     assert loop["completed"] is True
     assert loop["stage_seqs"] == sorted(loop["stage_seqs"])
     assert len(loop["stage_seqs"]) == 4
+
+
+def test_a_repeated_incident_lists_only_its_own_stages():
+    raw = raw_fixture(CASE_STUDY_FIXTURE)
+    (loop,) = [event for event in raw["timeline"] if event["kind"] == "correction_loop"]
+    raw["timeline"].append({**copy.deepcopy(loop), "tick": raw["timeline"][-1]["tick"] + 1})
+    report = run(scenario_from_dict(raw))
+    first, second = report.body["correction_loops"]
+    assert first["incident_id"] == second["incident_id"]
+    assert len(first["stage_seqs"]) == len(second["stage_seqs"]) == 4
+    assert first["stage_seqs"][-1] < second["stage_seqs"][0]
+    for seq in second["stage_seqs"]:
+        assert report.ledger.record(seq).kind is RecordKind.CORRECTION_STAGE
 
 
 def test_case_study_ledger_dump_verifies(case_report):

@@ -3,6 +3,7 @@ import hmac
 import io
 import json
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -353,6 +354,41 @@ def test_offline_verify_sees_every_header_mutation(rows, rng):
 
 def test_canonical_is_order_insensitive():
     assert canonical({"b": 1, "a": 2}) == canonical({"a": 2, "b": 1})
+
+
+# Nested JSON values: ACTORS' escaped text, ints past 64 bits, every float
+# (nan and both infinities too), and tuples, which encode as arrays.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | ACTORS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(ACTORS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+def test_canonical_is_json_dumps_with_sorted_keys(value):
+    assert canonical(value) == json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+
+@pytest.mark.parametrize("value", [Decimal("1.5"), {1, 2}, b"x", {"a": [Decimal("1")]}, {"a": {1}}])
+def test_canonical_rejects_what_json_cannot_hold(value):
+    with pytest.raises(TypeError):
+        canonical(value)
+
+
+def test_canonical_rejects_a_circular_payload():
+    payload = {"a": []}
+    payload["a"].append(payload)
+    with pytest.raises(RecursionError):
+        canonical(payload)
+    assert canonical({"a": [1]}) == b'{"a":[1]}'
 
 
 MUTABLE_FIELDS = ("payload", "payload_digest", "prev_digest", "seq", "tick", "actor", "kind", "attestation_stamp")
