@@ -63,12 +63,15 @@ class IncidentProbe(NamedTuple):
 
     def needles(self) -> tuple[bytes, ...]:
         """Bytes that the stored payload of every matching record contains.
-        Only a string-valued `payload_equals` entry adds one: `1 == True ==
-        1.0` encode apart, and an absent key equals `None`."""
+        A string value adds one, and so does an int `v` other than 0 and 1
+        with `abs(v) < 10**16`: a JSON value equal to it, `v` or the float
+        `v.0`, starts with its digits. `1 == True == 1.0` encode apart,
+        larger floats take an exponent, and an absent key equals `None`."""
         found = [
             pair_needle(key, value)
             for key, value in self.payload_equals.items()
-            if type(key) is str and type(value) is str
+            if type(key) is str
+            and (type(value) is str or type(value) is int and value not in (0, 1) and abs(value) < 10**16)
         ]
         if self.scope_violation:
             found.append(pair_needle("contract_scope_ok", False))
@@ -142,14 +145,19 @@ def _attribute(payload: Mapping[str, object]) -> Attribution:
 
 def post_mortem(ledger: AuditLedger, incident: Incident) -> ForensicReport:
     """Scan the mission pedigree in seq order for the first record matching
-    the incident's deviance probe and attribute it."""
+    the incident's deviance probe and attribute it. A verified chain holds
+    the sealed payloads, so the pedigree's matches are the ledger's matches
+    whose decoded `mission_id` is the incident's; `pedigree` runs only when
+    none match, to raise `NotFound` for a mission with no records."""
     verdict = ledger.verify_chain()
     if not verdict.ok:
         raise EvidenceIntegrityError(
             f"chain breaks at seq {verdict.first_broken_seq}; evidence is inadmissible"
         )
-    matches = incident.probe.search(ledger, ledger.pedigree(incident.mission_id).record_refs)
+    mission = incident.mission_id
+    matches = [hit for hit in incident.probe.search(ledger) if hit[1].get("mission_id") == mission]
     if not matches:
+        ledger.pedigree(mission)
         raise Inconclusive(f"no ledger record matches incident {incident.incident_id}")
     first_record, first_payload = matches[0]
     attribution = _attribute(first_payload)

@@ -3,8 +3,8 @@
 Every state transition in a run lands here as an AuditRecord. Records chain
 through SHA-256 digests (genesis uses an all-zero previous digest) and carry a
 keyed attestation stamp standing in for a hardware signature: an HMAC-SHA256
-under the run key, taken on a copy of one HMAC keyed when the ledger is made
-(the keyed base is never updated, so every stamp starts from the key alone).
+(RFC 2104) under the run key, hashed on copies of an inner and an outer
+SHA-256 state keyed once when the ledger is made and never updated after.
 Payloads are stored alongside the chain and digested through a canonical JSON
 encoding so replays are bit-stable: `canonical` runs the C encoder that
 `json.dumps` builds per call, built once at import. The header and stamp
@@ -23,18 +23,19 @@ only its first link is checked and its last sealed digest taken; a replaced
 slot has its seq, link, payload digest, stamp and header digest re-derived.
 The verdict is the one a full recomputation gives.
 `pedigree` reads mission ids and digests from the seal columns, so a pedigree
-taken from an edited, unverified ledger still names the original chain; its
-caller (`post_mortem`) verifies the whole chain against the head first. The offline
-`verify_jsonl` trusts nothing: it accepts only the exact lines govsim writes
-(`DUMP_LINE`) and checks each link against the header text as read, and, given
-the run's head digest, the digest after the last line against it.
+taken from an edited, unverified ledger still names the original chain: verify
+the whole chain against the head first. The offline `verify_jsonl` trusts
+nothing: it accepts only the exact lines govsim writes (`DUMP_LINE`) and
+checks each link against the header text as read, and, given the run's head
+digest, the digest after the last line against it.
 
 Payload searches test the stored bytes before decoding anything. A payload
 whose top-level `key` holds a string `value` encodes that item as exactly
-`pair_needle(key, value)`, so `candidates` decodes only the records whose
-bytes contain every needle a search names. A needle is a necessary condition,
-never a sufficient one (the same text can sit in a nested object): the
-caller still tests each decoded payload.
+`pair_needle(key, value)` (an int `value` as the start of that item), so
+`candidates` decodes only the records whose bytes contain every needle a
+search names. A needle is a necessary condition, never a sufficient one (the
+same text can sit in a nested object): the caller still tests each decoded
+payload.
 """
 from __future__ import annotations
 
@@ -126,9 +127,10 @@ def key_needle(key: str) -> bytes:
     return (_quote(key) + ":").encode()
 
 
-def pair_needle(key: str, value: str | bool) -> bytes:
+def pair_needle(key: str, value: str | int) -> bytes:
     """Bytes inside the canonical encoding of every payload whose `key` holds a
-    value with the same JSON text as `value`: an equal string, or this bool."""
+    value with the same JSON text as `value`: an equal string, this bool, or
+    this int (which is also how an equal float below 10**16 begins)."""
     return key_needle(key) + _json(value).encode()
 
 
@@ -189,8 +191,10 @@ class AuditLedger:
         clock: Callable[[], int] | None = None,
     ) -> None:
         self._key = attestation_key if attestation_key is not None else secrets.token_bytes(32)
-        # Keyed once; `_stamp` copies it and never updates it in place.
-        self._mac = hmac.new(self._key, digestmod="sha256")
+        # RFC 2104's keyed states; a key longer than a block is hashed first.
+        key = (self._key if len(self._key) <= 64 else hashlib.sha256(self._key).digest()).ljust(64, b"\0")
+        self._inner = hashlib.sha256(bytes(b ^ 0x36 for b in key))
+        self._outer = hashlib.sha256(bytes(b ^ 0x5C for b in key))
         self._clock = clock
         self._records: list[AuditRecord] = []
         self._payloads: list[bytes] = []
@@ -234,10 +238,13 @@ class AuditLedger:
 
     def _stamp(self, seq: int, digest: bytes) -> bytes:
         """HMAC-SHA256 under the run key over `canonical({"payload_digest": …,
-        "seq": seq})`, taken on a copy of the keyed base HMAC."""
-        mac = self._mac.copy()
-        mac.update(('{"payload_digest":"%s","seq":%s}' % (digest.hex(), _json(seq))).encode())
-        return mac.digest()
+        "seq": seq})`: the material on a copy of the keyed inner state, its
+        digest on a copy of the keyed outer state."""
+        inner = self._inner.copy()
+        inner.update(('{"payload_digest":"%s","seq":%s}' % (digest.hex(), _json(seq))).encode())
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
     def append(
         self,
@@ -256,11 +263,14 @@ class AuditLedger:
         digest = hashlib.sha256(blob).digest()
         hexdigest = digest.hex()
         seq = len(self._records)
-        mac = self._mac.copy()
-        mac.update(('{"payload_digest":"%s","seq":%d}' % (hexdigest, seq)).encode())
-        record = AuditRecord(seq, tick, actor, kind, digest, self._head, mac.digest())
+        inner = self._inner.copy()
+        inner.update(('{"payload_digest":"%s","seq":%d}' % (hexdigest, seq)).encode())
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        record = tuple.__new__(AuditRecord, (seq, tick, actor, kind, digest, self._head, outer.digest()))
         header = '{"actor":%s,"kind":%s,"payload_digest":"%s","prev_digest":"%s","seq":%d,"tick":%s}' % (
-            _json(actor), _quote(kind), hexdigest, self._head.hex(), seq, _json(tick)
+            _quote(actor) if isinstance(actor, str) else _json(actor),
+            _quote(kind), hexdigest, self._head.hex(), seq, _json(tick)
         )
         self._head = hashlib.sha256(header.encode()).digest()
         self._records.append(record)

@@ -48,12 +48,12 @@ from helpers import same, tamper_field, tamper_payload
 MISSION = "MISSION-X"
 
 
-def ingestion_record(ledger, seq_hint, *, endpoint, declared, observed, node="TASK-002B"):
+def ingestion_record(ledger, seq_hint, *, endpoint, declared, observed, node="TASK-002B", mission=MISSION):
     ledger.append(
         RecordKind.TOOL_CALL,
         "did:test:agent",
         {
-            "mission_id": MISSION,
+            "mission_id": mission,
             "node_id": node,
             "did": "did:test:agent",
             "call_index": seq_hint,
@@ -203,6 +203,47 @@ class TestPostMortem:
         pedigree = ledger.pedigree(MISSION)
         assert set(report.evidence_refs) <= set(pedigree.record_refs)
 
+    def test_a_match_only_in_another_mission_is_inconclusive(self):
+        ledger = AuditLedger(attestation_key=b"adj-test")
+        ingestion_record(ledger, 1, endpoint="EP-MARKET-01", declared="sha256:aa", observed="sha256:aa")
+        ingestion_record(
+            ledger, 2, endpoint="EP-SANCTIONS-EU-002", declared="sha256:good", observed="sha256:bad",
+            mission="MISSION-OTHER",
+        )
+        assert feed_incident().probe.search(ledger)
+        with pytest.raises(Inconclusive):
+            post_mortem(ledger, feed_incident())
+
+    def test_a_mission_with_no_records_is_not_found(self):
+        # The probe matches records of another mission: still `NotFound`.
+        incident = feed_incident()._replace(mission_id="MISSION-NONE")
+        with pytest.raises(NotFound, match="no records for mission 'MISSION-NONE'"):
+            post_mortem(evidence_ledger(), incident)
+
+    @pytest.mark.parametrize(
+        "probe",
+        [
+            IncidentProbe(digest_mismatch=True, payload_equals={"endpoint_id": "EP-SANCTIONS-EU-002"}),
+            IncidentProbe(payload_equals={"call_index": 5}),
+            IncidentProbe(payload_equals={"call_index": 5.0}),
+        ],
+        ids=["digest", "int", "float"],
+    )
+    def test_evidence_is_the_pedigree_search_on_two_missions(self, probe):
+        ledger = AuditLedger(attestation_key=b"adj-test")
+        for i in range(1, 19):
+            ingestion_record(
+                ledger, i % 6, endpoint="EP-SANCTIONS-EU-002", declared="sha256:good",
+                observed="sha256:bad" if i > 2 else "sha256:good", node=f"TASK-{i % 3}",
+                mission=MISSION if i % 4 < 2 else "MISSION-OTHER",
+            )
+        for mission in (MISSION, "MISSION-OTHER"):
+            expected = probe.search(ledger, ledger.pedigree(mission).record_refs)
+            assert expected
+            report = post_mortem(ledger, feed_incident(probe)._replace(mission_id=mission))
+            assert report.evidence_refs == tuple(record.seq for record, _ in expected)
+            assert report.root_locus == (expected[0][1]["node_id"], expected[0][0].seq)
+
 
 # Keys and values for the prefilter property: strings that need escaping, or
 # that look like the encoding's own separators, and values that compare equal
@@ -214,6 +255,9 @@ PROBE_KEYS = st.sampled_from(
 SCALARS = st.one_of(
     st.sampled_from(["", "x", 'q"u', "b\\s", '":"', '","', "é", "漢😀", "\ud800", "node_id", "false"]),
     st.sampled_from([0, 1, True, False, 1.0, 0.0, None]),
+    # Ints that add a needle, 10**16 that does not, and their equal floats;
+    # 2**53 + 1 has none. 25 is a prefix of 250.
+    st.sampled_from([-7, 2, 25, 250, 2**53 + 1, 10**16, -7.0, 2.0, 25.0, 250.0, 1e16]),
     st.text(max_size=4),
 )
 VALUES = st.recursive(
@@ -231,8 +275,12 @@ def _twin(value):
     """An equal value of another type, where there is one."""
     if type(value) is bool:
         return float(value)
-    if not isinstance(value, str) and value in (0, 1):
+    if type(value) in (int, float) and value in (0, 1):
         return bool(value)
+    if type(value) is int and float(value) == value:
+        return float(value)
+    if type(value) is float and value.is_integer():
+        return int(value)
     return value
 
 
@@ -242,6 +290,12 @@ def _reference_matches(ledger, probe, seqs):
 
 
 class TestPrefilter:
+    def test_an_int_adds_a_needle_unless_a_bool_or_exponent_can_equal_it(self):
+        assert IncidentProbe(payload_equals={"call_index": 25}).needles() == (b'"call_index":25',)
+        assert IncidentProbe(payload_equals={"call_index": -7}).needles() == (b'"call_index":-7',)
+        for value in (0, 1, True, 10**16, -(10**16), 2.5):
+            assert IncidentProbe(payload_equals={"call_index": value}).needles() == ()
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(KINDS, st.booleans(), PAYLOADS), min_size=1, max_size=12), st.data())
     def test_searches_agree_with_decoding_every_record(self, rows, data):

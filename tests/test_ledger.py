@@ -228,6 +228,36 @@ def test_one_ledger_stamps_every_record_from_the_key_alone():
     assert led.fork().verify_chain().ok
 
 
+# Keys on both sides of SHA-256's 64-byte block: RFC 2104 zero-pads a key of
+# up to 64 bytes and hashes a longer one first.
+KEYS = st.one_of(
+    st.binary(max_size=200), st.sampled_from([64, 65]).flatmap(lambda n: st.binary(min_size=n, max_size=n))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(KEYS, st.lists(st.text(max_size=6), min_size=2, max_size=6), st.data())
+def test_stamps_are_hmac_sha256_under_keys_of_any_length(key, values, data):
+    def mac(seq, digest):
+        return hmac.new(key, canonical({"seq": seq, "payload_digest": digest.hex()}), "sha256").digest()
+
+    led = AuditLedger(attestation_key=key)
+    for i, value in enumerate(values):
+        led.append(RecordKind.TOOL_CALL, "agent", {"mission_id": "M-1", "v": value}, tick=i)
+    for rec in led:
+        assert rec.attestation_stamp == mac(rec.seq, rec.payload_digest)
+    # A consistent rewrite passes its own slot's checks, the stamp through
+    # `_stamp` among them: only the next link, or the head, breaks.
+    seq = data.draw(st.integers(min_value=0, max_value=len(led) - 1))
+    tamper_payload(led, seq, {"mission_id": "M-1", "v": None})
+    rec = led.record(seq)
+    assert rec.attestation_stamp == mac(seq, rec.payload_digest)
+    last = len(led) - 1
+    assert led.verify_chain() == (False, min(seq + 1, last))
+    if seq < last:
+        assert led.verify_chain(0, seq).ok
+
+
 def test_append_coerces_a_kind_name_and_rejects_an_unknown_one():
     led = AuditLedger(attestation_key=KEY)
     led.append("ToolCall", "agent", {}, tick=0)
