@@ -271,17 +271,11 @@ PAYLOADS = st.dictionaries(PROBE_KEYS, st.one_of(SCALARS, VALUES), max_size=5)
 KINDS = st.sampled_from([RecordKind.TOOL_CALL, RecordKind.NODE_STARTED, RecordKind.CORRECTION_STAGE])
 
 
-def _twin(value):
-    """An equal value of another type, where there is one."""
-    if type(value) is bool:
-        return float(value)
-    if type(value) in (int, float) and value in (0, 1):
-        return bool(value)
-    if type(value) is int and float(value) == value:
-        return float(value)
-    if type(value) is float and value.is_integer():
-        return int(value)
-    return value
+def _twins(value):
+    """The equal values of other types among bool, int and float."""
+    if type(value) not in (bool, int, float) or not float(value).is_integer():
+        return []
+    return [twin(value) for twin in (bool, int, float) if twin is not type(value) and twin(value) == value]
 
 
 def _reference_matches(ledger, probe, seqs):
@@ -309,7 +303,9 @@ class TestPrefilter:
         item = st.tuples(PROBE_KEYS, VALUES)
         if stored:
             item = st.one_of(
-                st.sampled_from(stored), st.sampled_from(stored).map(lambda kv: (kv[0], _twin(kv[1]))), item
+                st.sampled_from(stored),
+                st.sampled_from([(k, twin) for k, v in stored for twin in _twins(v)] or stored),
+                item,
             )
         # A non-string key never matches a decoded payload's keys.
         equals = st.lists(st.one_of(item, st.tuples(st.just(1), SCALARS)), min_size=1, max_size=2)
