@@ -25,9 +25,10 @@ The verdict is the one a full recomputation gives.
 `pedigree` reads mission ids and digests from the seal columns, so a pedigree
 taken from an edited, unverified ledger still names the original chain: verify
 the whole chain against the head first. The offline `verify_jsonl` trusts
-nothing: it accepts only the exact lines govsim writes (`DUMP_LINE`) and
-checks each link against the header text as read, and, given the run's head
-digest, the digest after the last line against it.
+nothing: it accepts only the exact lines govsim writes (a `DUMP_LINE` match
+whose stamp and payload digest are lower-case hex) and checks each link
+against the header text as read, and, given the run's head digest, the digest
+after the last line against it.
 
 Payload searches test the stored bytes before decoding anything. A payload
 whose top-level `key` holds a string `value` encodes that item as exactly
@@ -156,14 +157,20 @@ def record_digest(record: AuditRecord) -> bytes:
 
 
 # The line `to_json_line` writes for a record `append` made, with or without
-# its "\n". Groups 1 and 2 are the chained header. The actor is what `_quote`
-# emits: printable ASCII but `"` and `\`, and the escapes it writes for the rest.
-_HEX = "[0-9a-f]{64}"
+# its "\n", but for its hex: the stamp and payload digest (groups 2 and 4)
+# are any 64 characters here, and `verify_jsonl` tests them for lower-case
+# hex with C string calls, cheaper than a class the regex engine tests one
+# character at a time; the previous digest (group 5) must equal the link it
+# expects. Each `.{64}` is fixed-width and followed by literal text, so the
+# groups stay unambiguous. Groups 1 and 3 are the chained header. The actor
+# is what `_quote` emits: printable ASCII but `"` and `\`, the short escapes
+# \" \\ \b \f \n \r \t, and `\u` with lower-case hex for every other code
+# unit below U+0020 or from U+007F up. A tick of 0 has no sign.
 DUMP_LINE = re.compile(
-    r'(\{"actor":"[ !#-\[\]-~]*(?:\\(?:["\\bfnrt]|u[0-9a-f]{4})[ !#-\[\]-~]*)*",)'
-    rf'"attestation_stamp":"{_HEX}",'
-    rf'("kind":"(?:{"|".join(kind.value for kind in RecordKind)})","payload_digest":"{_HEX}",'
-    rf'"prev_digest":"({_HEX})","seq":(0|[1-9][0-9]*),"tick":-?(?:0|[1-9][0-9]*)\}})\n?'
+    r'(\{"actor":"[ !#-\[\]-~]*(?:\\(?:["\\bfnrt]|u(?:00(?:0[0-7bef]|1[0-9a-f]|7f|[89a-f][0-9a-f])'
+    r'|0[1-9a-f][0-9a-f]{2}|[1-9a-f][0-9a-f]{3}))[ !#-\[\]-~]*)*",)"attestation_stamp":"(.{64})",'
+    rf'("kind":"(?:{"|".join(kind.value for kind in RecordKind)})","payload_digest":"(.{{64}})",'
+    r'"prev_digest":"(.{64})","seq":(0|[1-9][0-9]*),"tick":(?:0|-?[1-9][0-9]*)\})\n?'
 )
 
 
@@ -354,28 +361,43 @@ class AuditLedger:
 
 def verify_jsonl(lines: Iterable[str], head: bytes | None = None) -> ChainVerdict:
     """Offline chain check over a ledger dump: form, continuity, genesis and
-    links. Blank lines are skipped. A line that is not exactly what govsim
-    writes (an extra, repeated or reordered key, other spacing, a quoted or
-    float seq, a bool tick, upper-case or spaced hex, an empty stamp) breaks
-    the chain at its seq. Each link is the SHA-256 of the header text as
-    read. Payloads and the MAC key are not in the dump, so the self and
-    stamp checks are unavailable here.
+    links. Blank lines are skipped. A line is in the written form when it
+    matches `DUMP_LINE` and its stamp and payload digest are lower-case hex;
+    a line that is not exactly what govsim writes (an extra, repeated or
+    reordered key, other spacing, a quoted or float seq, a bool or `-0` tick,
+    an actor escape `_quote` does not write, upper-case or spaced hex, an
+    empty stamp) breaks the chain at its seq. Each link is the SHA-256 of the
+    header text as read. Payloads and the MAC key are not in the dump, so the
+    self and stamp checks are unavailable here.
 
     Without `head` a dropped tail, or an edit to the last line, goes unseen.
     Given the run's head digest (the report's `ledger.head_digest`), the
     digest after the last line must equal it; if not, the dump is broken at
     its last seq (seq 0 when it holds none), as in `verify_chain`.
     """
+    fullmatch, fromhex, sha256 = DUMP_LINE.fullmatch, bytes.fromhex, hashlib.sha256
     expected = GENESIS_DIGEST.hex()
-    n = -1
-    for n, line in enumerate(l for l in lines if l.strip()):
-        match = DUMP_LINE.fullmatch(line)
+    n = 0
+    for line in lines:
+        match = fullmatch(line)
         if match is None:
+            if not line.strip():
+                continue
             return ChainVerdict(False, n)
-        header, tail, prev, seq = match.groups()
-        if seq != "%d" % n or prev != expected:
+        header, stamp, tail, digest, prev, seq = match.groups()
+        # `prev` must equal a lower-case hexdigest. The other two are hex when
+        # `fromhex` reads 64 bytes from their 128 characters: it takes only
+        # ASCII hex digits and skips ASCII whitespace, so any other character
+        # raises or leaves too few digits; `lower` rules out A-F.
+        both = stamp + digest
+        try:
+            hexed = len(fromhex(both)) == 2 * DIGEST_SIZE and both.lower() == both
+        except ValueError:
+            hexed = False
+        if not hexed or seq != str(n) or prev != expected:
             return ChainVerdict(False, n)
-        expected = hashlib.sha256((header + tail).encode()).hexdigest()
+        expected = sha256((header + tail).encode()).hexdigest()
+        n += 1
     if head is not None and head.hex() != expected:
-        return ChainVerdict(False, max(n, 0))
+        return ChainVerdict(False, max(n - 1, 0))
     return ChainVerdict(True)

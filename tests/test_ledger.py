@@ -3,6 +3,7 @@ import hmac
 import io
 import json
 import random
+import re
 from decimal import Decimal
 
 import pytest
@@ -15,6 +16,7 @@ from govsim.ledger import (
     GENESIS_DIGEST,
     AuditLedger,
     AuditRecord,
+    ChainVerdict,
     RecordKind,
     canonical,
     record_digest,
@@ -298,18 +300,22 @@ def ledger_of(rows):
     return led
 
 
-def _stamp_edit(edit):
+def _hex_edit(field, edit):
     def apply(line):
-        stamp = json.loads(line)["attestation_stamp"]
-        return line.replace(stamp, edit(stamp))
+        text = json.loads(line)[field]
+        return line.replace(text, edit(text))
 
     return apply
 
 
+def _stamp_edit(edit):
+    return _hex_edit("attestation_stamp", edit)
+
+
 # Edits to seq 1 (tick 1, actor "agent-\u00e9") that keep every value a
 # lenient JSON reader sees: each one must still break the dump at the edited
-# line. The hex edits go to the stamp, which no link covers, so only the
-# line's form can catch them.
+# line. No link covers the stamp, so only the line's form can catch a stamp
+# edit; one to the payload digest must break its own line, not the next link.
 OFF_FORM_EDITS = {
     "extra key": lambda line: line[:-1] + ',"note":"forged"}',
     "duplicate key": lambda line: line[:-1] + ',"tick":1}',
@@ -318,7 +324,11 @@ OFF_FORM_EDITS = {
     "bool tick": lambda line: line.replace('"tick":1}', '"tick":true}'),
     "empty stamp": _stamp_edit(lambda stamp: ""),
     "upper-case hex": _stamp_edit(str.upper),
+    "upper-case payload digest": _hex_edit("payload_digest", str.upper),
     "spaced hex": _stamp_edit(lambda stamp: " ".join(stamp[i : i + 2] for i in range(0, 64, 2))),
+    "vertical tab for a stamp digit": _stamp_edit(lambda stamp: "\x0b" + stamp[1:]),
+    "two spaces for two stamp digits": _stamp_edit(lambda stamp: "  " + stamp[2:]),
+    "Arabic-Indic digit in the stamp": _stamp_edit(lambda stamp: "\u0663" + stamp[1:]),
     "json.dumps spacing": lambda line: json.dumps(json.loads(line), sort_keys=True),
     "trailing space": lambda line: line + " ",
     "raw non-ASCII actor": lambda line: line.replace("\\u00e9", "\u00e9"),
@@ -333,6 +343,29 @@ def test_offline_verify_accepts_only_the_written_form(edit):
     assert edited != lines[1]
     lines[1] = edited
     assert verify_jsonl(lines) == (False, 1)
+
+
+# Value-equal spellings `to_json_line` never writes, on a line with actor
+# 'A"\t' and tick 0: a `-0` tick and `\u` escapes of a letter, a quote and a
+# tab. Each breaks the line it is on, the last one included.
+RESPELLINGS = {
+    "negative zero tick": ('"tick":0}', '"tick":-0}'),
+    "escaped letter": ('"actor":"A', '"actor":"\\u0041'),
+    "escaped quote": ('\\"', "\\u0022"),
+    "escaped tab": ("\\t", "\\u0009"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(RESPELLINGS))
+def test_offline_verify_rejects_a_value_equal_respelling_at_its_line(edit):
+    lines = ledger_of([('A"\t', RecordKind.TOOL_CALL, 0)] * 3).dump_jsonl().splitlines()
+    old, new = RESPELLINGS[edit]
+    for seq in (1, 2):
+        edited = list(lines)
+        edited[seq] = lines[seq].replace(old, new)
+        assert edited[seq] != lines[seq]
+        assert json.loads(edited[seq]) == json.loads(lines[seq])
+        assert verify_jsonl(edited) == (False, seq)
 
 
 def test_a_tampered_kind_dumps_and_breaks_offline():
@@ -380,6 +413,72 @@ def test_offline_verify_sees_every_header_mutation(rows, rng):
     assume(seq < len(led) - 1 and field not in ("payload", "attestation_stamp"))
     expected = seq if field in ("seq", "prev_digest") else seq + 1
     assert verify_jsonl(led.dump_jsonl().splitlines()) == (False, expected)
+
+
+# The offline check as one regex: the written form with every hex slot a
+# `[0-9a-f]{64}` class, and the loop `verify_jsonl` runs around it.
+REFERENCE_LINE = re.compile(
+    r'(\{"actor":"[ !#-\[\]-~]*(?:\\(?:["\\bfnrt]|u(?:00(?:0[0-7bef]|1[0-9a-f]|7f|[89a-f][0-9a-f])'
+    r'|0[1-9a-f][0-9a-f]{2}|[1-9a-f][0-9a-f]{3}))[ !#-\[\]-~]*)*",)"attestation_stamp":"[0-9a-f]{64}",'
+    rf'("kind":"(?:{"|".join(kind.value for kind in RecordKind)})","payload_digest":"[0-9a-f]{{64}}",'
+    r'"prev_digest":"([0-9a-f]{64})","seq":(0|[1-9][0-9]*),"tick":(?:0|-?[1-9][0-9]*)\})\n?'
+)
+
+
+def reference_verify(lines, head=None):
+    expected = GENESIS_DIGEST.hex()
+    n = -1
+    for n, line in enumerate(l for l in lines if l.strip()):
+        match = REFERENCE_LINE.fullmatch(line)
+        if match is None:
+            return ChainVerdict(False, n)
+        header, tail, prev, seq = match.groups()
+        if seq != "%d" % n or prev != expected:
+            return ChainVerdict(False, n)
+        expected = hashlib.sha256((header + tail).encode()).hexdigest()
+    if head is not None and head.hex() != expected:
+        return ChainVerdict(False, max(n, 0))
+    return ChainVerdict(True)
+
+
+# Lower-case hex; upper-case hex; the ASCII whitespace `bytes.fromhex`
+# skips; JSON's specials, non-ASCII digits and letters, and a sign.
+EDIT_CHARS = st.one_of(
+    st.sampled_from("0123456789abcdef"),
+    st.sampled_from("ABCDEF"),
+    st.sampled_from(" \t\n\x0b\x0c"),
+    st.sampled_from('"\\\u00e9\u0663\uff10-'),
+)
+
+
+# (cut, put): replace one or two characters, insert one, delete one.
+SPLICES = st.sampled_from([(1, 1), (2, 2), (0, 1), (1, 0)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(ROWS, st.data())
+def test_offline_verify_matches_the_all_regex_reference(rows, data):
+    # One splice into one line, the last one included, anywhere or at a byte
+    # boundary of the stamp or payload digest: `cut` characters replaced by
+    # `put` copies of one drawn character. A lone whitespace character leaves
+    # an odd count of hex digits, which `fromhex` rejects; a pair in place of
+    # one byte's digits leaves an even count. A blank line may be added
+    # anywhere.
+    led = ledger_of(rows)
+    lines = led.dump_jsonl().splitlines()
+    seq = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[seq]
+    starts = [line.index(json.loads(line)[field]) for field in ("attestation_stamp", "payload_digest")]
+    byte = st.integers(0, DIGEST_SIZE - 1).map(lambda k: 2 * k)
+    at = data.draw(st.integers(0, len(line)) | st.sampled_from(starts).flatmap(lambda i: byte.map(i.__add__)))
+    cut, put = data.draw(SPLICES)
+    lines[seq] = line[:at] + data.draw(EDIT_CHARS) * put + line[at + cut :]
+    assume(lines[seq] != line)
+    blank = data.draw(st.sampled_from([None, "", " \t"]))
+    if blank is not None:
+        lines.insert(data.draw(st.integers(0, len(lines))), blank)
+    for head in (None, led.head_digest):
+        assert verify_jsonl(lines, head) == reference_verify(lines, head)
 
 
 def test_canonical_is_order_insensitive():
