@@ -93,7 +93,7 @@ def _report(config, args: argparse.Namespace) -> int:
     else:
         args.out.write_bytes(blob)
     if args.ledger_out is not None:
-        args.ledger_out.write_text(report.ledger_jsonl, encoding="utf-8")
+        args.ledger_out.write_text(report.ledger_jsonl, encoding="utf-8", newline="")
     failures = report.assertion_failures
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
@@ -101,7 +101,10 @@ def _report(config, args: argparse.Namespace) -> int:
 
 
 def _verify_ledger(path: Path, head: bytes | None) -> int:
-    records = [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+    # The exact text, split on "\n" only: a line ending in "\r" or another
+    # character `splitlines` would take as a break is not what govsim writes.
+    with path.open(encoding="utf-8", newline="") as handle:
+        records = [line for line in handle.read().split("\n") if line.strip()]
     verdict = verify_jsonl(records, head=head)
     if verdict:
         print(f"ok: {len(records)} records, chain intact")
@@ -149,6 +152,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: not valid JSON: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: not valid UTF-8: {exc}", file=sys.stderr)
         return 2
 
 

@@ -272,19 +272,20 @@ def execute_node(
     if run.state is not NodeState.RUNNING:
         raise InvalidTransition(f"{run.node_id} must be Running, is {run.state.value}")
     outcome = behavior(run)
-    for evidence in outcome.evidence:
-        ledger.append(
+    node_id, assignee, append = run.node_id, run.assignee, ledger.append
+    for call_index, endpoint_id, category, declared, observed, scope_ok in outcome.evidence:
+        append(
             RecordKind.TOOL_CALL,
-            run.assignee,
+            assignee,
             {
-                "node_id": run.node_id,
-                "did": run.assignee,
-                "call_index": evidence.call_index,
-                "endpoint_id": evidence.endpoint_id,
-                "category": evidence.category,
-                "declared_digest": evidence.declared_digest,
-                "observed_digest": evidence.observed_digest,
-                "contract_scope_ok": evidence.contract_scope_ok,
+                "node_id": node_id,
+                "did": assignee,
+                "call_index": call_index,
+                "endpoint_id": endpoint_id,
+                "category": category,
+                "declared_digest": declared,
+                "observed_digest": observed,
+                "contract_scope_ok": scope_ok,
                 "mission_id": mission_id,
             },
             tick=tick,

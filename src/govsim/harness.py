@@ -757,6 +757,8 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError("$file", f"no scenario at {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("$file", f"not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError("$file", f"not valid UTF-8: {exc}") from None
     return scenario_from_dict(data)
 
 
@@ -1118,20 +1120,21 @@ class _Driver:
 
         def scripted(run: NodeRun) -> BehaviorOutcome:
             evidence = []
-            for ev in spec.evidence:
-                declared = _digest_of(f"{self.config.seed}:{node_id}:{ev.endpoint_id}:{ev.call_index}")
+            prefix = f"{self.config.seed}:{node_id}:"
+            stale_cache = run.assignee in stale
+            for call_index, endpoint_id, category, scope_ok in spec.evidence:
+                declared = _digest_of(f"{prefix}{endpoint_id}:{call_index}")
                 observed = declared
-                if ev.endpoint_id in corrupted:
+                if endpoint_id in corrupted:
                     observed = _digest_of(declared + ":corrupted")
                 evidence.append(
                     ToolCallEvidence(
-                        call_index=ev.call_index,
-                        endpoint_id=ev.endpoint_id,
-                        category=ev.category,
-                        declared_digest=declared,
-                        observed_digest=observed,
-                        contract_scope_ok=ev.contract_scope_ok
-                        and not (ev.category == "cache_read" and run.assignee in stale),
+                        call_index,
+                        endpoint_id,
+                        category,
+                        declared,
+                        observed,
+                        scope_ok and not (category == "cache_read" and stale_cache),
                     )
                 )
             output = dict(spec.output) or {"node_id": node_id, "status": "complete"}

@@ -34,8 +34,10 @@ Payload searches test the stored bytes before decoding anything. A payload
 whose top-level `key` holds a string `value` encodes that item as exactly
 `pair_needle(key, value)` (an int `value` as the start of that item), so
 `candidates` decodes only the records whose bytes contain every needle a
-search names. A needle is a necessary condition, never a sufficient one (the
-same text can sit in a nested object): the caller still tests each decoded
+search names. It tests them with `bytes.find`, which is cheaper per record
+than `in`, in one pass that also tests the kind; further needles filter the
+hits. A needle is a necessary condition, never a sufficient one (the same
+text can sit in a nested object): the caller still tests each decoded
 payload.
 """
 from __future__ import annotations
@@ -87,6 +89,8 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _DECODER = json.JSONDecoder()
 _quote = json.encoder.encode_basestring_ascii
 _encode_c = json.encoder.c_make_encoder(None, _ENCODER.default, _quote, None, ":", ",", True, False, True)
+# The JSON text of each kind, as the header and dump line write it.
+_KIND_TEXT = {kind: _quote(kind) for kind in RecordKind}
 
 
 def canonical(payload: Mapping[str, Any]) -> bytes:
@@ -137,11 +141,11 @@ def pair_needle(key: str, value: str | int) -> bytes:
 
 def _tail(record: AuditRecord) -> str:
     """`"kind":…,"tick":N}`: the text after the actor in both the dump line and
-    the chained header. An int seq or tick and a str kind are written inline;
-    anything else (a tampered field) goes through `_json`."""
+    the chained header. A kind's text is looked up, an int seq or tick is
+    written inline; anything else (a tampered field) goes through `_json`."""
     kind, seq, tick = record.kind, record.seq, record.tick
     return '"kind":%s,"payload_digest":"%s","prev_digest":"%s","seq":%s,"tick":%s}' % (
-        _quote(kind) if isinstance(kind, str) else _json(kind),
+        _KIND_TEXT[kind] if type(kind) is RecordKind else _json(kind),
         record.payload_digest.hex(),
         record.prev_digest.hex(),
         "%d" % seq if type(seq) is int else _json(seq),
@@ -237,10 +241,21 @@ class AuditLedger:
         kind is in `kinds` (any kind when empty) and whose stored bytes
         contain every needle. No other payload is decoded."""
         records, payloads = self._records, self._payloads
-        hits = [seq for seq in seqs if records[seq].kind in kinds] if kinds else list(seqs)
-        # One pass per needle keeps each test a bare `in` on bytes.
-        for needle in needles:
-            hits = [seq for seq in hits if needle in payloads[seq]]
+        # `payload.find(needle) >= 0`, not `needle in payload`: CPython's
+        # `bytes.__contains__` first tries the needle as an int and clears
+        # the TypeError that raises, which makes it about 1.5 times the cost
+        # of `find` on a ToolCall payload. The kind test and the first needle
+        # share one pass over `seqs`; each further needle filters the hits.
+        if not needles:
+            hits = [seq for seq in seqs if records[seq].kind in kinds] if kinds else list(seqs)
+        else:
+            first, *rest = needles
+            if kinds:
+                hits = [seq for seq in seqs if records[seq].kind in kinds and payloads[seq].find(first) >= 0]
+            else:
+                hits = [seq for seq in seqs if payloads[seq].find(first) >= 0]
+            for needle in rest:
+                hits = [seq for seq in hits if payloads[seq].find(needle) >= 0]
         return [(records[seq], self.payload(seq)) for seq in hits]
 
     def _stamp(self, seq: int, digest: bytes) -> bytes:
@@ -265,8 +280,9 @@ class AuditLedger:
             kind = RecordKind(kind)
         if tick is None:
             tick = self._clock() if self._clock is not None else 0
-        # `canonical`, `_stamp` and `record_digest` written out, sharing the hex digests.
-        blob = "".join(_encode_c(dict(payload), 0)).encode()
+        # `canonical`, `_stamp` and `record_digest` written out, sharing the hex
+        # digests. A dict is encoded as given; another Mapping is copied first.
+        blob = "".join(_encode_c(payload if type(payload) is dict else dict(payload), 0)).encode()
         digest = hashlib.sha256(blob).digest()
         hexdigest = digest.hex()
         seq = len(self._records)
@@ -277,7 +293,8 @@ class AuditLedger:
         record = tuple.__new__(AuditRecord, (seq, tick, actor, kind, digest, self._head, outer.digest()))
         header = '{"actor":%s,"kind":%s,"payload_digest":"%s","prev_digest":"%s","seq":%d,"tick":%s}' % (
             _quote(actor) if isinstance(actor, str) else _json(actor),
-            _quote(kind), hexdigest, self._head.hex(), seq, _json(tick)
+            _KIND_TEXT[kind], hexdigest, self._head.hex(), seq,
+            "%d" % tick if type(tick) is int else _json(tick),
         )
         self._head = hashlib.sha256(header.encode()).digest()
         self._records.append(record)

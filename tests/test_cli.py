@@ -9,7 +9,7 @@ import json
 import pytest
 
 from govsim.cli import main
-from govsim.harness import CASE_STUDY_FIXTURE, FAULT_DRILL_FIXTURE, bundled_scenario_path
+from govsim.harness import CASE_STUDY_FIXTURE, FAULT_DRILL_FIXTURE, bundled_scenario_path, load_scenario, run
 from test_fingerprints import HEADS, PINNED
 
 
@@ -100,6 +100,48 @@ def test_verify_ledger_checks_the_report_head(drill_path, tmp_path, capsys, edit
     else:
         assert main(["verify-ledger", str(dump), "--head", head]) == 1
         assert capsys.readouterr().err == f"broken at seq {broken_at}\n"
+
+
+# Every character but "\n" that `str.splitlines` ends a line at; govsim
+# writes none of them.
+LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", LINE_BREAKS, ids=lambda char: f"U+{ord(char):04X}")
+def test_verify_ledger_breaks_at_a_line_ending_in_a_character_govsim_never_writes(
+    drill_path, tmp_path, capsys, char
+):
+    dump = tmp_path / "ledger.jsonl"
+    report = tmp_path / "r.json"
+    assert main(["run", str(drill_path), "--out", str(report), "--ledger-out", str(dump)]) == 0
+    head = json.loads(report.read_text())["ledger"]["head_digest"]
+    lines = dump.read_bytes().decode().split("\n")
+    lines[5] += char
+    dump.write_bytes("\n".join(lines).encode())
+    for flags in ([], ["--head", head]):
+        assert main(["verify-ledger", str(dump), *flags]) == 1
+        assert capsys.readouterr().err == "broken at seq 5\n"
+
+
+def test_ledger_out_is_the_exact_dump_and_a_crlf_copy_breaks_at_seq_0(drill_path, tmp_path, capsys):
+    dump = tmp_path / "ledger.jsonl"
+    assert main(["run", str(drill_path), "--out", str(tmp_path / "r.json"), "--ledger-out", str(dump)]) == 0
+    assert dump.read_bytes() == run(load_scenario(drill_path)).ledger_jsonl.encode()
+    dump.write_bytes(dump.read_bytes().replace(b"\n", b"\r\n"))
+    assert main(["verify-ledger", str(dump)]) == 1
+    assert capsys.readouterr().err == "broken at seq 0\n"
+
+
+@pytest.mark.parametrize("command", ["run", "verify-ledger", "check-economy"])
+def test_a_file_that_is_not_utf8_exits_two_with_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "input.json"
+    path.write_bytes(b'{"seed": "\xff"}\n')
+    assert main([command, str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+    assert "not valid UTF-8" in out.err
+    assert out.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

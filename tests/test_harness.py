@@ -451,6 +451,15 @@ def test_malformed_json_is_a_config_error(tmp_path):
     assert err.value.field_path == "$file"
 
 
+def test_a_file_that_is_not_utf8_is_a_config_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"seed": "\xff"}')
+    with pytest.raises(ConfigError) as err:
+        load_scenario(bad)
+    assert err.value.field_path == "$file"
+    assert str(err.value).startswith("$file: not valid UTF-8: ")
+
+
 def test_non_object_document_rejected(tmp_path):
     doc = tmp_path / "list.json"
     doc.write_text("[1, 2]")

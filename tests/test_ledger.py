@@ -596,6 +596,55 @@ def test_stored_records_cannot_be_mutated():
     assert led.verify_chain().ok
 
 
+# -- payload search ----------------------------------------------------------
+
+# Short text over a few characters, escapes included, so that needles cut
+# from one payload often sit inside another.
+SHORT_TEXT = st.text('ab"\\é', max_size=3)
+SEARCH_PAYLOADS = st.dictionaries(
+    SHORT_TEXT,
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-30, 30), SHORT_TEXT, st.lists(SHORT_TEXT, max_size=2)
+    ),
+    max_size=4,
+)
+SEARCH_KINDS = st.sampled_from(
+    [RecordKind.TOOL_CALL, RecordKind.ESCALATION, RecordKind.SLASHING_EVENT, RecordKind.NODE_STARTED]
+)
+
+
+@st.composite
+def needle_of(draw, blobs):
+    """A slice of a stored payload (empty, whole or a prefix too) or random bytes."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=3))
+    blob = draw(st.sampled_from(blobs))
+    start = draw(st.integers(0, len(blob)))
+    return blob[start : draw(st.integers(start, len(blob)))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(SEARCH_KINDS, SEARCH_PAYLOADS), min_size=1, max_size=12), st.data())
+def test_candidates_filters_the_given_seqs_by_kind_and_every_needle(rows, data):
+    led = AuditLedger(attestation_key=KEY)
+    for kind, payload in rows:
+        led.append(kind, "engine", payload, tick=0)
+    blobs = [canonical(payload) for _, payload in rows]
+    n = len(rows)
+    seqs = data.draw(
+        st.sampled_from([range(n), list(range(n))[::-1]])
+        | st.lists(st.integers(0, n - 1), unique=True)
+    )
+    kinds = tuple(data.draw(st.lists(SEARCH_KINDS, unique=True, max_size=3)))
+    needles = tuple(data.draw(st.lists(needle_of(blobs), max_size=3)))
+    expected = [
+        (led.record(seq), led.payload(seq))
+        for seq in seqs
+        if (not kinds or rows[seq][0] in kinds) and all(needle in blobs[seq] for needle in needles)
+    ]
+    assert led.candidates(seqs, kinds, needles) == expected
+
+
 # -- the seal against a full recomputation -----------------------------------
 
 
