@@ -103,8 +103,7 @@ def _report(config, args: argparse.Namespace) -> int:
 def _verify_ledger(path: Path, head: bytes | None) -> int:
     # The exact text, split on "\n" only: a line ending in "\r" or another
     # character `splitlines` would take as a break is not what govsim writes.
-    with path.open(encoding="utf-8", newline="") as handle:
-        records = [line for line in handle.read().split("\n") if line.strip()]
+    records = [line for line in path.read_bytes().decode("utf-8").split("\n") if line.strip()]
     verdict = verify_jsonl(records, head=head)
     if verdict:
         print(f"ok: {len(records)} records, chain intact")
