@@ -280,8 +280,7 @@ class AuditLedger:
             kind = RecordKind(kind)
         if tick is None:
             tick = self._clock() if self._clock is not None else 0
-        # `canonical`, `_stamp` and `record_digest` written out, sharing the hex
-        # digests. A dict is encoded as given; another Mapping is copied first.
+        # `canonical`, `_stamp` and `record_digest` written out, sharing the hex digests.
         blob = "".join(_encode_c(payload if type(payload) is dict else dict(payload), 0)).encode()
         digest = hashlib.sha256(blob).digest()
         hexdigest = digest.hex()
