@@ -46,9 +46,8 @@ def ledger_attacks() -> None:
     blob = canonical({**twin.payload(victim), "amount": "999999.00"})
     digest = hashlib.sha256(blob).digest()
     old = twin.record(victim)
-    twin._payloads[victim] = blob
     twin._records[victim] = old._replace(
-        payload_digest=digest, attestation_stamp=twin._stamp(old.seq, digest)
+        payload_digest=digest, attestation_stamp=twin._stamp(old.seq, digest), payload_bytes=blob
     )
     verdict = twin.verify_chain()
     print(f"  payload rewritten at seq {victim}: broken at seq {verdict.first_broken_seq}")

@@ -144,11 +144,12 @@ def _attribute(payload: Mapping[str, object]) -> Attribution:
 
 
 def post_mortem(ledger: AuditLedger, incident: Incident) -> ForensicReport:
-    """Scan the mission pedigree in seq order for the first record matching
-    the incident's deviance probe and attribute it. A verified chain holds
-    the sealed payloads, so the pedigree's matches are the ledger's matches
-    whose decoded `mission_id` is the incident's; `pedigree` runs only when
-    none match, to raise `NotFound` for a mission with no records."""
+    """Verify the whole chain, then scan the mission's records in seq order
+    for the first one matching the incident's deviance probe and attribute
+    it. A verified chain holds the sealed payloads, so the mission's records
+    are the ones whose decoded `mission_id` is the incident's. When none of
+    them matches, a mission with no records included, the result is
+    `Inconclusive`."""
     verdict = ledger.verify_chain()
     if not verdict.ok:
         raise EvidenceIntegrityError(
@@ -157,7 +158,6 @@ def post_mortem(ledger: AuditLedger, incident: Incident) -> ForensicReport:
     mission = incident.mission_id
     matches = [hit for hit in incident.probe.search(ledger) if hit[1].get("mission_id") == mission]
     if not matches:
-        ledger.pedigree(mission)
         raise Inconclusive(f"no ledger record matches incident {incident.incident_id}")
     first_record, first_payload = matches[0]
     attribution = _attribute(first_payload)
@@ -176,7 +176,7 @@ def post_mortem(ledger: AuditLedger, incident: Incident) -> ForensicReport:
         evidence_refs=tuple(r.seq for r, _ in matches),
         narrative=(
             f"first deviant record at seq {first_record.seq} ({node_id}): "
-            f"{locus_desc}; {len(matches)} matching record(s) in the pedigree"
+            f"{locus_desc}; {len(matches)} matching record(s) in the mission"
         ),
     )
 
@@ -284,7 +284,7 @@ class DisputeCase:
 
     __slots__ = (
         "case_id", "mission_id", "state", "filed_tick", "deadline_tick", "panel",
-        "evidence_refs", "verdict", "precedent_ref", "auto_escalated", "history",
+        "verdict", "precedent_ref", "auto_escalated", "history",
     )
 
     def __init__(
@@ -293,7 +293,6 @@ class DisputeCase:
         self.case_id, self.mission_id, self.panel = case_id, mission_id, panel
         self.state = DisputeState.FILED
         self.filed_tick, self.deadline_tick = filed_tick, deadline_tick
-        self.evidence_refs: tuple[int, ...] = ()
         self.verdict: Verdict | None = None
         self.precedent_ref: str | None = None
         self.auto_escalated = False
@@ -397,15 +396,6 @@ def advance_dispute(
     return case
 
 
-def attach_evidence(case: DisputeCase, refs: Sequence[int]) -> DisputeCase:
-    if case.state is not DisputeState.EVIDENCE_WINDOW:
-        raise InvalidTransition(
-            f"{case.case_id}: evidence only lands during the window, not {case.state.value}"
-        )
-    case.evidence_refs = tuple(dict.fromkeys(case.evidence_refs + tuple(refs)))
-    return case
-
-
 def check_deadline(case: DisputeCase, now_tick: int, *, ledger: AuditLedger) -> bool:
     """Past-deadline cases without a resting verdict escalate automatically."""
     terminal = case.state in (DisputeState.RATIFIED, DisputeState.CLOSED)
@@ -449,7 +439,7 @@ def amend_charter(
     candidate = apply_amendment(charter, amendment)
     broken = []
     for order in regression_orders:
-        if not isinstance(prescreen(None, None, candidate, order=order), Authorized):
+        if not isinstance(prescreen(None, candidate, order=order), Authorized):
             broken.append(str(order.get("order_id", "?")))
     if broken:
         raise AmendmentRejected([r.rule_id for r in amendment])

@@ -102,8 +102,9 @@ def _report(config, args: argparse.Namespace) -> int:
 
 def _verify_ledger(path: Path, head: bytes | None) -> int:
     # The exact text, split on "\n" only: a line ending in "\r" or another
-    # character `splitlines` would take as a break is not what govsim writes.
-    records = [line for line in path.read_bytes().decode("utf-8").split("\n") if line.strip()]
+    # character `splitlines` would take as a break is not what govsim writes,
+    # and neither is a line of whitespace alone.
+    records = [line for line in path.read_bytes().decode("utf-8").split("\n") if line]
     verdict = verify_jsonl(records, head=head)
     if verdict:
         print(f"ok: {len(records)} records, chain intact")

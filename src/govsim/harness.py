@@ -32,7 +32,6 @@ from .adjudication import (
     Verdict,
     advance_dispute,
     amend_charter,
-    attach_evidence,
     check_deadline,
     file_dispute,
     post_mortem,
@@ -497,7 +496,6 @@ def _parse_params(
             items=items,
             resolution=_as_name(params.get("resolution", "cross-node-attestation"), f"{path}.resolution"),
         )
-    params["evidence_query"] = dict(_as_section(params.get("evidence_query", {}), f"{path}.evidence_query", dict))
     params["order"] = orders[_known(params["order_ref"], orders, f"{path}.order_ref", "order")] if "order_ref" in params else None
     release = None
     if params.get("release"):
@@ -1015,7 +1013,6 @@ class _Driver:
         dag = decompose(config.job, mission_id=config.mission_id, ledger=self.ledger)
         manifest = MissionManifest.for_job(
             config.job,
-            self.charter,
             mission_id=config.mission_id,
             value_ceiling=config.value_ceiling,
             reward_pool_total=config.economy.pool_total,
@@ -1024,10 +1021,9 @@ class _Driver:
                 "infrastructure": config.economy.infra_rate,
                 "cross_node": config.economy.cross_tax_rate,
             },
-            authorized_principals=(config.economy.org_account, config.guardian.mediator),
         )
         self.advance(150)
-        decision = prescreen(manifest, dag, self.charter, ledger=self.ledger)
+        decision = prescreen(manifest, self.charter, ledger=self.ledger)
         if not isinstance(decision, Authorized):
             self.outcome = type(decision).__name__
             self.failures.append(f"prescreen: mission not authorized ({decision!r})")
@@ -1476,14 +1472,11 @@ class _Driver:
         )
         self.dispute_case = case
         order = params["order"]
-        pre = prescreen(None, None, self.charter, order=order) if order else None
+        pre = prescreen(None, self.charter, order=order) if order else None
 
         self.advance(t0 + params["open_offset"])
         check_deadline(case, self.now, ledger=self.ledger)
         advance_dispute(case, OpenEvidence(), tick=self.now, ledger=self.ledger)
-        if params["evidence_query"]:
-            evidence = IncidentProbe(kinds=(RecordKind.TOOL_CALL,), payload_equals=params["evidence_query"])
-            attach_evidence(case, [r.seq for r, _ in evidence.search(self.ledger)])
         self.advance(t0 + params["deliberate_offset"])
         advance_dispute(case, BeginDeliberation(), tick=self.now, ledger=self.ledger)
 
@@ -1519,7 +1512,7 @@ class _Driver:
 
         case.precedent_ref = params["precedent_id"]
 
-        post = prescreen(None, None, self.charter, order=order) if order else None
+        post = prescreen(None, self.charter, order=order) if order else None
         remaining = None
         if event.release is not None and isinstance(post, Authorized):
             remaining = self.release(event.release, self.now)

@@ -13,22 +13,19 @@ order, byte for byte what `canonical` would produce; `append` writes both
 from the digests it has just taken.
 
 Storage is immutable: a record is a tuple of ints, strings, a kind and bytes,
-and a payload is kept as its canonical bytes, exactly what its digest covers
-(`payload` decodes a fresh copy, so readers never alias storage). `append`
-also fills four seal columns: per seq, the record object, the payload bytes
-object, the header digest and the mission id. `verify_chain` finds the
-replaced slots (a record or payload that is not the very object sealed) in
-one identity pass. A run of untouched slots passed every check at append, so
-only its first link is checked and its last sealed digest taken; a replaced
-slot has its seq, link, payload digest, stamp and header digest re-derived.
-The verdict is the one a full recomputation gives.
-`pedigree` reads mission ids and digests from the seal columns, so a pedigree
-taken from an edited, unverified ledger still names the original chain: verify
-the whole chain against the head first. The offline `verify_jsonl` trusts
-nothing: it accepts only the exact lines govsim writes (a `DUMP_LINE` match
-whose stamp and payload digest are lower-case hex) and checks each link
-against the header text as read, and, given the run's head digest, the digest
-after the last line against it.
+and it keeps its payload as the canonical bytes its digest covers (`payload`
+decodes a fresh copy, so readers never alias storage). The dump line and the
+header digest cover the seven header fields, not the payload bytes. `append`
+fills three columns per seq: the record, the record object it sealed, and the
+header digest. `verify_chain` finds the replaced slots (a record that is not
+the very object sealed) in one identity pass. A run of untouched slots passed
+every check at append, so only its first link is checked and its last sealed
+digest taken; a replaced slot has its seq, link, payload digest, stamp and
+header digest re-derived. The verdict is the one a full recomputation gives.
+The offline `verify_jsonl` trusts nothing: it accepts only the exact lines
+govsim writes (a `DUMP_LINE` match whose stamp and payload digest are
+lower-case hex) and checks each link against the header text as read, and,
+given the run's head digest, the digest after the last line against it.
 
 Payload searches test the stored bytes before decoding anything. A payload
 whose top-level `key` holds a string `value` encodes that item as exactly
@@ -48,11 +45,11 @@ import json
 import re
 import secrets
 from enum import Enum
-from itertools import compress, repeat
-from operator import eq, is_not, or_
+from itertools import compress
+from operator import is_not
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import NotFound, ValidationError
+from .errors import ValidationError
 
 DIGEST_SIZE = 32
 GENESIS_DIGEST = b"\x00" * DIGEST_SIZE
@@ -109,9 +106,11 @@ class AuditRecord(NamedTuple):
     payload_digest: bytes
     prev_digest: bytes
     attestation_stamp: bytes
+    payload_bytes: bytes
 
     def to_json_line(self) -> str:
-        """`json.dumps` of the seven fields with sorted keys, written directly."""
+        """`json.dumps` of the seven header fields with sorted keys, written
+        directly; the payload bytes are not in the line."""
         return '{"actor":%s,"attestation_stamp":"%s",%s' % (
             _json(self.actor), self.attestation_stamp.hex(), _tail(self)
         )
@@ -186,12 +185,6 @@ class ChainVerdict(NamedTuple):
         return self.ok
 
 
-class LogicPedigree(NamedTuple):
-    mission_id: str
-    record_refs: tuple[int, ...]
-    anchor_digest: bytes
-
-
 class AuditLedger:
     """Single-writer in-process ledger. Owned by the event loop; records are
     immutable once appended and safe to hand out."""
@@ -208,14 +201,11 @@ class AuditLedger:
         self._outer = hashlib.sha256(bytes(b ^ 0x5C for b in key))
         self._clock = clock
         self._records: list[AuditRecord] = []
-        self._payloads: list[bytes] = []
         self._head = GENESIS_DIGEST
-        # The seal columns, written only by `append`: per seq, the record and
-        # payload bytes it stored, the header digest and the mission id.
+        # The seal columns, written only by `append`: per seq, the record it
+        # stored and the header digest.
         self._sealed: list[AuditRecord] = []
-        self._blobs: list[bytes] = []
         self._digests: list[bytes] = []
-        self._missions: list[Any] = []
 
     def __len__(self) -> int:
         return len(self._records)
@@ -232,7 +222,7 @@ class AuditLedger:
 
     def payload(self, seq: int) -> dict[str, Any]:
         """A fresh decode of the stored canonical JSON (tuples come back as lists)."""
-        return _DECODER.decode(self._payloads[seq].decode())
+        return _DECODER.decode(self._records[seq].payload_bytes.decode())
 
     def candidates(
         self, seqs: Iterable[int], kinds: tuple[RecordKind, ...], needles: tuple[bytes, ...]
@@ -240,7 +230,7 @@ class AuditLedger:
         """`(record, payload())` for each of `seqs`, in the order given, whose
         kind is in `kinds` (any kind when empty) and whose stored bytes
         contain every needle. No other payload is decoded."""
-        records, payloads = self._records, self._payloads
+        records = self._records
         # `payload.find(needle) >= 0`, not `needle in payload`: CPython's
         # `bytes.__contains__` first tries the needle as an int and clears
         # the TypeError that raises, which makes it about 1.5 times the cost
@@ -251,11 +241,11 @@ class AuditLedger:
         else:
             first, *rest = needles
             if kinds:
-                hits = [seq for seq in seqs if records[seq].kind in kinds and payloads[seq].find(first) >= 0]
+                hits = [seq for seq in seqs if (rec := records[seq]).kind in kinds and rec.payload_bytes.find(first) >= 0]
             else:
-                hits = [seq for seq in seqs if payloads[seq].find(first) >= 0]
+                hits = [seq for seq in seqs if records[seq].payload_bytes.find(first) >= 0]
             for needle in rest:
-                hits = [seq for seq in hits if payloads[seq].find(needle) >= 0]
+                hits = [seq for seq in hits if records[seq].payload_bytes.find(needle) >= 0]
         return [(records[seq], self.payload(seq)) for seq in hits]
 
     def _stamp(self, seq: int, digest: bytes) -> bytes:
@@ -289,7 +279,7 @@ class AuditLedger:
         inner.update(('{"payload_digest":"%s","seq":%d}' % (hexdigest, seq)).encode())
         outer = self._outer.copy()
         outer.update(inner.digest())
-        record = tuple.__new__(AuditRecord, (seq, tick, actor, kind, digest, self._head, outer.digest()))
+        record = tuple.__new__(AuditRecord, (seq, tick, actor, kind, digest, self._head, outer.digest(), blob))
         header = '{"actor":%s,"kind":%s,"payload_digest":"%s","prev_digest":"%s","seq":%d,"tick":%s}' % (
             _quote(actor) if isinstance(actor, str) else _json(actor),
             _KIND_TEXT[kind], hexdigest, self._head.hex(), seq,
@@ -297,17 +287,14 @@ class AuditLedger:
         )
         self._head = hashlib.sha256(header.encode()).digest()
         self._records.append(record)
-        self._payloads.append(blob)
         self._sealed.append(record)
-        self._blobs.append(blob)
         self._digests.append(self._head)
-        self._missions.append(payload.get("mission_id"))
         return seq
 
     def verify_chain(
         self, from_seq: int = 0, to_seq: int | None = None
     ) -> ChainVerdict:
-        records, payloads = self._records, self._payloads
+        records = self._records
         last = len(records) - 1
         if to_seq is None:
             to_seq = last
@@ -320,13 +307,12 @@ class AuditLedger:
         # Each digest is computed once: it is the next record's expected link
         # and, after the last record, the expected head.
         digest = GENESIS_DIGEST if from_seq == 0 else record_digest(records[from_seq - 1])
-        # A replaced slot holds a record or payload that is not the very
-        # object `append` sealed; one identity pass finds them all.
+        # A replaced slot holds a record that is not the very object `append`
+        # sealed; one identity pass finds them all.
         stop = to_seq + 1
-        new_record = map(is_not, records[from_seq:stop], self._sealed[from_seq:stop])
-        new_blob = map(is_not, payloads[from_seq:stop], self._blobs[from_seq:stop])
+        replaced = map(is_not, records[from_seq:stop], self._sealed[from_seq:stop])
         n = from_seq
-        for bad in (*compress(range(from_seq, stop), map(or_, new_record, new_blob)), stop):
+        for bad in (*compress(range(from_seq, stop), replaced), stop):
             if n < bad:
                 # Untouched slots hold immutable objects that passed every
                 # check at append, and each one's link is the digest sealed
@@ -340,7 +326,7 @@ class AuditLedger:
             rec = records[bad]
             if rec.seq != bad or rec.prev_digest != digest:
                 return ChainVerdict(False, bad)
-            if hashlib.sha256(payloads[bad]).digest() != rec.payload_digest:
+            if hashlib.sha256(rec.payload_bytes).digest() != rec.payload_digest:
                 return ChainVerdict(False, bad)
             if not hmac.compare_digest(
                 self._stamp(rec.seq, rec.payload_digest), rec.attestation_stamp
@@ -351,25 +337,13 @@ class AuditLedger:
             return ChainVerdict(False, last)
         return ChainVerdict(True)
 
-    def pedigree(self, mission_id: str) -> LogicPedigree:
-        """The mission's records in seq order, anchored on the header digests
-        sealed at append. Verify the chain first: mission ids and digests are
-        read from the seal columns, not re-derived from storage, so an
-        unverified edit goes unseen here."""
-        mine = list(map(eq, self._missions, repeat(mission_id)))
-        refs = tuple(compress(range(len(mine)), mine))
-        if not refs:
-            raise NotFound(f"no records for mission {mission_id!r}")
-        anchor = hashlib.sha256(b"".join(compress(self._digests, mine))).digest()
-        return LogicPedigree(mission_id=mission_id, record_refs=refs, anchor_digest=anchor)
-
     def dump_jsonl(self) -> str:
         return "".join([rec.to_json_line() + "\n" for rec in self._records])
 
     def fork(self) -> "AuditLedger":
         """Independent copy sharing nothing mutable; used by tamper tests."""
         twin = AuditLedger(attestation_key=self._key, clock=self._clock)
-        for column in ("_records", "_payloads", "_sealed", "_blobs", "_digests", "_missions"):
+        for column in ("_records", "_sealed", "_digests"):
             setattr(twin, column, list(getattr(self, column)))
         twin._head = self._head
         return twin
@@ -377,14 +351,15 @@ class AuditLedger:
 
 def verify_jsonl(lines: Iterable[str], head: bytes | None = None) -> ChainVerdict:
     """Offline chain check over a ledger dump: form, continuity, genesis and
-    links. Blank lines are skipped. A line is in the written form when it
-    matches `DUMP_LINE` and its stamp and payload digest are lower-case hex;
-    a line that is not exactly what govsim writes (an extra, repeated or
-    reordered key, other spacing, a quoted or float seq, a bool or `-0` tick,
-    an actor escape `_quote` does not write, upper-case or spaced hex, an
-    empty stamp) breaks the chain at its seq. Each link is the SHA-256 of the
-    header text as read. Payloads and the MAC key are not in the dump, so the
-    self and stamp checks are unavailable here.
+    links. Empty lines (no text, or a lone newline) are skipped. A line is in
+    the written form when it matches `DUMP_LINE` and its stamp and payload
+    digest are lower-case hex; a line that is not exactly what govsim writes
+    (whitespace alone, an extra, repeated or reordered key, other spacing, a
+    quoted or float seq, a bool or `-0` tick, an actor escape `_quote` does
+    not write, upper-case or spaced hex, an empty stamp) breaks the chain at
+    its seq. Each link is the SHA-256 of the header text as read. Payloads
+    and the MAC key are not in the dump, so the self and stamp checks are
+    unavailable here.
 
     Without `head` a dropped tail, or an edit to the last line, goes unseen.
     Given the run's head digest (the report's `ledger.head_digest`), the
@@ -397,7 +372,7 @@ def verify_jsonl(lines: Iterable[str], head: bytes | None = None) -> ChainVerdic
     for line in lines:
         match = fullmatch(line)
         if match is None:
-            if not line.strip():
+            if line == "" or line == "\n":
                 continue
             return ChainVerdict(False, n)
         header, stamp, tail, digest, prev, seq = match.groups()

@@ -326,10 +326,8 @@ class MissionManifest(NamedTuple):
     mission_id: str
     job_id: str
     value_ceiling: Decimal
-    charter_digest: str
     reward_pool_total: Decimal
     tax_rates: Mapping[str, str]
-    authorized_principals: tuple[str, ...]
     notional_value: Decimal
     currency: str
     order_count: int
@@ -337,22 +335,18 @@ class MissionManifest(NamedTuple):
     @staticmethod
     def for_job(
         job: JobSpec,
-        charter: Charter,
         *,
         mission_id: str,
         value_ceiling,
         reward_pool_total,
         tax_rates: Mapping[str, str],
-        authorized_principals: Sequence[str],
     ) -> "MissionManifest":
         return MissionManifest(
             mission_id=mission_id,
             job_id=job.job_id,
             value_ceiling=Decimal(str(value_ceiling)),
-            charter_digest=charter.digest(),
             reward_pool_total=nxc(reward_pool_total),
             tax_rates=dict(tax_rates),
-            authorized_principals=tuple(authorized_principals),
             notional_value=job.notional_value,
             currency=job.currency,
             order_count=job.order_count,
@@ -392,7 +386,6 @@ def _mint_token(charter: Charter, subject: Mapping) -> str:
 
 def prescreen(
     manifest: MissionManifest | None,
-    dag: TaskDAG | None,
     charter: Charter,
     *,
     order: Mapping | None = None,

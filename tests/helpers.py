@@ -1,7 +1,8 @@
 """Builders shared across test modules: a nine-node settlement job, a
 ceiling charter, a fresh ledger, and a small certified registry; `same`, an
 equality that also compares types; `ledger_accounts`, the treasury rebuilt
-from a run's ledger; and the storage-level ledger tampers."""
+from a run's ledger; `mission_seqs`, a mission's records found by decoding
+every payload; and the storage-level ledger tampers."""
 import hashlib
 from decimal import Decimal
 
@@ -69,17 +70,15 @@ def ceiling_charter(extra=()):
     return Charter(version=1, rules=rules)
 
 
-def manifest_for(job, charter, notional=None):
+def manifest_for(job, notional=None):
     if notional is not None:
         job = job._replace(notional_value=Decimal(str(notional)))
     return MissionManifest.for_job(
         job,
-        charter,
         mission_id="MISSION-1",
         value_ceiling="50000000",
         reward_pool_total="4750.00",
         tax_rates={"protocol": "0.035", "infrastructure": "0.015"},
-        authorized_principals=("ops-lead", "treasury-lead"),
     )
 
 
@@ -131,6 +130,13 @@ def ledger_accounts(config, ledger):
     return {owner: (f"{balance:.2f}", f"{stake:.2f}") for owner, (balance, stake) in accounts.items()}
 
 
+def mission_seqs(ledger, mission_id):
+    """The seqs of the records whose decoded payload's `mission_id` is
+    `mission_id`, in order: the reference for a search confined to one
+    mission, with no needle and no index."""
+    return [record.seq for record in ledger if ledger.payload(record.seq).get("mission_id") == mission_id]
+
+
 def assert_ledger_rebuilds_the_treasury(config, report):
     """The accounts rebuilt from the ledger equal the treasury's to the cent,
     and the escrow holds the pool's net until it is distributed. A run that
@@ -148,8 +154,8 @@ def assert_ledger_rebuilds_the_treasury(config, report):
 
 
 # Storage-level attacks on a ledger. Like an attacker on storage, they replace
-# the record and payload slots and leave the seals as they were, so
-# `verify_chain` re-derives every replaced slot.
+# one record slot (the record holds its payload bytes) and leave the seals as
+# they were, so `verify_chain` re-derives every replaced slot.
 
 
 def tamper_payload(ledger, seq, payload):
@@ -159,15 +165,13 @@ def tamper_payload(ledger, seq, payload):
     blob = canonical(payload)
     digest = hashlib.sha256(blob).digest()
     old = ledger._records[seq]
-    ledger._payloads[seq] = blob
     ledger._records[seq] = old._replace(
-        payload_digest=digest, attestation_stamp=ledger._stamp(old.seq, digest)
+        payload_digest=digest, attestation_stamp=ledger._stamp(old.seq, digest), payload_bytes=blob
     )
 
 
 def tamper_field(ledger, seq, field, value):
     """Raw single-field mutation with no recomputation."""
     if field == "payload":
-        ledger._payloads[seq] = canonical(value)
-        return
+        field, value = "payload_bytes", canonical(value)
     ledger._records[seq] = ledger._records[seq]._replace(**{field: value})

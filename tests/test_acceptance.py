@@ -68,7 +68,7 @@ from govsim.legislation import (
     generate_contract_stack,
     run_bidding,
 )
-from helpers import ceiling_charter, manifest_for, new_ledger, tamper_field, tamper_payload, template
+from helpers import manifest_for, new_ledger, tamper_field, tamper_payload, template
 
 MONEY_TOL = Decimal("0.00")
 UTILIZATION_TOL = Decimal("0.0001")
@@ -456,8 +456,7 @@ def test_c09_revoked_agents_never_hold_contracts():
         currency="EUR",
         task_templates=(sealer,),
     )
-    charter = ceiling_charter()
-    manifest = manifest_for(job, charter)
+    manifest = manifest_for(job)
     dag = decompose(job, mission_id="MISSION-1", ledger=new_ledger())
 
     rng = random.Random(20260822)

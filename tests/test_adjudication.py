@@ -22,7 +22,6 @@ from govsim.adjudication import (
     _attribute,
     advance_dispute,
     amend_charter,
-    attach_evidence,
     attribute_slashing,
     check_deadline,
     file_dispute,
@@ -35,7 +34,6 @@ from govsim.errors import (
     EvidenceIntegrityError,
     Inconclusive,
     InvalidTransition,
-    NotFound,
     ValidationError,
 )
 from govsim.identity import CertEvent, CertState, IdentityRegistry
@@ -43,7 +41,7 @@ from govsim.ledger import AuditLedger, RecordKind
 from govsim.legislation import Charter, Predicate, Rule
 from govsim.money import nxc
 
-from helpers import same, tamper_field, tamper_payload
+from helpers import mission_seqs, same, tamper_field, tamper_payload
 
 MISSION = "MISSION-X"
 
@@ -200,8 +198,7 @@ class TestPostMortem:
             },
         )
         report = post_mortem(ledger, feed_incident())
-        pedigree = ledger.pedigree(MISSION)
-        assert set(report.evidence_refs) <= set(pedigree.record_refs)
+        assert set(report.evidence_refs) <= set(mission_seqs(ledger, MISSION))
 
     def test_a_match_only_in_another_mission_is_inconclusive(self):
         ledger = AuditLedger(attestation_key=b"adj-test")
@@ -214,10 +211,10 @@ class TestPostMortem:
         with pytest.raises(Inconclusive):
             post_mortem(ledger, feed_incident())
 
-    def test_a_mission_with_no_records_is_not_found(self):
-        # The probe matches records of another mission: still `NotFound`.
+    def test_a_mission_with_no_records_is_inconclusive(self):
+        # The probe matches records of another mission only.
         incident = feed_incident()._replace(mission_id="MISSION-NONE")
-        with pytest.raises(NotFound, match="no records for mission 'MISSION-NONE'"):
+        with pytest.raises(Inconclusive, match="no ledger record matches"):
             post_mortem(evidence_ledger(), incident)
 
     @pytest.mark.parametrize(
@@ -238,7 +235,7 @@ class TestPostMortem:
                 mission=MISSION if i % 4 < 2 else "MISSION-OTHER",
             )
         for mission in (MISSION, "MISSION-OTHER"):
-            expected = probe.search(ledger, ledger.pedigree(mission).record_refs)
+            expected = probe.search(ledger, mission_seqs(ledger, mission))
             assert expected
             report = post_mortem(ledger, feed_incident(probe)._replace(mission_id=mission))
             assert report.evidence_refs == tuple(record.seq for record, _ in expected)
@@ -319,24 +316,21 @@ class TestPrefilter:
             )
         )
         incident = feed_incident(probe=probe)
-        if not any(ours for _, ours, _ in rows):
-            with pytest.raises(NotFound, match="no records for mission"):
+        # A mission with no records has no match either: `Inconclusive`.
+        expected = _reference_matches(ledger, probe, mission_seqs(ledger, MISSION))
+        if not expected:
+            with pytest.raises(Inconclusive):
                 post_mortem(ledger, incident)
         else:
-            expected = _reference_matches(ledger, probe, ledger.pedigree(MISSION).record_refs)
-            if not expected:
-                with pytest.raises(Inconclusive):
-                    post_mortem(ledger, incident)
-            else:
-                first = ledger.payload(expected[0])
-                report = post_mortem(ledger, incident)
-                assert report.evidence_refs == tuple(expected)
-                assert report.root_locus == (str(first.get("node_id", "")), expected[0])
-                assert same(report.attribution, _attribute(first))
-        # The dispute evidence query: every ToolCall whose payload holds the query.
+            first = ledger.payload(expected[0])
+            report = post_mortem(ledger, incident)
+            assert report.evidence_refs == tuple(expected)
+            assert report.root_locus == (str(first.get("node_id", "")), expected[0])
+            assert same(report.attribution, _attribute(first))
+        # A search over the whole ledger: every ToolCall whose payload holds the query.
         query = data.draw(st.lists(item, min_size=1, max_size=2).map(dict))
-        dispute = IncidentProbe(kinds=(RecordKind.TOOL_CALL,), payload_equals=query)
-        assert [r.seq for r, _ in dispute.search(ledger)] == [
+        whole = IncidentProbe(kinds=(RecordKind.TOOL_CALL,), payload_equals=query)
+        assert [r.seq for r, _ in whole.search(ledger)] == [
             r.seq
             for r in ledger if r.kind is RecordKind.TOOL_CALL
             if all(ledger.payload(r.seq).get(k) == v for k, v in query.items())
@@ -460,7 +454,6 @@ class TestDisputeLifecycle:
         ledger = AuditLedger(attestation_key=b"adj-test")
         case = filed_case(ledger)
         advance_dispute(case, OpenEvidence(), tick=2000, ledger=ledger)
-        attach_evidence(case, [14, 15, 16])
         advance_dispute(case, BeginDeliberation(), tick=3000, ledger=ledger)
         advance_dispute(case, IssueVerdict(approve_verdict()), tick=172_800, ledger=ledger)
         assert case.state is DisputeState.AMENDMENT_PENDING
@@ -503,8 +496,6 @@ class TestDisputeLifecycle:
         advance_dispute(case, OpenEvidence(), tick=1, ledger=ledger)
         with pytest.raises(InvalidTransition):
             advance_dispute(case, OpenEvidence(), tick=2, ledger=ledger)
-        with pytest.raises(InvalidTransition):
-            attach_evidence(filed_case(ledger), [1])
 
     def test_every_nonterminal_state_has_an_exit(self):
         # deadlock-freedom by construction: drive one case through each state

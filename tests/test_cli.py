@@ -10,6 +10,7 @@ import pytest
 
 from govsim.cli import main
 from govsim.harness import CASE_STUDY_FIXTURE, FAULT_DRILL_FIXTURE, bundled_scenario_path, load_scenario, run
+from govsim.ledger import verify_jsonl
 from test_fingerprints import HEADS, PINNED
 
 
@@ -117,6 +118,26 @@ def test_verify_ledger_breaks_at_a_line_ending_in_a_character_govsim_never_write
     head = json.loads(report.read_text())["ledger"]["head_digest"]
     lines = dump.read_bytes().decode().split("\n")
     lines[5] += char
+    dump.write_bytes("\n".join(lines).encode())
+    for flags in ([], ["--head", head]):
+        assert main(["verify-ledger", str(dump), *flags]) == 1
+        assert capsys.readouterr().err == "broken at seq 5\n"
+
+
+# Lines of whitespace alone: only an empty line is skipped.
+WHITESPACE_LINES = ["\r", " ", "\t", "\x0b", "\u2028"]
+
+
+@pytest.mark.parametrize("blank", WHITESPACE_LINES, ids=lambda char: f"U+{ord(char):04X}")
+def test_a_whitespace_line_between_records_breaks_the_chain_at_its_seq(drill_path, tmp_path, capsys, blank):
+    dump = tmp_path / "ledger.jsonl"
+    report = tmp_path / "r.json"
+    assert main(["run", str(drill_path), "--out", str(report), "--ledger-out", str(dump)]) == 0
+    head = json.loads(report.read_text())["ledger"]["head_digest"]
+    lines = dump.read_bytes().decode().split("\n")
+    lines.insert(5, blank)
+    for digest in (None, bytes.fromhex(head.removeprefix("sha256:"))):
+        assert verify_jsonl(lines, digest) == (False, 5)
     dump.write_bytes("\n".join(lines).encode())
     for flags in ([], ["--head", head]):
         assert main(["verify-ledger", str(dump), *flags]) == 1

@@ -165,10 +165,6 @@ def _empty_roster(raw):
     raw["agents"] = []
 
 
-def _dispute_with_bad_query(raw):
-    raw["timeline"].append({"tick": 10**9, "kind": "dispute", "params": {"evidence_query": 7}})
-
-
 def _zero_window(raw):
     raw["guardian"] = {"window_ticks": 0}
 
@@ -327,7 +323,6 @@ def _dispute(field, value, *keys):
             )
             for value in (7, [7])
         ),
-        (_dispute_with_bad_query, "timeline[1].params.evidence_query"),
         _missing("timeline[0].params.incident", ("timeline", 0, "params", "incident")),
         *(
             _missing(f"timeline[0].params.incident.{key}", ("timeline", 0, "params", "incident", key))
@@ -547,10 +542,10 @@ def test_the_audit_sweep_does_a_counted_amount_of_ledger_work(monkeypatch):
     # run `append` derives each stamp and header digest inline, once, and
     # `verify_chain` takes the sealed digests: nothing re-derives either.
     # Each post-mortem decodes only the records holding its probe's string
-    # and int needles, and takes no pedigree when its probe matches.
+    # and int needles.
     import govsim.ledger as ledger
 
-    calls = {"record_digest": 0, "_stamp": 0, "payload": 0, "pedigree": 0}
+    calls = {"record_digest": 0, "_stamp": 0, "payload": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -564,10 +559,9 @@ def test_the_audit_sweep_does_a_counted_amount_of_ledger_work(monkeypatch):
     counted(ledger, "record_digest")
     counted(ledger.AuditLedger, "_stamp")
     counted(ledger.AuditLedger, "payload")
-    counted(ledger.AuditLedger, "pedigree")
     report = run(scenario_from_dict(WORKLOADS["audit-sweep"](11)))
     assert report.body["ledger"]["records"] == 4119
-    assert calls == {"record_digest": 0, "_stamp": 0, "payload": 285, "pedigree": 0}
+    assert calls == {"record_digest": 0, "_stamp": 0, "payload": 285}
 
 
 # Keys that earlier versions of the bundled fixtures carried and the loader no

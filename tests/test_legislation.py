@@ -316,23 +316,18 @@ class TestDecompose:
 class TestPrescreen:
     def test_under_ceiling_authorizes_with_token(self):
         charter = ceiling_charter()
-        job = nine_node_job()
-        dag = decompose(job, mission_id="MISSION-1", ledger=new_ledger())
-        decision = prescreen(manifest_for(job, charter), dag, charter)
+        decision = prescreen(manifest_for(nine_node_job()), charter)
         assert isinstance(decision, Authorized)
         assert decision.token.startswith("auth:")
 
     def test_over_ceiling_escalates_with_rule_id(self):
         charter = ceiling_charter()
-        job = nine_node_job()
-        dag = decompose(job, mission_id="MISSION-1", ledger=new_ledger())
-        decision = prescreen(manifest_for(job, charter, notional="51000000"), dag, charter)
+        decision = prescreen(manifest_for(nine_node_job(), notional="51000000"), charter)
         assert same(decision, Escalated(reason="ceiling"))
 
     def test_empty_charter_authorizes(self):
         charter = Charter(version=1, rules=())
-        job = nine_node_job()
-        decision = prescreen(manifest_for(job, charter), None, charter)
+        decision = prescreen(manifest_for(nine_node_job()), charter)
         assert isinstance(decision, Authorized)
 
     def test_order_rejection_lists_every_triggered_rule(self):
@@ -343,7 +338,7 @@ class TestPrescreen:
             )
         )
         order = {"order_id": "ORD-X", "adverse_media_age_months": 14}
-        decision = prescreen(None, None, charter, order=order)
+        decision = prescreen(None, charter, order=order)
         assert same(decision, Rejected(rule_ids=("lookback-36m", "bic-complete")))
 
     def test_amended_lookback_passes_remediated_order(self):
@@ -355,7 +350,7 @@ class TestPrescreen:
             "remediation_verified": True,
             "beneficiary_bic": "BANKBRRJ",
         }
-        assert isinstance(prescreen(None, None, charter, order=order), Rejected)
+        assert isinstance(prescreen(None, charter, order=order), Rejected)
         amended = apply_amendment(
             charter,
             [
@@ -369,16 +364,14 @@ class TestPrescreen:
                 )
             ],
         )
-        assert isinstance(prescreen(None, None, amended, order=order), Authorized)
+        assert isinstance(prescreen(None, amended, order=order), Authorized)
 
     def test_escalation_outranks_rejection(self):
         charter = ceiling_charter(
             extra=(Rule("bic-complete", "order", Predicate("beneficiary_bic", "absent")),)
         )
-        job = nine_node_job()
         decision = prescreen(
-            manifest_for(job, charter, notional="51000000"),
-            None,
+            manifest_for(nine_node_job(), notional="51000000"),
             charter,
             order={"order_id": "ORD-X"},
         )
@@ -386,19 +379,17 @@ class TestPrescreen:
 
     def test_token_is_deterministic_and_version_sensitive(self):
         charter = ceiling_charter()
-        job = nine_node_job()
-        manifest = manifest_for(job, charter)
-        t1 = prescreen(manifest, None, charter).token
-        t2 = prescreen(manifest, None, charter).token
+        manifest = manifest_for(nine_node_job())
+        t1 = prescreen(manifest, charter).token
+        t2 = prescreen(manifest, charter).token
         assert t1 == t2
         bumped = Charter(version=2, rules=charter.rules)
-        assert prescreen(manifest, None, bumped).token != t1
+        assert prescreen(manifest, bumped).token != t1
 
     def test_decision_recorded(self):
         ledger = AuditLedger(attestation_key=b"k")
         charter = ceiling_charter()
-        job = nine_node_job()
-        prescreen(manifest_for(job, charter), None, charter, ledger=ledger)
+        prescreen(manifest_for(nine_node_job()), charter, ledger=ledger)
         recs = [r for r in ledger if r.kind is RecordKind.PRESCREEN_DECISION]
         assert len(recs) == 1
 
@@ -513,7 +504,7 @@ class TestContractStack:
                 mission_id="MISSION-1",
                 ledger=ledger,
             )
-        manifest = manifest_for(job, charter)
+        manifest = manifest_for(job)
         addresses = generate_contract_stack(
             manifest,
             dag,
@@ -582,13 +573,12 @@ class TestContractStack:
             self.build(token="")
 
     def test_incomplete_assignment(self):
-        charter = ceiling_charter()
         job = nine_node_job()
         ledger = new_ledger()
         dag = decompose(job, mission_id="MISSION-1", ledger=ledger)
         with pytest.raises(ValidationError, match="unassigned nodes"):
             generate_contract_stack(
-                manifest_for(job, charter),
+                manifest_for(job),
                 dag,
                 {},
                 authorization_token="auth:abc",
@@ -603,11 +593,10 @@ class TestContractStack:
         built = self.build(registry=registry)
         dag, assignments = built.dag, built.assignments
         registry.transition_cert("did:test:fx-12", E.REVOKE_ORDER)
-        charter = ceiling_charter()
         job = nine_node_job()
         with pytest.raises(ValidationError, match="is revoked"):
             generate_contract_stack(
-                manifest_for(job, charter),
+                manifest_for(job),
                 dag,
                 assignments,
                 authorization_token="auth:abc",
