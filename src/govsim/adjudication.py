@@ -12,7 +12,7 @@ from __future__ import annotations
 from decimal import Decimal
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .economy import Treasury
 from .errors import (
@@ -54,9 +54,9 @@ Attribution = AgentFault | ProviderFault | InfrastructureFault
 
 
 class IncidentProbe(NamedTuple):
-    """Data-driven deviance predicate over ledger records."""
+    """Data-driven deviance predicate over the payloads of `ToolCall`
+    records."""
 
-    kinds: tuple[RecordKind, ...] = (RecordKind.TOOL_CALL,)
     digest_mismatch: bool = False
     scope_violation: bool = False
     payload_equals: Mapping[str, object] = MappingProxyType({})
@@ -79,23 +79,17 @@ class IncidentProbe(NamedTuple):
             found.append(key_needle("declared_digest"))
         return tuple(found)
 
-    def search(
-        self, ledger: AuditLedger, seqs: Iterable[int] | None = None
-    ) -> list[tuple[AuditRecord, dict]]:
-        """The matching `(record, payload)` pairs among `seqs` (default: the
-        whole ledger), in order. Only records whose stored bytes hold every
+    def search(self, ledger: AuditLedger) -> list[tuple[AuditRecord, dict]]:
+        """The matching `(record, payload)` pairs of the ledger's `ToolCall`
+        records, in seq order. Only records whose stored bytes hold every
         needle are decoded and tested."""
-        if seqs is None:
-            seqs = range(len(ledger))
         return [
             (record, payload)
-            for record, payload in ledger.candidates(seqs, self.kinds, self.needles())
-            if self.matches(record, payload)
+            for record, payload in ledger.candidates(RecordKind.TOOL_CALL, *self.needles())
+            if self.matches(payload)
         ]
 
-    def matches(self, record: AuditRecord, payload: Mapping[str, object]) -> bool:
-        if self.kinds and record.kind not in self.kinds:
-            return False
+    def matches(self, payload: Mapping[str, object]) -> bool:
         if self.digest_mismatch:
             declared = payload.get("declared_digest")
             observed = payload.get("observed_digest")
@@ -128,8 +122,6 @@ class ForensicReport(NamedTuple):
     mission_id: str
     root_locus: tuple[str, int]
     attribution: Attribution
-    evidence_refs: tuple[int, ...]
-    narrative: str
 
 
 def _attribute(payload: Mapping[str, object]) -> Attribution:
@@ -144,41 +136,25 @@ def _attribute(payload: Mapping[str, object]) -> Attribution:
 
 
 def post_mortem(ledger: AuditLedger, incident: Incident) -> ForensicReport:
-    """Verify the whole chain, then scan the mission's records in seq order
-    for the first one matching the incident's deviance probe and attribute
-    it. A verified chain holds the sealed payloads, so the mission's records
-    are the ones whose decoded `mission_id` is the incident's. When none of
-    them matches, a mission with no records included, the result is
+    """Verify the whole chain, then attribute the first record, in seq order,
+    that matches the incident's deviance probe and whose decoded `mission_id`
+    is the incident's: a verified chain holds the sealed payloads. When no
+    record matches, a mission with no records included, the result is
     `Inconclusive`."""
     verdict = ledger.verify_chain()
     if not verdict.ok:
         raise EvidenceIntegrityError(
             f"chain breaks at seq {verdict.first_broken_seq}; evidence is inadmissible"
         )
-    mission = incident.mission_id
-    matches = [hit for hit in incident.probe.search(ledger) if hit[1].get("mission_id") == mission]
-    if not matches:
-        raise Inconclusive(f"no ledger record matches incident {incident.incident_id}")
-    first_record, first_payload = matches[0]
-    attribution = _attribute(first_payload)
-    node_id = str(first_payload.get("node_id", ""))
-    if isinstance(attribution, AgentFault):
-        locus_desc = f"agent action by {attribution.did}"
-    elif isinstance(attribution, ProviderFault):
-        locus_desc = f"data ingestion from {attribution.endpoint_id}"
-    else:
-        locus_desc = f"infrastructure component {attribution.component}"
-    return ForensicReport(
-        incident_id=incident.incident_id,
-        mission_id=incident.mission_id,
-        root_locus=(node_id, first_record.seq),
-        attribution=attribution,
-        evidence_refs=tuple(r.seq for r, _ in matches),
-        narrative=(
-            f"first deviant record at seq {first_record.seq} ({node_id}): "
-            f"{locus_desc}; {len(matches)} matching record(s) in the mission"
-        ),
-    )
+    for record, payload in incident.probe.search(ledger):
+        if payload.get("mission_id") == incident.mission_id:
+            return ForensicReport(
+                incident_id=incident.incident_id,
+                mission_id=incident.mission_id,
+                root_locus=(str(payload.get("node_id", "")), record.seq),
+                attribution=_attribute(payload),
+            )
+    raise Inconclusive(f"no ledger record matches incident {incident.incident_id}")
 
 
 # -- slashing decision ------------------------------------------------------
@@ -462,13 +438,13 @@ def amend_charter(
 
 
 class CorrectionLoopRun(NamedTuple):
-    incident_id: str
     step_l: str
     step_i: tuple[str, ...]
     step_g: str
     step_a: Mapping[str, str]
     completed: bool
     charter: Charter
+    stage_seqs: tuple[int, ...]
 
 
 def run_correction_loop(
@@ -485,14 +461,15 @@ def run_correction_loop(
     start_tick: int = 0,
 ) -> CorrectionLoopRun:
     """Classify, enforce, re-legislate, sanction: one ledger stamp per stage,
-    in order. An unclassifiable incident stops after the first stage with an
-    open-question flag."""
+    in order, and `stage_seqs` lists their seqs. An unclassifiable incident
+    stops after the first stage with an open-question flag."""
     rubric = rubric or SlashingRubric()
     tick = start_tick
+    stage_seqs: list[int] = []
 
     def stamp(stage: str, detail: Mapping[str, object]) -> None:
         nonlocal tick
-        ledger.append(
+        stage_seqs.append(ledger.append(
             RecordKind.CORRECTION_STAGE,
             "adjudication",
             {
@@ -502,7 +479,7 @@ def run_correction_loop(
                 **detail,
             },
             tick=tick,
-        )
+        ))
         tick += 1
 
     subject = incident.to_subject()
@@ -517,13 +494,13 @@ def run_correction_loop(
     if matched is None:
         stamp("L", {"classification": "unclassified", "open_question": True})
         return CorrectionLoopRun(
-            incident_id=incident.incident_id,
             step_l="unclassified",
             step_i=(),
             step_g="not reached",
             step_a={},
             completed=False,
             charter=charter,
+            stage_seqs=tuple(stage_seqs),
         )
     stamp("L", {"classification": matched})
 
@@ -566,11 +543,11 @@ def run_correction_loop(
     stamp("A", step_a)
 
     return CorrectionLoopRun(
-        incident_id=incident.incident_id,
         step_l=matched,
         step_i=tuple(actions),
         step_g=step_g,
         step_a=step_a,
         completed=True,
         charter=next_charter,
+        stage_seqs=tuple(stage_seqs),
     )

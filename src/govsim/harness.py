@@ -857,9 +857,7 @@ def report_escalations(ledger: AuditLedger, window_ticks: int) -> list[dict]:
     """The report's `escalations`: one entry per guardian escalation record."""
     return [
         {"tick": record.tick, "tier": body["tier"], "freeze_count": body["freeze_count"], "window_ticks": window_ticks}
-        for record, body in ledger.candidates(
-            range(len(ledger)), (RecordKind.ESCALATION,), (pair_needle("action", "guardian-escalation"),)
-        )
+        for record, body in ledger.candidates(RecordKind.ESCALATION, pair_needle("action", "guardian-escalation"))
     ]
 
 
@@ -868,7 +866,7 @@ def report_quarantine(ledger: AuditLedger, order_count: int) -> dict[str, Any]:
     order, the items quarantined out of `order_count`, and the items the
     nodes still hold after their last record."""
     trace, held, quarantined = [], {}, 0
-    for record, body in ledger.candidates(range(len(ledger)), (RecordKind.ESCALATION,), (key_needle("item_ids"),)):
+    for record, body in ledger.candidates(RecordKind.ESCALATION, key_needle("item_ids")):
         entry = {"tick": record.tick, "action": "quarantine", "node_id": body["node_id"], "items": body["item_ids"]}
         if body["action"] == "quarantine":
             quarantined += len(body["item_ids"])
@@ -887,16 +885,13 @@ def report_quarantine(ledger: AuditLedger, order_count: int) -> dict[str, Any]:
 def report_token_flows(ledger: AuditLedger, pool: RewardPool | None) -> dict[str, Any]:
     """The report's `token_flows`: the mission's pool (None when the run
     stopped before funding it), each reward transfer and each slash."""
-    seqs = range(len(ledger))
     rewards = {
         body["to"]: body["amount"]
-        for _, body in ledger.candidates(
-            seqs, (RecordKind.TOKEN_TRANSFER,), (pair_needle("memo", "performance-weighted reward"),)
-        )
+        for _, body in ledger.candidates(RecordKind.TOKEN_TRANSFER, pair_needle("memo", "performance-weighted reward"))
     }
     slashing = [
         {"did": body["did"], "amount": body["amount"]}
-        for _, body in ledger.candidates(seqs, (RecordKind.SLASHING_EVENT,), ())
+        for _, body in ledger.candidates(RecordKind.SLASHING_EVENT)
     ]
     flows: dict[str, Any] = {
         "pool": {} if pool is None else {"total": fmt(pool.total), "escrow_state": pool.escrow_state},
@@ -1414,7 +1409,6 @@ class _Driver:
         except Inconclusive:
             self.failures.append(f"post-mortem inconclusive for {incident.incident_id}")
             return
-        first = len(self.ledger)
         loop = run_correction_loop(
             incident,
             forensic,
@@ -1438,12 +1432,6 @@ class _Driver:
                 }
             )
         self.charter = loop.charter
-        stages = IncidentProbe(
-            kinds=(RecordKind.CORRECTION_STAGE,), payload_equals={"incident_id": incident.incident_id}
-        )
-        # Only this loop's records: an earlier loop may share the incident id.
-        stage_seqs = [r.seq for r, _ in stages.search(self.ledger, range(first, len(self.ledger)))]
-        sanction = dict(loop.step_a) if isinstance(loop.step_a, Mapping) else {"note": str(loop.step_a)}
         self.loops.append(
             {
                 "incident_id": incident.incident_id,
@@ -1452,9 +1440,9 @@ class _Driver:
                 "classification": loop.step_l,
                 "identity_action": loop.step_i,
                 "rules_action": loop.step_g,
-                "sanction": sanction,
+                "sanction": dict(loop.step_a),
                 "completed": loop.completed,
-                "stage_seqs": stage_seqs,
+                "stage_seqs": list(loop.stage_seqs),
             }
         )
 

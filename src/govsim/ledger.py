@@ -27,15 +27,15 @@ govsim writes (a `DUMP_LINE` match whose stamp and payload digest are
 lower-case hex) and checks each link against the header text as read, and,
 given the run's head digest, the digest after the last line against it.
 
-Payload searches test the stored bytes before decoding anything. A payload
-whose top-level `key` holds a string `value` encodes that item as exactly
-`pair_needle(key, value)` (an int `value` as the start of that item), so
-`candidates` decodes only the records whose bytes contain every needle a
-search names. It tests them with `bytes.find`, which is cheaper per record
-than `in`, in one pass that also tests the kind; further needles filter the
-hits. A needle is a necessary condition, never a sufficient one (the same
-text can sit in a nested object): the caller still tests each decoded
-payload.
+`candidates(kind, *needles)` is the one payload query, and it tests the
+stored bytes before decoding anything. A payload whose top-level `key` holds
+a string `value` encodes that item as exactly `pair_needle(key, value)` (an
+int `value` as the start of that item), so `candidates` decodes only the
+records of `kind` whose bytes contain every needle. One pass over the whole
+ledger, in seq order, tests the kind and the first needle with `bytes.find`,
+which is cheaper per record than `in`; further needles filter the hits. A
+needle is a necessary condition, never a sufficient one (the same text can
+sit in a nested object): the caller still tests each decoded payload.
 """
 from __future__ import annotations
 
@@ -82,10 +82,14 @@ class RecordKind(str, Enum):
 # The options `json.dumps` would be given, and the C encoder `_ENCODER.encode`
 # builds from them per call, built once. It keeps no circular-reference
 # markers: a shared dict would keep the ids of any encode that failed.
+# Without the `_json` accelerator the pure-Python encoder writes the same text.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _DECODER = json.JSONDecoder()
 _quote = json.encoder.encode_basestring_ascii
-_encode_c = json.encoder.c_make_encoder(None, _ENCODER.default, _quote, None, ":", ",", True, False, True)
+if json.encoder.c_make_encoder is not None:
+    _encode_c = json.encoder.c_make_encoder(None, _ENCODER.default, _quote, None, ":", ",", True, False, True)
+else:
+    _encode_c = lambda payload, _level: _ENCODER.iterencode(payload)
 # The JSON text of each kind, as the header and dump line write it.
 _KIND_TEXT = {kind: _quote(kind) for kind in RecordKind}
 
@@ -94,7 +98,8 @@ def canonical(payload: Mapping[str, Any]) -> bytes:
     """Deterministic field-ordered encoding; digests must be bit-stable.
     The bytes are `json.dumps(payload, sort_keys=True, separators=(",",
     ":")).encode()`. A value JSON cannot hold raises `TypeError`; a circular
-    one raises `RecursionError`."""
+    one raises `RecursionError` (`ValueError` without the `_json`
+    accelerator, whose pure-Python encoder checks for cycles)."""
     return "".join(_encode_c(payload, 0)).encode()
 
 
@@ -224,26 +229,20 @@ class AuditLedger:
         """A fresh decode of the stored canonical JSON (tuples come back as lists)."""
         return _DECODER.decode(self._records[seq].payload_bytes.decode())
 
-    def candidates(
-        self, seqs: Iterable[int], kinds: tuple[RecordKind, ...], needles: tuple[bytes, ...]
-    ) -> list[tuple[AuditRecord, dict[str, Any]]]:
-        """`(record, payload())` for each of `seqs`, in the order given, whose
-        kind is in `kinds` (any kind when empty) and whose stored bytes
-        contain every needle. No other payload is decoded."""
+    def candidates(self, kind: RecordKind, *needles: bytes) -> list[tuple[AuditRecord, dict[str, Any]]]:
+        """`(record, payload())` for each record of `kind`, in seq order, whose
+        stored bytes contain every needle. No other payload is decoded."""
         records = self._records
         # `payload.find(needle) >= 0`, not `needle in payload`: CPython's
         # `bytes.__contains__` first tries the needle as an int and clears
         # the TypeError that raises, which makes it about 1.5 times the cost
         # of `find` on a ToolCall payload. The kind test and the first needle
-        # share one pass over `seqs`; each further needle filters the hits.
+        # share one pass; each further needle filters the hits.
         if not needles:
-            hits = [seq for seq in seqs if records[seq].kind in kinds] if kinds else list(seqs)
+            hits = [seq for seq, rec in enumerate(records) if rec.kind == kind]
         else:
             first, *rest = needles
-            if kinds:
-                hits = [seq for seq in seqs if (rec := records[seq]).kind in kinds and rec.payload_bytes.find(first) >= 0]
-            else:
-                hits = [seq for seq in seqs if records[seq].payload_bytes.find(first) >= 0]
+            hits = [seq for seq, rec in enumerate(records) if rec.kind == kind and rec.payload_bytes.find(first) >= 0]
             for needle in rest:
                 hits = [seq for seq in hits if records[seq].payload_bytes.find(needle) >= 0]
         return [(records[seq], self.payload(seq)) for seq in hits]

@@ -104,7 +104,7 @@ class TestPostMortem:
         # seqs are 0-based: 13 clean records occupy 0..12, first mismatch is 13
         assert report.root_locus == ("TASK-002B", 13)
         assert same(report.attribution, ProviderFault(endpoint_id="EP-SANCTIONS-EU-002"))
-        assert report.evidence_refs == (13, 14, 15)
+        assert [record.seq for record, _ in feed_incident().probe.search(ledger)] == [13, 14, 15]
 
     def test_agent_attribution_on_scope_violation(self):
         ledger = AuditLedger(attestation_key=b"adj-test")
@@ -197,8 +197,12 @@ class TestPostMortem:
                 "contract_scope_ok": True,
             },
         )
-        report = post_mortem(ledger, feed_incident())
-        assert set(report.evidence_refs) <= set(mission_seqs(ledger, MISSION))
+        incident = feed_incident()
+        ours = mission_seqs(ledger, MISSION)
+        hits = [record.seq for record, _ in incident.probe.search(ledger)]
+        assert hits == [13, 14, 15, 16]
+        assert [seq for seq in hits if seq in ours] == [13, 14, 15]
+        assert post_mortem(ledger, incident).root_locus == ("TASK-002B", 13)
 
     def test_a_match_only_in_another_mission_is_inconclusive(self):
         ledger = AuditLedger(attestation_key=b"adj-test")
@@ -235,10 +239,10 @@ class TestPostMortem:
                 mission=MISSION if i % 4 < 2 else "MISSION-OTHER",
             )
         for mission in (MISSION, "MISSION-OTHER"):
-            expected = probe.search(ledger, mission_seqs(ledger, mission))
+            ours = mission_seqs(ledger, mission)
+            expected = [(record, payload) for record, payload in probe.search(ledger) if record.seq in ours]
             assert expected
             report = post_mortem(ledger, feed_incident(probe)._replace(mission_id=mission))
-            assert report.evidence_refs == tuple(record.seq for record, _ in expected)
             assert report.root_locus == (expected[0][1]["node_id"], expected[0][0].seq)
 
 
@@ -276,8 +280,11 @@ def _twins(value):
 
 
 def _reference_matches(ledger, probe, seqs):
-    """The scan before the prefilter: decode every record and test it."""
-    return [seq for seq in seqs if probe.matches(ledger.record(seq), ledger.payload(seq))]
+    """The scan before the prefilter: decode every ToolCall record and test it."""
+    return [
+        seq for seq in seqs
+        if ledger.record(seq).kind is RecordKind.TOOL_CALL and probe.matches(ledger.payload(seq))
+    ]
 
 
 class TestPrefilter:
@@ -295,7 +302,9 @@ class TestPrefilter:
             ledger.append(kind, "did:test:agent", {**payload, "mission_id": MISSION if ours else "M-2"})
         # Most probe items are copied from one stored payload, some with an
         # equal value of another type, so that matches are common.
-        kind, _, payload = data.draw(st.sampled_from([row for row in rows if row[1]] or rows))
+        ours = [row for row in rows if row[1]]
+        tool_calls = [row for row in ours if row[0] is RecordKind.TOOL_CALL]
+        _, _, payload = data.draw(st.sampled_from(tool_calls or ours or rows))
         stored = [(k, v) for k, v in payload.items() if not isinstance(v, (dict, list))]
         item = st.tuples(PROBE_KEYS, VALUES)
         if stored:
@@ -309,7 +318,6 @@ class TestPrefilter:
         probe = data.draw(
             st.builds(
                 IncidentProbe,
-                kinds=st.one_of(st.just((kind,)), st.lists(KINDS, max_size=2).map(tuple)),
                 digest_mismatch=st.sampled_from([False, False, True]),
                 scope_violation=st.sampled_from([False, False, True]),
                 payload_equals=equals.map(dict),
@@ -324,12 +332,11 @@ class TestPrefilter:
         else:
             first = ledger.payload(expected[0])
             report = post_mortem(ledger, incident)
-            assert report.evidence_refs == tuple(expected)
             assert report.root_locus == (str(first.get("node_id", "")), expected[0])
             assert same(report.attribution, _attribute(first))
         # A search over the whole ledger: every ToolCall whose payload holds the query.
         query = data.draw(st.lists(item, min_size=1, max_size=2).map(dict))
-        whole = IncidentProbe(kinds=(RecordKind.TOOL_CALL,), payload_equals=query)
+        whole = IncidentProbe(payload_equals=query)
         assert [r.seq for r, _ in whole.search(ledger)] == [
             r.seq
             for r in ledger if r.kind is RecordKind.TOOL_CALL
@@ -367,8 +374,6 @@ class TestAttributeSlashing:
             mission_id=report.mission_id,
             root_locus=report.root_locus,
             attribution=AgentFault(did="did:test:exec"),
-            evidence_refs=report.evidence_refs,
-            narrative=report.narrative,
         )
         slashed = attribute_slashing(
             agent_report, SlashingRubric(fraction=Decimal("0.05")),
@@ -388,8 +393,6 @@ class TestAttributeSlashing:
             mission_id=report.mission_id,
             root_locus=report.root_locus,
             attribution=AgentFault(did="did:test:exec"),
-            evidence_refs=report.evidence_refs,
-            narrative=report.narrative,
         )
         slashed = attribute_slashing(
             agent_report, SlashingRubric(), treasury=treasury, ledger=ledger
@@ -750,3 +753,23 @@ class TestCorrectionLoop:
         records = [r for r in ledger if r.kind is RecordKind.CORRECTION_STAGE]
         assert len(records) == 1
         assert ledger.payload(records[0].seq)["open_question"] is True
+
+    @pytest.mark.parametrize("classified, stages", [(False, 1), (True, 4)], ids=["unclassified", "completed"])
+    def test_stage_seqs_are_the_stages_the_call_appended(self, classified, stages):
+        # The second loop on one incident lists only its own stages.
+        ledger = evidence_ledger()
+        treasury = Treasury(ledger)
+        registry = IdentityRegistry(ledger)
+        incident = feed_incident()
+        report = post_mortem(ledger, incident)
+        charter = self.incident_charter() if classified else Charter(1, ())
+        for start_tick in (10, 20):
+            first = len(ledger)
+            loop = run_correction_loop(
+                incident, report, charter, treasury=treasury, registry=registry, ledger=ledger,
+                start_tick=start_tick,
+            )
+            assert loop.completed is classified
+            appended = [r.seq for r in ledger if r.seq >= first and r.kind is RecordKind.CORRECTION_STAGE]
+            assert len(appended) == stages
+            assert loop.stage_seqs == tuple(appended)

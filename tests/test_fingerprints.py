@@ -7,7 +7,11 @@ change that moves one on purpose names the old and the new value. The ledger
 head covers every payload byte, so it also catches a value that changes its
 JSON encoding without changing the report.
 """
+import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +71,31 @@ def test_bench_workload_is_pinned(name):
     assert report.body["ledger"]["records"] == records
     assert report.fingerprint == fingerprint
     assert report.body["ledger"]["head_digest"] == head
+
+
+PURE_JSON_RUN = """
+import sys
+sys.modules["_json"] = None
+import json
+from govsim.harness import load_bundled_scenario, run
+assert json.encoder.c_make_encoder is None
+out = {}
+for name in sys.argv[1:]:
+    report = run(load_bundled_scenario(name))
+    out[name] = [report.fingerprint, report.body["ledger"]["records"], report.body["ledger"]["head_digest"]]
+print(json.dumps(out))
+"""
+
+
+def test_fixtures_replay_to_their_pins_without_the_json_accelerator():
+    # `import json` falls back to its pure-Python encoder when `_json` cannot
+    # be imported; `canonical` must then write the same bytes.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", PURE_JSON_RUN, *sorted(PINNED)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {
+        name: [fingerprint, records, HEADS[name]] for name, (fingerprint, records) in PINNED.items()
+    }
