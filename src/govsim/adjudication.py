@@ -12,7 +12,7 @@ from __future__ import annotations
 from decimal import Decimal
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .economy import Treasury
 from .errors import (
@@ -79,15 +79,12 @@ class IncidentProbe(NamedTuple):
             found.append(key_needle("declared_digest"))
         return tuple(found)
 
-    def search(self, ledger: AuditLedger) -> list[tuple[AuditRecord, dict]]:
+    def search(self, ledger: AuditLedger) -> Iterator[tuple[AuditRecord, dict]]:
         """The matching `(record, payload)` pairs of the ledger's `ToolCall`
-        records, in seq order. Only records whose stored bytes hold every
-        needle are decoded and tested."""
-        return [
-            (record, payload)
-            for record, payload in ledger.candidates(RecordKind.TOOL_CALL, *self.needles())
-            if self.matches(payload)
-        ]
+        records, lazily in seq order: only records holding every needle are
+        decoded, up to the pair taken. Do not append while iterating."""
+        hits = ledger.candidates(RecordKind.TOOL_CALL, *self.needles())
+        return ((record, payload) for record, payload in hits if self.matches(payload))
 
     def matches(self, payload: Mapping[str, object]) -> bool:
         if self.digest_mismatch:
@@ -138,9 +135,9 @@ def _attribute(payload: Mapping[str, object]) -> Attribution:
 def post_mortem(ledger: AuditLedger, incident: Incident) -> ForensicReport:
     """Verify the whole chain, then attribute the first record, in seq order,
     that matches the incident's deviance probe and whose decoded `mission_id`
-    is the incident's: a verified chain holds the sealed payloads. When no
-    record matches, a mission with no records included, the result is
-    `Inconclusive`."""
+    is the incident's (a verified chain holds the sealed payloads); nothing
+    after it is scanned or decoded. When no record matches, a mission with no
+    records included, the result is `Inconclusive`."""
     verdict = ledger.verify_chain()
     if not verdict.ok:
         raise EvidenceIntegrityError(

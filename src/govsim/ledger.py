@@ -31,9 +31,10 @@ given the run's head digest, the digest after the last line against it.
 stored bytes before decoding anything. A payload whose top-level `key` holds
 a string `value` encodes that item as exactly `pair_needle(key, value)` (an
 int `value` as the start of that item), so `candidates` decodes only the
-records of `kind` whose bytes contain every needle. One pass over the whole
-ledger, in seq order, tests the kind and the first needle with `bytes.find`,
-which is cheaper per record than `in`; further needles filter the hits. A
+records of `kind` whose bytes contain every needle. It yields them lazily in
+seq order: one pass tests the kind and the first needle with `bytes.find`
+(cheaper per record than `in`), further needles filter the hits, and a hit is
+decoded only when the caller reaches it. Do not append while iterating. A
 needle is a necessary condition, never a sufficient one (the same text can
 sit in a nested object): the caller still tests each decoded payload.
 """
@@ -229,23 +230,23 @@ class AuditLedger:
         """A fresh decode of the stored canonical JSON (tuples come back as lists)."""
         return _DECODER.decode(self._records[seq].payload_bytes.decode())
 
-    def candidates(self, kind: RecordKind, *needles: bytes) -> list[tuple[AuditRecord, dict[str, Any]]]:
-        """`(record, payload())` for each record of `kind`, in seq order, whose
-        stored bytes contain every needle. No other payload is decoded."""
+    def candidates(self, kind: RecordKind, *needles: bytes) -> Iterator[tuple[AuditRecord, dict[str, Any]]]:
+        """`(record, payload())` for each record of `kind` whose stored bytes
+        contain every needle, lazily in seq order: nothing past the item the
+        caller takes is scanned or decoded. Do not append while iterating."""
         records = self._records
         # `payload.find(needle) >= 0`, not `needle in payload`: CPython's
         # `bytes.__contains__` first tries the needle as an int and clears
         # the TypeError that raises, which makes it about 1.5 times the cost
         # of `find` on a ToolCall payload. The kind test and the first needle
-        # share one pass; each further needle filters the hits.
-        if not needles:
-            hits = [seq for seq, rec in enumerate(records) if rec.kind == kind]
-        else:
-            first, *rest = needles
-            hits = [seq for seq, rec in enumerate(records) if rec.kind == kind and rec.payload_bytes.find(first) >= 0]
-            for needle in rest:
-                hits = [seq for seq in hits if records[seq].payload_bytes.find(needle) >= 0]
-        return [(records[seq], self.payload(seq)) for seq in hits]
+        # (the empty one, in every payload, when none is given) share one
+        # pass; each further needle filters the hits, bound as a default
+        # because a closure would read the loop variable late.
+        first, *rest = needles or (b"",)
+        hits = (seq for seq, rec in enumerate(records) if rec.kind == kind and rec.payload_bytes.find(first) >= 0)
+        for needle in rest:
+            hits = filter(lambda seq, needle=needle: records[seq].payload_bytes.find(needle) >= 0, hits)
+        return ((records[seq], self.payload(seq)) for seq in hits)
 
     def _stamp(self, seq: int, digest: bytes) -> bytes:
         """HMAC-SHA256 under the run key over `canonical({"payload_digest": …,

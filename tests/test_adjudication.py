@@ -211,7 +211,7 @@ class TestPostMortem:
             ledger, 2, endpoint="EP-SANCTIONS-EU-002", declared="sha256:good", observed="sha256:bad",
             mission="MISSION-OTHER",
         )
-        assert feed_incident().probe.search(ledger)
+        assert next(feed_incident().probe.search(ledger), None)
         with pytest.raises(Inconclusive):
             post_mortem(ledger, feed_incident())
 
@@ -326,14 +326,25 @@ class TestPrefilter:
         incident = feed_incident(probe=probe)
         # A mission with no records has no match either: `Inconclusive`.
         expected = _reference_matches(ledger, probe, mission_seqs(ledger, MISSION))
+        # The post-mortem decodes the ToolCall records holding every needle,
+        # in seq order, up to its match and none after it.
+        passing = [
+            r.seq for r in ledger
+            if r.kind is RecordKind.TOOL_CALL and all(needle in r.payload_bytes for needle in probe.needles())
+        ]
+        decoded, payload = [], ledger.payload
+        ledger.payload = lambda seq: decoded.append(seq) or payload(seq)
         if not expected:
             with pytest.raises(Inconclusive):
                 post_mortem(ledger, incident)
+            assert decoded == passing
         else:
-            first = ledger.payload(expected[0])
+            first = payload(expected[0])
             report = post_mortem(ledger, incident)
             assert report.root_locus == (str(first.get("node_id", "")), expected[0])
             assert same(report.attribution, _attribute(first))
+            assert decoded == [seq for seq in passing if seq <= expected[0]]
+        del ledger.payload
         # A search over the whole ledger: every ToolCall whose payload holds the query.
         query = data.draw(st.lists(item, min_size=1, max_size=2).map(dict))
         whole = IncidentProbe(payload_equals=query)

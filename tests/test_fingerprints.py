@@ -10,6 +10,7 @@ JSON encoding without changing the report.
 import json
 import os
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,9 @@ from govsim.harness import (
     run,
     scenario_from_dict,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS_PY = ROOT / "bench" / "workloads.py"
 
 PINNED = {
     CASE_STUDY_FIXTURE: ("a1803bf4f61ebf588113194dd51ab78bb327bb4eca59955cafe605247561f102", 120),
@@ -65,7 +69,7 @@ def test_fixture_fingerprint_is_pinned(name):
 def test_bench_workload_is_pinned(name):
     # run_path executes the generator's source without importing it as a
     # module, so nothing is written next to it.
-    workloads = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "workloads.py"))
+    workloads = runpy.run_path(str(WORKLOADS_PY))
     fingerprint, records, head = GENERATED[name]
     report = run(scenario_from_dict(workloads["GENERATORS"][name](11)))
     assert report.body["ledger"]["records"] == records
@@ -73,29 +77,59 @@ def test_bench_workload_is_pinned(name):
     assert report.body["ledger"]["head_digest"] == head
 
 
+# Replays each named fixture, or generated document at seed 11, and prints
+# its fingerprint, record count and head as JSON. Stdlib and govsim only.
+REPLAY = """
+import json, runpy, sys
+from govsim.harness import load_bundled_scenario, run, scenario_from_dict
+generators = runpy.run_path(sys.argv[1])["GENERATORS"]
+out = {}
+for name in sys.argv[2:]:
+    report = run(scenario_from_dict(generators[name](11)) if name in generators else load_bundled_scenario(name))
+    out[name] = [report.fingerprint, report.body["ledger"]["records"], report.body["ledger"]["head_digest"]]
+print(json.dumps(out))
+"""
+
 PURE_JSON_RUN = """
 import sys
 sys.modules["_json"] = None
 import json
-from govsim.harness import load_bundled_scenario, run
 assert json.encoder.c_make_encoder is None
-out = {}
-for name in sys.argv[1:]:
-    report = run(load_bundled_scenario(name))
-    out[name] = [report.fingerprint, report.body["ledger"]["records"], report.body["ledger"]["head_digest"]]
-print(json.dumps(out))
-"""
+""" + REPLAY
+
+
+def replay_elsewhere(python, script, names):
+    """The pins `script` prints when `python` runs it on `names`."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [python, "-c", script, str(WORKLOADS_PY), *names],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
 
 
 def test_fixtures_replay_to_their_pins_without_the_json_accelerator():
     # `import json` falls back to its pure-Python encoder when `_json` cannot
     # be imported; `canonical` must then write the same bytes.
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    result = subprocess.run(
-        [sys.executable, "-c", PURE_JSON_RUN, *sorted(PINNED)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == {
+    assert replay_elsewhere(sys.executable, PURE_JSON_RUN, sorted(PINNED)) == {
         name: [fingerprint, records, HEADS[name]] for name, (fingerprint, records) in PINNED.items()
     }
+
+
+OTHER_PYTHONS = [f"python3.{minor}" for minor in range(10, 14) if minor != sys.version_info.minor]
+
+
+def test_other_interpreters_replay_to_the_pins():
+    # Every CPython the package supports must write the same bytes. A
+    # `python3.N` on PATH may be a version-manager shim that does not start.
+    found = [
+        python for python in map(shutil.which, OTHER_PYTHONS)
+        if python and subprocess.run([python, "-c", ""], capture_output=True, timeout=60).returncode == 0
+    ]
+    if not found:
+        pytest.skip(f"none of {', '.join(OTHER_PYTHONS)} starts")
+    expected = {name: [fingerprint, records, HEADS[name]] for name, (fingerprint, records) in PINNED.items()}
+    expected.update({name: list(pins) for name, pins in GENERATED.items()})
+    for python in found:
+        assert replay_elsewhere(python, REPLAY, sorted(expected)) == expected, python

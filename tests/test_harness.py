@@ -542,10 +542,14 @@ def test_the_audit_sweep_does_a_counted_amount_of_ledger_work(monkeypatch):
     # run `append` derives each stamp and header digest inline, once, and
     # `verify_chain` takes the sealed digests: nothing re-derives either.
     # Each post-mortem decodes only the records holding its probe's string
-    # and int needles, and a correction loop reads back none of its stages.
+    # and int needles up to its first match, which is the first such record
+    # here, and a correction loop reads back none of its stages. The report
+    # decodes the 16 reward transfers.
+    import govsim.harness as harness
     import govsim.ledger as ledger
 
     calls = {"record_digest": 0, "_stamp": 0, "payload": 0}
+    per_post_mortem = []
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -559,9 +563,20 @@ def test_the_audit_sweep_does_a_counted_amount_of_ledger_work(monkeypatch):
     counted(ledger, "record_digest")
     counted(ledger.AuditLedger, "_stamp")
     counted(ledger.AuditLedger, "payload")
+    post_mortem = harness.post_mortem
+
+    def decoding(*args):
+        before = calls["payload"]
+        try:
+            return post_mortem(*args)
+        finally:
+            per_post_mortem.append(calls["payload"] - before)
+
+    monkeypatch.setattr(harness, "post_mortem", decoding)
     report = run(scenario_from_dict(WORKLOADS["audit-sweep"](11)))
     assert report.body["ledger"]["records"] == 4119
-    assert calls == {"record_digest": 0, "_stamp": 0, "payload": 275}
+    assert per_post_mortem == [1] * 10
+    assert calls == {"record_digest": 0, "_stamp": 0, "payload": 26}
 
 
 # Keys that earlier versions of the bundled fixtures carried and the loader no

@@ -603,7 +603,25 @@ def test_candidates_are_the_records_of_one_kind_holding_every_needle(rows, data)
         for seq in range(len(rows))
         if rows[seq][0] is kind and all(needle in blobs[seq] for needle in needles)
     ]
-    assert led.candidates(kind, *needles) == expected
+    assert list(led.candidates(kind, *needles)) == expected
+
+
+def test_candidates_scan_and_decode_only_up_to_the_item_taken():
+    led = AuditLedger(attestation_key=KEY)
+    # Each of the first three payloads lacks a different one of three needles,
+    # so every filter must test its own needle; the last two hold all three.
+    rows = [{"a": 1, "c": 1}, {"a": 1, "b": 1}, {"b": 1, "c": 1}, {"a": 1, "b": 1, "c": 1}, {"a": 2, "b": 2, "c": 2}]
+    for payload in rows:
+        led.append(RecordKind.TOOL_CALL, "engine", payload, tick=0)
+    led.append(RecordKind.ESCALATION, "engine", rows[3], tick=0)
+    decoded, payload = [], led.payload
+    led.payload = lambda seq: decoded.append(seq) or payload(seq)
+    hits = led.candidates(RecordKind.TOOL_CALL, b'"a":', b'"b":', b'"c":')
+    assert decoded == []
+    record, body = next(hits)
+    assert (record.seq, body, decoded) == (3, rows[3], [3])
+    assert [(record.seq, body) for record, body in hits] == [(4, rows[4])]
+    assert decoded == [3, 4]
 
 
 # -- the seal against a full recomputation -----------------------------------
